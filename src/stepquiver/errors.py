@@ -140,6 +140,11 @@ class NonComposableRelationError(StepQuiverError):
     """A relation names two arrows that do not compose head-to-tail."""
 
 
+class NotGentleError(StepQuiverError):
+    """An arrow has two continuations, or two predecessors, under one
+    thread predicate: gentle condition (2) or (3) fails."""
+
+
 # ---------------------------------------------------------------------------
 # DSL / CLI
 # ---------------------------------------------------------------------------

@@ -500,6 +500,35 @@ def eta(F: VarIntegralFn, G: VarIntegralFn, domain) -> VarIntegralFn:
 # ---------------------------------------------------------------------------
 
 STIELTJES_MAX_N = 1 << 22
+# cells per block of a midpoint Stieltjes sum, so memory stays flat in N
+STIELTJES_BLOCK = 1 << 16
+
+
+def _stieltjes_sum(ev_f: _Evaluator, ev_phi: _Evaluator, lo: float, hi: float,
+                   n: int) -> float:
+    """``Σ f(m_i) (φ(x_{i+1}) - φ(x_i))`` on the uniform n-cell partition.
+
+    The cells are summed ``STIELTJES_BLOCK`` at a time.  The grid is the one
+    ``np.linspace(lo, hi, n + 1)`` builds, and ``n`` is a power of two, so
+    adding the block sums pairwise reproduces numpy's pairwise sum over
+    the whole partition.
+    """
+    step = (hi - lo) / n
+    sums = []
+    for k0 in range(0, n, STIELTJES_BLOCK):
+        k1 = min(n, k0 + STIELTJES_BLOCK)
+        xs = np.arange(k0, k1 + 1, dtype=float) * step + lo
+        if k1 == n:
+            xs[-1] = hi
+        phis = ev_phi(xs)
+        _finite_or_raise(phis, xs)
+        mids = 0.5 * (xs[:-1] + xs[1:])
+        fm = ev_f(mids)
+        _finite_or_raise(fm, mids)
+        sums.append(float(np.sum(fm * np.diff(phis))))
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
 
 
 def _monotone_runs(ev: _Evaluator, iv: Interval, samples: int = 129):
@@ -569,6 +598,7 @@ def _density_enclosure(f, fp, domain: Interval, tol: float) -> Optional[Enclosur
                 if domain.lo < p < domain.hi:
                     cut_pts.add(p)
         outer = sorted(cut_pts)
+        ev_fp = _Evaluator(fp)
         total: Enclosure = Enclosure(0.0, 0.0)
         tol_sub = tol / max(1, len(outer) - 1)
         for a, b_ in zip(outer, outer[1:]):
@@ -577,8 +607,7 @@ def _density_enclosure(f, fp, domain: Interval, tol: float) -> Optional[Enclosur
                 continue
 
             def g(xs, _k=k):
-                xs = np.atleast_1d(np.asarray(xs, dtype=float))
-                return _k * np.asarray([float(fp(float(x))) for x in xs])
+                return _k * ev_fp(np.atleast_1d(np.asarray(xs, dtype=float)))
 
             runs = _monotone_runs(_Evaluator(g), Interval(a, b_))
             if runs is None:
@@ -590,11 +619,11 @@ def _density_enclosure(f, fp, domain: Interval, tol: float) -> Optional[Enclosur
         return total
 
     ev_f = _Evaluator(f)
+    ev_fp = _Evaluator(fp)
 
     def g(xs):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        dens = np.asarray([float(fp(float(x))) for x in xs])
-        return ev_f(xs) * dens
+        return ev_f(xs) * ev_fp(xs)
 
     pieces = _monotone_runs(_Evaluator(g), domain)
     if pieces is None:
@@ -650,13 +679,7 @@ def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> 
     prev = None
     value = None
     while n <= STIELTJES_MAX_N:
-        xs = np.linspace(domain.lo, domain.hi, n + 1)
-        phis = ev_phi(xs)
-        _finite_or_raise(phis, xs)
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        fm = ev_f(mids)
-        _finite_or_raise(fm, mids)
-        s = float(np.sum(fm * np.diff(phis)))
+        s = _stieltjes_sum(ev_f, ev_phi, domain.lo, domain.hi, n)
         if prev is not None and abs(s - prev) <= 0.5 * tol:
             value = s
             break

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     DepthTooLargeError,
     DimensionMismatchError,
@@ -421,10 +423,10 @@ class StieltjesMeasure:
     def check_monotone(self, iv: Interval, samples: int = 257) -> None:
         if iv.is_degenerate():
             return
-        import numpy as np
-
         xs = np.linspace(iv.lo, iv.hi, samples)
-        vals = np.asarray([float(self.phi(float(x))) for x in xs])
+        # a non-finite sample raises NonFiniteError just below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = np.asarray([float(self.phi(float(x))) for x in xs])
         if not np.all(np.isfinite(vals)):
             raise NonFiniteError(f"{self.label} is non-finite on [{iv.lo}, {iv.hi}]")
         scale = 1.0 + float(np.max(np.abs(vals)))
@@ -440,10 +442,11 @@ def log_power_measure(l: float) -> StieltjesMeasure:
     """The family ``phi_l(t) = l * ln t`` (valid on positive intervals).
 
     Its density is ``phi_l'(t) = l / t``, supplied so Stieltjes sums can be
-    cross-checked against a certified enclosure.
+    cross-checked against a certified enclosure.  Both accept a float or an
+    ndarray, so quadrature evaluates them a whole grid at a time.
     """
     return StieltjesMeasure(
-        phi=lambda x: l * math.log(x),
+        phi=lambda x: l * np.log(x),
         phi_prime=lambda x: l / x,
         label=f"{l}*ln(t)",
     )
@@ -451,4 +454,6 @@ def log_power_measure(l: float) -> StieltjesMeasure:
 
 def identity_measure() -> StieltjesMeasure:
     """``phi(t) = t``: plain Lebesgue integration as a Stieltjes measure."""
-    return StieltjesMeasure(phi=lambda x: x, phi_prime=lambda x: 1.0, label="t")
+    return StieltjesMeasure(phi=lambda x: x,
+                            phi_prime=lambda x: np.ones_like(x, dtype=float),
+                            label="t")

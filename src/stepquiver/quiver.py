@@ -10,6 +10,14 @@ reading single arrows are threads in the relation-free case and the
 forbidden/dual-permitted correspondence is a bijection — both of which are
 enforced by tests against a brute-force scanner.
 
+Gentle conditions (2)/(3) leave every arrow at most one successor and at
+most one predecessor under each predicate, so the threads of one kind are
+disjoint chains (Avella-Alaminos–Geiss, JPAA 2008).  Each quiver indexes
+its arrows by source and by target once, and threads and cycle witnesses
+come from iterative walks along a successor map.  Validation, threads and
+the Koszul dual are therefore linear in the number of arrows, with no
+recursion limit on the length of a chain.
+
 Global dimension routes (must agree):
 
 * ``threads`` — sup of forbidden-thread lengths (0 for an empty set);
@@ -33,6 +41,7 @@ from .errors import (
     InfiniteGlobalDimensionError,
     MethodDisagreementError,
     NonComposableRelationError,
+    NotGentleError,
     NotPermittedError,
     PathNotInPresentationError,
     UnknownArrowError,
@@ -61,11 +70,7 @@ class Quiver:
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
-        seen_v = []
-        for v in self.vertices:
-            if v not in seen_v:
-                seen_v.append(v)
-        object.__setattr__(self, "vertices", tuple(seen_v))
+        object.__setattr__(self, "vertices", tuple(dict.fromkeys(self.vertices)))
         names = set()
         vset = set(self.vertices)
         arrows = tuple(Arrow(*a) for a in self.arrows)
@@ -84,11 +89,21 @@ class Quiver:
     def arrow_map(self) -> dict:
         return {a.name: a for a in self.arrows}
 
+    @cached_property
+    def _ends(self) -> tuple[dict, dict]:
+        """Arrows by source and by target, each list in declaration order."""
+        by_source: dict[str, list[Arrow]] = {}
+        by_target: dict[str, list[Arrow]] = {}
+        for a in self.arrows:
+            by_source.setdefault(a.source, []).append(a)
+            by_target.setdefault(a.target, []).append(a)
+        return by_source, by_target
+
     def arrows_from(self, v: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == v]
+        return list(self._ends[0].get(v, ()))
 
     def arrows_into(self, v: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.target == v]
+        return list(self._ends[1].get(v, ()))
 
     def to_json(self) -> dict:
         return {
@@ -202,40 +217,52 @@ def _strict_condition_violations(q: Quiver, rels: frozenset) -> list[GentleViola
     return out
 
 
-def _successors(p: GentlePresentation, in_ideal: bool) -> dict:
-    succ: dict[str, list[str]] = {}
+def _next_arrow(p: GentlePresentation, in_ideal: bool) -> dict[str, str]:
+    """Each arrow's successor ``b`` with ``(a, b) in I`` equal to ``in_ideal``.
+
+    Raises ``NotGentleError`` when an arrow would get a second successor or
+    a second predecessor: gentle conditions (2)/(3) rule both out.
+    """
+    nxt: dict[str, str] = {}
+    has_pred: set[str] = set()
     for a in p.quiver.arrows:
-        nxt = [b.name for b in p.quiver.arrows_from(a.target)
-               if p.in_ideal(a.name, b.name) == in_ideal]
-        succ[a.name] = sorted(nxt)
-    return succ
+        for b in p.quiver.arrows_from(a.target):
+            if p.in_ideal(a.name, b.name) == in_ideal:
+                if a.name in nxt or b.name in has_pred:
+                    what = "relation" if in_ideal else "composition"
+                    raise NotGentleError(f"{a.name}*{b.name} is a second {what} "
+                                         f"out of {a.name!r} or into {b.name!r}")
+                nxt[a.name] = b.name
+                has_pred.add(b.name)
+    return nxt
 
 
-def _find_cycle(succ: dict) -> Optional[list[str]]:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {k: WHITE for k in succ}
-    stack_path: list[str] = []
+def _chains(nxt: dict[str, str], names: Iterable[str]
+            ) -> tuple[list[list[str]], Optional[list[str]]]:
+    """Walk ``nxt`` from every arrow without a predecessor, in name order.
 
-    def visit(u: str) -> Optional[list[str]]:
-        color[u] = GRAY
-        stack_path.append(u)
-        for w in succ[u]:
-            if color[w] == GRAY:
-                return stack_path[stack_path.index(w):] + [w]
-            if color[w] == WHITE:
-                res = visit(w)
-                if res is not None:
-                    return res
-        stack_path.pop()
-        color[u] = BLACK
-        return None
-
-    for k in sorted(succ):
-        if color[k] == WHITE:
-            res = visit(k)
-            if res is not None:
-                return res
-    return None
+    Returns the maximal chains and, when some arrows lie on none of them
+    (they then form cycles), the cycle through the least such arrow,
+    closed by repeating that arrow.
+    """
+    names = sorted(names)
+    has_pred = set(nxt.values())
+    chains = []
+    for s in names:
+        if s in has_pred:
+            continue
+        chain = [s]
+        while chain[-1] in nxt:
+            chain.append(nxt[chain[-1]])
+        chains.append(chain)
+    if sum(map(len, chains)) == len(names):
+        return chains, None
+    on_chain = {a for c in chains for a in c}
+    start = next(a for a in names if a not in on_chain)
+    cycle = [start, nxt[start]]
+    while cycle[-1] != start:
+        cycle.append(nxt[cycle[-1]])
+    return chains, cycle
 
 
 def validate_gentle(q: Quiver, rels: Iterable, strict: bool = False,
@@ -262,7 +289,8 @@ def validate_gentle(q: Quiver, rels: Iterable, strict: bool = False,
     if violations:
         return ValidationReport(ok=False, violations=violations)
     if not allow_infinite_dimensional:
-        cycle = _find_cycle(_successors(pres, in_ideal=False))
+        _, cycle = _chains(_next_arrow(pres, in_ideal=False),
+                           (a.name for a in q.arrows))
         if cycle is not None:
             raise InfiniteDimensionalError(
                 "non-relation compositions cycle through arrows "
@@ -308,28 +336,14 @@ def enumerate_threads(p: GentlePresentation, kind: str) -> tuple[Thread, ...]:
     if kind not in (PERMITTED, FORBIDDEN):
         raise NotPermittedError(f"unknown thread kind {kind!r}")
     in_ideal = kind == FORBIDDEN
-    succ = _successors(p, in_ideal)
-    cycle = _find_cycle(succ)
+    chains, cycle = _chains(_next_arrow(p, in_ideal), (a.name for a in p.quiver.arrows))
     if cycle is not None:
         msg = f"{kind} compositions cycle through arrows {' -> '.join(cycle)}"
         if in_ideal:
             raise InfiniteGlobalDimensionError(msg)
         raise InfiniteDimensionalError(msg)
-    has_pred = {w for ws in succ.values() for w in ws}
-    starts = sorted(a for a in succ if a not in has_pred)
-    threads: list[Thread] = []
-
-    def extend(path: list[str]) -> None:
-        nxt = succ[path[-1]]
-        if not nxt:
-            threads.append(Thread(tuple(path), kind))
-            return
-        for w in nxt:
-            extend(path + [w])
-
-    for s in starts:
-        extend([s])
-    return tuple(sorted(threads, key=lambda t: t.arrows))
+    # chains start at distinct arrows taken in name order, so they are sorted
+    return tuple(Thread(tuple(c), kind) for c in chains)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +502,24 @@ def _gldim_integral(forb: Sequence[Thread], p: GentlePresentation) -> int:
     return best
 
 
-def _gldim_stieltjes(p: GentlePresentation) -> int:
-    dual = koszul_dual(p)
-    perm = enumerate_threads(dual, PERMITTED)
-    best = 0
-    for l in sorted({t.length for t in perm}):
-        best = max(best, integer_from_float(_stieltjes_length(l), 1e-9))
-    return best
+def _gldim_stieltjes(dual: GentlePresentation) -> int:
+    lengths = sorted({t.length for t in enumerate_threads(dual, PERMITTED)})
+    return max((integer_from_float(_stieltjes_length(l), 1e-9) for l in lengths),
+               default=0)
+
+
+def _agreed_routes(p: GentlePresentation, forb: Sequence[Thread],
+                   dual: GentlePresentation) -> dict:
+    """All three routes from the forbidden threads and the Koszul dual;
+    raises ``MethodDisagreementError`` unless they agree."""
+    values = {
+        "threads": _gldim_threads(forb),
+        "integral": _gldim_integral(forb, p),
+        "stieltjes": _gldim_stieltjes(dual),
+    }
+    if len(set(values.values())) != 1:
+        raise MethodDisagreementError(f"global-dimension routes disagree: {values}")
+    return values
 
 
 def global_dimension(p: GentlePresentation, method: str = "threads") -> int:
@@ -510,16 +535,9 @@ def global_dimension(p: GentlePresentation, method: str = "threads") -> int:
     if method == "integral":
         return _gldim_integral(forb, p)
     if method == "stieltjes":
-        return _gldim_stieltjes(p)
+        return _gldim_stieltjes(koszul_dual(p))
     if method == "all":
-        values = {
-            "threads": _gldim_threads(forb),
-            "integral": _gldim_integral(forb, p),
-            "stieltjes": _gldim_stieltjes(p),
-        }
-        if len(set(values.values())) != 1:
-            raise MethodDisagreementError(f"global-dimension routes disagree: {values}")
-        return values["threads"]
+        return _agreed_routes(p, forb, koszul_dual(p))["threads"]
     raise NotPermittedError(f"unknown method {method!r}")
 
 
@@ -528,13 +546,7 @@ def gldim_report(p: GentlePresentation) -> dict:
     forb = enumerate_threads(p, FORBIDDEN)
     perm = enumerate_threads(p, PERMITTED)
     dual = koszul_dual(p)
-    values = {
-        "threads": _gldim_threads(forb),
-        "integral": _gldim_integral(forb, p),
-        "stieltjes": _gldim_stieltjes(p),
-    }
-    if len(set(values.values())) != 1:
-        raise MethodDisagreementError(f"global-dimension routes disagree: {values}")
+    values = _agreed_routes(p, forb, dual)
     return {
         "gldim": values["threads"],
         "method_values": values,

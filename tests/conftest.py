@@ -138,6 +138,26 @@ def brute_threads(doc, kind: str) -> set[tuple[str, ...]]:
     return results
 
 
+def brute_cycle_arrows(doc, kind: str) -> set[str]:
+    """Arrows from which linked (``kind``) compositions lead back to
+    themselves, by plain reachability over all arrow pairs."""
+    rel = set(doc.relations)
+    info = {name: (source, target) for name, source, target in doc_arrows(doc)}
+    succ = {a: [b for b in info if info[a][1] == info[b][0]
+                and ((a, b) in rel) == (kind == "forbidden")] for a in info}
+    out = set()
+    for a in info:
+        seen, todo = set(), list(succ[a])
+        while todo:
+            b = todo.pop()
+            if b not in seen:
+                seen.add(b)
+                todo.extend(succ[b])
+        if a in seen:
+            out.add(a)
+    return out
+
+
 def brute_global_dimension(doc) -> int:
     threads = brute_threads(doc, "forbidden")
     return max((len(t) for t in threads), default=0)

@@ -132,6 +132,26 @@ def test_gldim_text_reports_all_three_routes(capsys):
     assert out == "gl.dim = 2 (threads=2, integral=2, stieltjes=2)\n"
 
 
+def test_gldim_on_a_1500_arrow_full_chain(capsys, tmp_path):
+    n = 1500
+    path = tmp_path / "a1501_full.qv"
+    path.write_text(
+        f"quiver a{n + 1}_full {{\n"
+        f"  vertices: {' '.join(str(i) for i in range(1, n + 2))}\n"
+        f"  arrows: {', '.join(f'a{i}: {i} -> {i + 1}' for i in range(1, n + 1))}\n"
+        f"  relations: {', '.join(f'a{i}*a{i + 1}' for i in range(1, n))}\n"
+        "}\n")
+    rc, out, err = run_cli(capsys, "gldim", str(path))
+    assert rc == 0, err
+    assert out == f"gl.dim = {n} (threads={n}, integral={n}, stieltjes={n})\n"
+
+
+def test_stieltjes_log_power_off_the_positive_axis_is_a_typed_error(capsys):
+    rc, out, err = run_cli(capsys, "stieltjes", "--fn", "t", "--domain", "0", "1",
+                           "--log-power", "4")
+    assert rc == 1 and out == "" and err.startswith("error: ")
+
+
 def test_gldim_json_matches_schema(capsys):
     payload = run_json(capsys, "gldim", qv("square_half"))
     schema_check("gldim.json", payload)

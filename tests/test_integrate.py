@@ -33,6 +33,9 @@ from stepquiver import (
     zero_function,
 )
 
+from stepquiver import integrate as integrate_module
+from stepquiver.integrate import STIELTJES_BLOCK, _Evaluator, _stieltjes_sum
+
 from conftest import random_step
 
 
@@ -261,3 +264,28 @@ def test_stieltjes_log_power_scales_linearly(l):
     value = stieltjes_integrate(lambda x: x, log_power_measure(l),
                                 (1.0, 2.0), tol=1e-9)
     assert value == pytest.approx(l, abs=1e-8), f"φ_{l} gave {value}"
+
+
+@pytest.mark.parametrize("n", [64, STIELTJES_BLOCK, 4 * STIELTJES_BLOCK])
+def test_blocked_stieltjes_sum_matches_the_whole_partition_sum(n):
+    # the reference is the unblocked sum over the same linspace partition;
+    # blocks of a power-of-two n added pairwise keep numpy's summation order
+    f = lambda x: x * x + 1.0  # noqa: E731
+    phi = log_power_measure(7.0)
+    xs = np.linspace(1.0, 3.0, n + 1)
+    whole = float(np.sum(f(0.5 * (xs[:-1] + xs[1:])) * np.diff(phi.phi(xs))))
+    assert _stieltjes_sum(_Evaluator(f), _Evaluator(phi.phi), 1.0, 3.0, n) == whole
+
+
+def test_stieltjes_sum_past_one_block_lands_within_tol(monkeypatch):
+    # ∫_[1,2] t d(2000 ln t) = 2000 needs a partition of more than one block
+    sizes = []
+
+    def recording(ev_f, ev_phi, lo, hi, n):
+        sizes.append(n)
+        return _stieltjes_sum(ev_f, ev_phi, lo, hi, n)
+
+    monkeypatch.setattr(integrate_module, "_stieltjes_sum", recording)
+    value = stieltjes_integrate(lambda x: x, log_power_measure(2000.0), (1.0, 2.0), tol=1e-9)
+    assert max(sizes) > STIELTJES_BLOCK
+    assert abs(value - 2000.0) <= 1e-9, value

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -208,6 +209,25 @@ def test_log_power_measure_values():
     assert mu.phi(2.0) == pytest.approx(3.0 * math.log(2.0), rel=1e-15)
     assert mu.phi_prime(2.0) == pytest.approx(1.5, rel=1e-15)
     assert mu.label == "3.0*ln(t)"
+
+
+@pytest.mark.parametrize("mu", [log_power_measure(3.0), identity_measure()],
+                         ids=["log_power", "identity"])
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_measures_evaluate_arrays_elementwise(mu, shape):
+    # quadrature hands whole grids to phi and phi'; a scalar-only callable
+    # would drop it to a per-point Python loop
+    xs = np.linspace(1.0, 2.0, math.prod(shape)).reshape(shape)
+    for fn in (mu.phi, mu.phi_prime):
+        out = fn(xs)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        pointwise = np.array([float(fn(float(x))) for x in xs.ravel()]).reshape(shape)
+        np.testing.assert_allclose(out, pointwise, rtol=4 * np.finfo(float).eps)
+
+
+def test_log_power_measure_is_non_finite_off_the_positive_axis():
+    with pytest.raises(NonFiniteError):
+        log_power_measure(4.0).check_monotone(make_interval(0.0, 1.0))
 
 
 @given(st.floats(min_value=0.5, max_value=10.0, allow_nan=False),

@@ -19,6 +19,7 @@ from stepquiver import (
     InfiniteDimensionalError,
     InfiniteGlobalDimensionError,
     NonComposableRelationError,
+    NotGentleError,
     NotPermittedError,
     PathNotInPresentationError,
     Quiver,
@@ -38,10 +39,13 @@ from stepquiver import (
     vertex_hom_q,
     w_projection,
 )
+from stepquiver.integrate import integer_from_float
+from stepquiver.quiver import _stieltjes_length
 
 from conftest import (
     EXPECTED_GLDIM,
     INFINITE_GLDIM,
+    brute_cycle_arrows,
     brute_dual_relations,
     brute_global_dimension,
     brute_threads,
@@ -56,6 +60,10 @@ def chain(n: int) -> Quiver:
     vs = tuple(str(i) for i in range(1, n + 2))
     arrows = tuple(Arrow(f"a{i}", str(i), str(i + 1)) for i in range(1, n + 1))
     return Quiver(vs, arrows)
+
+
+def full_chain_relations(n: int) -> list[tuple[str, str]]:
+    return [(f"a{i}", f"a{i + 1}") for i in range(1, n)]
 
 
 def shim_doc(pres: GentlePresentation) -> SimpleNamespace:
@@ -232,6 +240,123 @@ def test_threads_match_brute_force_on_random_chains(data):
     for kind in ("forbidden", "permitted"):
         got = {t.arrows for t in enumerate_threads(p, kind)}
         assert got == brute_threads(doc, kind), f"{kind} differ for rels={rels}"
+
+
+def test_thread_walk_rejects_a_non_gentle_presentation():
+    # built directly, so no validation ran: condition (3) fails at vertex 2
+    # (a continues outside the ideal by both b and c), condition (2) at 3
+    branch = Quiver(("1", "2", "3", "4"),
+                    (Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "2", "4")))
+    with pytest.raises(NotGentleError):
+        enumerate_threads(GentlePresentation(branch, frozenset()), "permitted")
+    merge = Quiver(("1", "2", "3", "4"),
+                   (Arrow("a", "1", "3"), Arrow("b", "2", "3"), Arrow("c", "3", "4")))
+    with pytest.raises(NotGentleError):
+        enumerate_threads(GentlePresentation(merge, {("a", "c"), ("b", "c")}), "forbidden")
+
+
+@st.composite
+def gentle_presentations(draw):
+    """A quiver with at most two arrows into and out of each vertex, and a
+    relation set meeting gentle conditions (2)/(3): chains, branches,
+    cycles and loops, with or without relations."""
+    vs = [str(i) for i in range(draw(st.integers(min_value=1, max_value=6)))]
+    ins: dict[str, list[str]] = {v: [] for v in vs}
+    outs: dict[str, list[str]] = {v: [] for v in vs}
+    arrows = []
+    for k in range(draw(st.integers(min_value=0, max_value=2 * len(vs)))):
+        s, t = draw(st.sampled_from(vs)), draw(st.sampled_from(vs))
+        if len(outs[s]) < 2 and len(ins[t]) < 2:
+            arrows.append(Arrow(f"x{k}", s, t))
+            outs[s].append(f"x{k}")
+            ins[t].append(f"x{k}")
+    rels = set()
+    for v in vs:
+        a_in, a_out = ins[v], outs[v]
+        if len(a_in) == 2 and len(a_out) == 2:  # a matching of ins to outs
+            b1, b2 = draw(st.permutations(a_out))
+            rels |= {(a_in[0], b1), (a_in[1], b2)}
+        elif len(a_in) == 2 and len(a_out) == 1:
+            rels.add((draw(st.sampled_from(a_in)), a_out[0]))
+        elif len(a_in) == 1 and len(a_out) == 2:
+            rels.add((a_in[0], draw(st.sampled_from(a_out))))
+        elif len(a_in) == 1 and len(a_out) == 1 and draw(st.booleans()):
+            rels.add((a_in[0], a_out[0]))
+    return Quiver(tuple(vs), tuple(arrows)), rels
+
+
+def assert_cycle_witness(exc, on_cycles: set, doc, kind: str) -> None:
+    """The message names the cycle through the least arrow on any cycle."""
+    text = str(exc).split("cycle through arrows ", 1)[1].split(";")[0]
+    walk = text.split(" -> ")
+    assert walk[0] == walk[-1] == min(on_cycles), text
+    assert len(set(walk)) == len(walk) - 1 and set(walk) <= on_cycles, text
+    ends = {a.name: (a.source, a.target) for a in doc.arrows}
+    for a, b in zip(walk, walk[1:]):
+        assert ends[a][1] == ends[b][0], text
+        assert ((a, b) in doc.relations) == (kind == "forbidden"), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(gentle_presentations())
+def test_random_gentle_presentations_match_brute_force(qr):
+    q, rels = qr
+    doc = SimpleNamespace(arrows=q.arrows, relations=sorted(rels))
+    p = validate_gentle(q, rels, allow_infinite_dimensional=True)
+    assert isinstance(p, GentlePresentation), p
+    permitted_cycles = brute_cycle_arrows(doc, "permitted")
+    if permitted_cycles:
+        with pytest.raises(InfiniteDimensionalError) as info:
+            validate_gentle(q, rels)
+        assert_cycle_witness(info.value, permitted_cycles, doc, "permitted")
+    else:
+        assert validate_gentle(q, rels) == p
+
+    for kind, error in (("forbidden", InfiniteGlobalDimensionError),
+                        ("permitted", InfiniteDimensionalError)):
+        on_cycles = brute_cycle_arrows(doc, kind)
+        if on_cycles:
+            with pytest.raises(error) as info:
+                enumerate_threads(p, kind)
+            assert_cycle_witness(info.value, on_cycles, doc, kind)
+        else:
+            got = [t.arrows for t in enumerate_threads(p, kind)]
+            assert got == sorted(brute_threads(doc, kind)), kind
+
+    d = koszul_dual(p)
+    assert d.quiver.arrows == tuple(Arrow(a.name, a.target, a.source) for a in q.arrows)
+    assert set(d.relations) == brute_dual_relations(doc)
+
+    for method in ("threads", "integral", "stieltjes", "all"):
+        if brute_cycle_arrows(doc, "forbidden"):
+            with pytest.raises(InfiniteGlobalDimensionError):
+                global_dimension(p, method)
+        else:
+            assert global_dimension(p, method) == brute_global_dimension(doc), method
+
+
+@pytest.mark.parametrize("n", [1500, 20_000])
+@pytest.mark.parametrize("full", [False, True], ids=["free", "full"])
+def test_long_chains_have_no_recursion_limit(n, full):
+    names = tuple(f"a{i}" for i in range(1, n + 1))
+    singles = sorted((a,) for a in names)
+    p = validate_gentle(chain(n), full_chain_relations(n) if full else [])
+    assert isinstance(p, GentlePresentation)
+    forb = [t.arrows for t in enumerate_threads(p, "forbidden")]
+    perm = [t.arrows for t in enumerate_threads(p, "permitted")]
+    assert (forb, perm) == (([names], singles) if full else (singles, [names]))
+    dual = koszul_dual(p)
+    assert set(dual.relations) == (
+        set() if full else {(b, a) for a, b in full_chain_relations(n)})
+    gldim = n if full else 1
+    routes = ("threads", "integral") + (("stieltjes",) if gldim <= 1500 else ())
+    for method in routes:
+        assert global_dimension(p, method) == gldim, method
+
+
+@pytest.mark.parametrize("l", [1100, 10_000])
+def test_stieltjes_length_of_long_threads_is_an_integer(l):
+    assert integer_from_float(_stieltjes_length(l), 1e-9) == l
 
 
 # ---------------------------------------------------------------------------
