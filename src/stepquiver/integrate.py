@@ -183,6 +183,11 @@ def _finite_or_raise(vals: np.ndarray, xs: np.ndarray) -> None:
         )
 
 
+def _check_tol(tol) -> None:
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        raise OrderViolationError(f"tolerance must be a positive real, got {tol!r}")
+
+
 def _as_interval(domain) -> Interval:
     if isinstance(domain, Interval):
         return domain
@@ -299,8 +304,7 @@ def integrate_enclosure(
     strategy and the meaning of ``converged``.
     """
     domain = _as_interval(domain)
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise OrderViolationError(f"tolerance must be a positive real, got {tol!r}")
+    _check_tol(tol)
     if domain.is_degenerate():
         return Enclosure(0.0, 0.0, True)
     pieces = _check_tiling(domain, monotone_pieces if monotone_pieces is not None else [domain])
@@ -393,10 +397,9 @@ def convex_enclosure(f: Callable, domain, tol: float) -> Enclosure:
     over-estimates on every cell, giving an O(1/N²) bracket.
     """
     domain = _as_interval(domain)
+    _check_tol(tol)
     if domain.is_degenerate():
         return Enclosure(0.0, 0.0, True)
-    if not (math.isfinite(tol) and tol > 0):
-        raise OrderViolationError(f"tolerance must be a positive real, got {tol!r}")
     ev = _Evaluator(f)
     budget = [CELL_BUDGET]
     lower, upper, conv = _convex_piece(ev, domain.lo, domain.hi, tol, 0, budget)
@@ -454,16 +457,28 @@ def var_upper_integral(f: StepFunction, c: float) -> VarIntegralFn:
     amb = f.ambient.factors[0]
     if float(c) != amb.lo:
         raise AmbientMismatchError(f"base {c} is not the ambient lower endpoint {amb.lo}")
-    pts = {amb.lo, amb.hi}
-    for b, _ in f.pieces:
-        pts.add(b.factors[0].lo)
-        pts.add(b.factors[0].hi)
-    xs = sorted(pts)
-    ys = [0.0]
-    for x0, x1 in zip(xs, xs[1:]):
-        midv = f.eval(0.5 * (x0 + x1))
-        ys.append(ys[-1] + midv * (x1 - x0))
+    xs, ys = [amb.lo], [0.0]
+    for _, x1, k in _step_cells(f, amb.lo, amb.hi):
+        ys.append(ys[-1] + k * (x1 - xs[-1]))
+        xs.append(x1)
     return VarIntegralFn(base=amb.lo, xs=tuple(xs), ys=tuple(ys), integrand=f)
+
+
+def _step_cells(f: StepFunction, lo, hi):
+    """``(a, b, k)`` left to right for the canonical pieces of a 1-D ``f``
+    clipped to ``[lo, hi]``, gaps as ``k = 0.0``.  Ties keep ``lo``/``hi``
+    themselves, so an ambient built from ints keeps its int endpoints."""
+    at = lo
+    for b, k in f.pieces:
+        a, z = max(lo, b.factors[0].lo), min(hi, b.factors[0].hi)
+        if a >= z:
+            continue
+        if at < a:
+            yield at, a, 0.0
+        yield a, z, k
+        at = z
+    if at < hi:
+        yield at, hi, 0.0
 
 
 def eta(F: VarIntegralFn, G: VarIntegralFn, domain) -> VarIntegralFn:
@@ -574,11 +589,9 @@ def _monotone_runs(ev: _Evaluator, iv: Interval, samples: int = 129):
 
 def _stieltjes_exact_step(f: StepFunction, phi: StieltjesMeasure, domain: Interval) -> float:
     total = 0.0
-    for b, k in f.pieces:
-        seg = b.factors[0].intersect(domain)
-        if seg is None or seg.is_degenerate():
-            continue
-        total += k * (float(phi.phi(seg.hi)) - float(phi.phi(seg.lo)))
+    for a, z, k in _step_cells(f, domain.lo, domain.hi):
+        if k != 0.0:
+            total += k * (float(phi.phi(z)) - float(phi.phi(a)))
     return total
 
 
@@ -586,23 +599,16 @@ def _density_enclosure(f, fp, domain: Interval, tol: float) -> Optional[Enclosur
     """Best-effort enclosure of ``∫ f(t) φ'(t) dt``; None if not certifiable.
 
     For a step function the integrand is handled one constant-coefficient
-    subinterval at a time (coefficients read at interval interiors, so the
-    diagnostic boundary rule never leaks in); otherwise ``f * φ'`` is split
-    on sampled monotone runs.  Returns None when sampling cannot produce a
-    trustworthy monotone-piece picture.
+    cell at a time, the cells :func:`_stieltjes_exact_step` reads; otherwise
+    ``f * φ'`` is split on sampled monotone runs.  Returns None when sampling
+    cannot produce a trustworthy monotone-piece picture.
     """
     if isinstance(f, StepFunction):
-        cut_pts = {domain.lo, domain.hi}
-        for b, _ in f.pieces:
-            for p in (b.factors[0].lo, b.factors[0].hi):
-                if domain.lo < p < domain.hi:
-                    cut_pts.add(p)
-        outer = sorted(cut_pts)
+        cells = list(_step_cells(f, domain.lo, domain.hi))
         ev_fp = _Evaluator(fp)
         total: Enclosure = Enclosure(0.0, 0.0)
-        tol_sub = tol / max(1, len(outer) - 1)
-        for a, b_ in zip(outer, outer[1:]):
-            k = f.eval(0.5 * (a + b_))
+        tol_sub = tol / max(1, len(cells))
+        for a, b_, k in cells:
             if k == 0.0:
                 continue
 
@@ -660,6 +666,7 @@ def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> 
     ``∫ f φ'``.
     """
     domain = _as_interval(domain)
+    _check_tol(tol)
     if domain.is_degenerate():
         return 0.0
     phi.check_monotone(domain)
@@ -671,8 +678,6 @@ def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> 
             _stieltjes_cross_check(f, phi, domain, value, max(tol, 1e-12))
         return value
 
-    if not (math.isfinite(tol) and tol > 0):
-        raise OrderViolationError(f"tolerance must be a positive real, got {tol!r}")
     ev_f = _Evaluator(f)
     ev_phi = _Evaluator(phi.phi)
     n = 64

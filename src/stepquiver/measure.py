@@ -14,10 +14,14 @@ types here.  Two design points worth knowing:
   ``(a, b) -> a*x + b`` whose coefficients are dyadic rationals, so up to
   depth 40 every endpoint is an exact binary64 value and tilings telescope
   with ``==`` rather than tolerance.
+* Disjointness is decided on the common endpoint grid: two non-degenerate
+  boxes overlap with positive measure exactly when they share a grid cell.
+  Degenerate boxes are exempt, so they may touch or repeat.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -160,18 +164,13 @@ def lebesgue_measure(b: Box) -> float:
 # measurable sets (finite unions of disjoint boxes)
 # ---------------------------------------------------------------------------
 
-def _overlap_measure(a: Box, b: Box) -> float:
-    cap = a.intersect(b)
-    return 0.0 if cap is None else cap.measure
-
-
 @dataclass(frozen=True)
 class MeasurableSet:
     """Finite union of pairwise almost-disjoint boxes of one dimension.
 
-    Boxes are stored sorted lexicographically by endpoints; overlapping input
-    (beyond shared boundary facets) is rejected — use :func:`normalize_set`
-    to turn an arbitrary finite union into this canonical form.
+    Boxes are stored sorted lexicographically by endpoints; input in which
+    two non-degenerate boxes share a grid cell is rejected — use
+    :func:`normalize_set` to turn an arbitrary finite union into this form.
     """
 
     boxes: tuple[Box, ...]
@@ -184,12 +183,8 @@ class MeasurableSet:
             for b in bs[1:]:
                 if b.dim != d:
                     raise DimensionMismatchError("mixed box dimensions in one set")
-            for i in range(len(bs)):
-                for j in range(i + 1, len(bs)):
-                    if _overlap_measure(bs[i], bs[j]) > 0.0:
-                        raise OrderViolationError(
-                            "boxes overlap with positive measure; normalize_set them first"
-                        )
+            disjoint_cells([b for b in bs if not b.is_degenerate()],
+                           "boxes overlap with positive measure; normalize_set them first")
 
     @property
     def dim(self) -> int:
@@ -232,23 +227,18 @@ def _merge_axis(cells: list, axis: int) -> list:
     return out
 
 
-def split_on_grid(boxes: Sequence[Box], tagged: Optional[Sequence[int]] = None):
+def split_on_grid(boxes: Sequence[Box]):
     """Cut every box along the union of all per-coordinate endpoints.
 
     Returns ``(cells, tags)`` where each cell is a grid-aligned sub-box of
-    exactly one input box (tags track which input, for callers that care).
-    Degenerate inputs pass through uncut.
+    exactly one input box and ``tags[i]`` is the index of the input box that
+    cell ``i`` came from.  Degenerate factors pass through uncut.
     """
     if not boxes:
         return [], []
     dim = boxes[0].dim
-    grids: list[list[float]] = []
-    for ax in range(dim):
-        pts = set()
-        for b in boxes:
-            pts.add(b.factors[ax].lo)
-            pts.add(b.factors[ax].hi)
-        grids.append(sorted(pts))
+    grids = [sorted({e for b in boxes for e in (b.factors[ax].lo, b.factors[ax].hi)})
+             for ax in range(dim)]
 
     cells: list[Box] = []
     tags: list[int] = []
@@ -256,12 +246,8 @@ def split_on_grid(boxes: Sequence[Box], tagged: Optional[Sequence[int]] = None):
         if b.dim != dim:
             raise DimensionMismatchError("mixed box dimensions")
         per_axis: list[list[Interval]] = []
-        for ax in range(dim):
-            f = b.factors[ax]
-            if f.is_degenerate():
-                per_axis.append([f])
-                continue
-            cuts = [p for p in grids[ax] if f.lo < p < f.hi]
+        for f, grid in zip(b.factors, grids):
+            cuts = grid[bisect.bisect_right(grid, f.lo):bisect.bisect_left(grid, f.hi)]
             pts = [f.lo] + cuts + [f.hi]
             per_axis.append([Interval(a, c) for a, c in zip(pts, pts[1:])])
         # cartesian product of the per-axis pieces
@@ -270,7 +256,16 @@ def split_on_grid(boxes: Sequence[Box], tagged: Optional[Sequence[int]] = None):
             combos = [prefix + (iv,) for prefix in combos for iv in pieces]
         for combo in combos:
             cells.append(Box(combo))
-            tags.append(tagged[idx] if tagged is not None else idx)
+            tags.append(idx)
+    return cells, tags
+
+
+def disjoint_cells(boxes: Sequence[Box], overlap_message: str):
+    """:func:`split_on_grid` of non-degenerate boxes; a cell shared by two
+    of them is an overlap and raises ``OrderViolationError(overlap_message)``."""
+    cells, tags = split_on_grid(boxes)
+    if len(set(cells)) < len(cells):
+        raise OrderViolationError(overlap_message)
     return cells, tags
 
 
@@ -299,8 +294,7 @@ def normalize_set(boxes: Iterable[Box]) -> MeasurableSet:
     # degenerate boxes survive only if not already covered by a solid box
     for d in degenerate:
         if not any(k.contains_box(d) for k in keep):
-            if not any(k.sort_key() == d.sort_key() for k in keep):
-                keep.append(d)
+            keep.append(d)
     return MeasurableSet(tuple(keep))
 
 

@@ -282,7 +282,8 @@ def validate_gentle(q: Quiver, rels: Iterable, strict: bool = False,
     cycles (the quotient algebra has paths of every length), unless
     ``allow_infinite_dimensional`` is set (used for Koszul duals).
     """
-    pres = GentlePresentation(q, frozenset(tuple(r) for r in rels), validated=False)
+    # built once: it leaves this function only after every check passed
+    pres = GentlePresentation(q, frozenset(tuple(r) for r in rels))
     violations = _paper_condition_violations(q, pres.relations)
     if strict:
         violations = violations + _strict_condition_violations(q, pres.relations)
@@ -296,7 +297,7 @@ def validate_gentle(q: Quiver, rels: Iterable, strict: bool = False,
                 "non-relation compositions cycle through arrows "
                 f"{' -> '.join(cycle)}; the quotient algebra is infinite-dimensional"
             )
-    return GentlePresentation(q, pres.relations, validated=True)
+    return pres
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ measure-zero concern: every operation here is an almost-everywhere notion,
 and :func:`eval_step` only fixes a deterministic diagnostic rule for
 boundary points (never used by integration).
 
-Canonical form: pieces are cut on the common per-coordinate endpoint grid,
-zero coefficients and degenerate boxes are dropped, and adjacent cells with
-equal coefficients are merged axis by axis.  Two step functions equal almost
+Canonical form: zero coefficients and degenerate boxes are dropped, the
+rest are cut on the common per-coordinate endpoint grid (two pieces sharing
+a grid cell overlap and are rejected), and adjacent cells with equal
+coefficients are merged axis by axis.  Two step functions equal almost
 everywhere therefore have identical canonical pieces, which makes ``==``
 (and hashing) meaningful.
 """
@@ -25,7 +26,6 @@ from .errors import (
     BadExponentError,
     DimensionMismatchError,
     NonFiniteError,
-    OrderViolationError,
     OutOfDomainError,
 )
 from .measure import (
@@ -34,7 +34,7 @@ from .measure import (
     Interval,
     MeasurableSet,
     _merge_axis,
-    _overlap_measure,
+    disjoint_cells,
     split_on_grid,
 )
 
@@ -80,15 +80,9 @@ def _canonical_pieces(ambient: Box, pieces) -> tuple[tuple[Box, float], ...]:
         if k == 0.0 or b.is_degenerate():
             continue
         cleaned.append((b, k))
-    for i in range(len(cleaned)):
-        for j in range(i + 1, len(cleaned)):
-            if _overlap_measure(cleaned[i][0], cleaned[j][0]) > 0.0:
-                raise OrderViolationError(
-                    "pieces overlap with positive measure; combine them via linear_combine"
-                )
-    if not cleaned:
-        return ()
-    cells, tags = split_on_grid([b for b, _ in cleaned])
+    cells, tags = disjoint_cells(
+        [b for b, _ in cleaned],
+        "pieces overlap with positive measure; combine them via linear_combine")
     tagged = [(cell, cleaned[tag][1]) for cell, tag in zip(cells, tags)]
     for ax in range(ambient.dim):
         tagged = _merge_axis(tagged, ax)

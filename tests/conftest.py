@@ -176,6 +176,22 @@ def brute_dual_relations(doc) -> set[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
+# brute-force oracle (box side)
+# ---------------------------------------------------------------------------
+
+def brute_overlap(boxes) -> bool:
+    """True when two of ``boxes`` meet with positive measure.
+
+    Tests every pair on plain endpoints: two boxes overlap when, on every
+    axis, their factors share an interval of positive length.
+    """
+    for a, b in itertools.combinations(boxes, 2):
+        if all(max(f.lo, g.lo) < min(f.hi, g.hi) for f, g in zip(a.factors, b.factors)):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # random step-function builders (shared by the analytic test files)
 # ---------------------------------------------------------------------------
 

@@ -152,6 +152,14 @@ def test_stieltjes_log_power_off_the_positive_axis_is_a_typed_error(capsys):
     assert rc == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fn", ["2*indicator(0,0.5)", "t"])
+def test_stieltjes_rejects_a_negative_tolerance_for_every_integrand(capsys, fn):
+    rc, out, err = run_cli(capsys, "stieltjes", "--fn", fn, "--domain", "0", "1",
+                           "--tol", "-1")
+    assert (rc, out) == (1, "")
+    assert err == "error: tolerance must be a positive real, got -1.0\n"
+
+
 def test_gldim_json_matches_schema(capsys):
     payload = run_json(capsys, "gldim", qv("square_half"))
     schema_check("gldim.json", payload)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from stepquiver import (
     Enclosure,
     NonFiniteError,
     NonIntegerResultError,
+    OrderViolationError,
+    StepFunction,
+    StieltjesMeasure,
     box1,
     convex_enclosure,
     eta,
@@ -126,6 +130,21 @@ def test_convex_enclosure_rejects_concave_integrand():
                          tol=1e-8)
 
 
+STEP = indicator(box1(0.0, 0.5), box1(0.0, 1.0), 2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: integrate_enclosure(lambda x: x, (0.0, 1.0), tol=tol),
+    lambda tol: convex_enclosure(lambda x: x * x, (0, 1), tol),
+    lambda tol: stieltjes_integrate(lambda x: x, identity_measure(), (0.0, 1.0), tol),
+    lambda tol: stieltjes_integrate(STEP, identity_measure(), (0.0, 1.0), tol),
+], ids=["darboux", "convex", "stieltjes", "stieltjes-step"])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan, "x", None])
+def test_every_enclosure_rejects_a_bad_tolerance(call, tol):
+    with pytest.raises(OrderViolationError, match="tolerance must be a positive real"):
+        call(tol)
+
+
 # ---------------------------------------------------------------------------
 # multiple integral over the affine unit box and integer extraction
 # ---------------------------------------------------------------------------
@@ -171,6 +190,20 @@ def test_var_upper_matches_running_integral():
     assert F(2.0) == 1.0
     # piecewise linear in between
     assert F(1.5) == 1.5
+
+
+def test_var_upper_reads_each_cell_from_its_own_piece():
+    # [0.5, u] is one ulp wide, so its float midpoint is the shared endpoint
+    # 0.5; the node value must still take that cell's coefficient
+    u = math.nextafter(0.5, 1.0)
+    big = float(2 ** 60)
+    f = StepFunction(box1(0.0, 1.0), ((box1(0.0, 0.5), big), (box1(0.5, u), -big)))
+    F = var_upper_integral(f, 0.0)
+    assert F.xs == (0.0, 0.5, u, 1.0)
+    half = Fraction(big) / 2
+    exact = [0, half, half - Fraction(big) * (Fraction(u) - Fraction(1, 2))]
+    exact.append(exact[-1])
+    assert F.ys == tuple(float(y) for y in exact)
 
 
 def test_var_upper_base_must_be_ambient_lower_end():
@@ -250,6 +283,17 @@ def test_stieltjes_step_integrand():
     f = indicator(box1(1.0, 1.5), box1(1.0, 2.0), 2.0)
     value = stieltjes_integrate(f, identity_measure(), (1.0, 2.0), tol=1e-9)
     assert value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stieltjes_step_integrand_is_zero_off_its_ambient():
+    # with or without a density to cross-check against, the pieces are
+    # clipped to the domain, so the part beyond the ambient adds nothing
+    f = indicator(box1(0.0, 1.0), box1(0.0, 1.0))
+    bare = StieltjesMeasure(phi=lambda x: x)
+    for domain in ((0.0, 2.0), (-1.0, 0.5)):
+        expected = min(1.0, domain[1]) - max(0.0, domain[0])
+        assert stieltjes_integrate(f, identity_measure(), domain) == expected
+        assert stieltjes_integrate(f, bare, domain) == expected
 
 
 def test_stieltjes_zero_function_is_zero():

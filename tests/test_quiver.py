@@ -100,6 +100,20 @@ def test_relation_must_name_known_arrows():
         validate_gentle(q, [("a1", "zz")])
 
 
+def test_validate_gentle_builds_the_presentation_once(monkeypatch):
+    checks = []
+    post_init = GentlePresentation.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GentlePresentation, "__post_init__", counting)
+    p = validate_gentle(chain(3), full_chain_relations(3))
+    assert isinstance(p, GentlePresentation) and p.validated
+    assert len(checks) == 1 and checks[0] is p
+
+
 def test_relation_must_be_composable():
     q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "1", "3")))
     with pytest.raises(NonComposableRelationError):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,8 @@ from stepquiver import (
     Box,
     DyadicScheme,
     FunctionTuple,
+    Interval,
+    OrderViolationError,
     StepFunction,
     ae_equal,
     box,
@@ -25,12 +30,14 @@ from stepquiver import (
     linear_combine,
     locate,
     make_interval,
+    measurable_set,
     p_norm,
     restrict,
+    var_upper_integral,
     zero_function,
 )
 
-from conftest import random_step
+from conftest import brute_overlap, random_step
 
 UNIT = box1(0.0, 1.0)
 
@@ -299,3 +306,135 @@ def test_direct_sum_norm_needs_cubical_ambient():
     f = indicator(b, b)
     with pytest.raises(AmbientMismatchError):
         direct_sum_norm(FunctionTuple((f, f, f, f)), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# disjointness on the endpoint grid, against the pairwise oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def dyadic_boxes(draw):
+    """1-, 2- or 3-D boxes on a coarse dyadic grid: faces often touch,
+    boxes repeat, and degenerate boxes (some repeated) are common."""
+    dim = draw(st.integers(1, 3))
+    g = 1 << draw(st.integers(1, 3))
+    end = st.integers(0, g)
+
+    def factor(a, b):
+        lo, hi = sorted((a, b))
+        return Interval(lo / g, hi / g)
+
+    one = st.builds(lambda ends: Box(tuple(factor(a, b) for a, b in ends)),
+                    st.lists(st.tuples(end, end), min_size=dim, max_size=dim))
+    boxes = draw(st.lists(one, max_size=8 if dim > 1 else 12))
+    repeats = draw(st.lists(st.sampled_from(boxes), max_size=3)) if boxes else []
+    return dim, boxes + repeats
+
+
+@given(dyadic_boxes(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_disjointness_matches_the_pairwise_oracle(drawn, data):
+    dim, boxes = drawn
+    solid = [b for b in boxes if not b.is_degenerate()]
+    if brute_overlap(solid):
+        with pytest.raises(OrderViolationError) as err:
+            measurable_set(boxes)
+        assert str(err.value) == "boxes overlap with positive measure; normalize_set them first"
+    else:
+        assert len(measurable_set(boxes).boxes) == len(boxes)
+
+    coeffs = data.draw(st.lists(st.sampled_from([0.0, 1.0, -2.0, 0.5]),
+                                min_size=len(boxes), max_size=len(boxes)))
+    amb = Box((Interval(0.0, 1.0),) * dim)
+    pieces = tuple(zip(boxes, coeffs))
+    if brute_overlap([b for b, k in pieces if k != 0.0 and not b.is_degenerate()]):
+        with pytest.raises(OrderViolationError) as err:
+            StepFunction(amb, pieces)
+        assert str(err.value) == ("pieces overlap with positive measure; "
+                                  "combine them via linear_combine")
+    else:
+        f = StepFunction(amb, pieces)
+        assert integrate_step(f) == sum(k * b.measure for b, k in pieces)
+
+
+# ---------------------------------------------------------------------------
+# a 2·10⁴-piece 1-D function through the whole 1-D path
+# ---------------------------------------------------------------------------
+
+BIG_N = 20_000
+BIG_GRID = 1 << 16
+
+
+def _big_tiling(rng):
+    """Breakpoints on the 2**-16 grid, small integer values, neighbours
+    differ: the canonical form keeps every piece and all sums are exact."""
+    pts = [0] + sorted(rng.sample(range(1, BIG_GRID), BIG_N - 1)) + [BIG_GRID]
+    vals, prev = [], 0
+    for _ in range(BIG_N):
+        v = prev
+        while v in (0, prev):
+            v = rng.randint(-6, 6)
+        vals.append(v)
+        prev = v
+    return pts, vals
+
+
+def _exact_pieces(f):
+    return [(Fraction(b.factors[0].lo), Fraction(b.factors[0].hi), Fraction(k))
+            for b, k in f.pieces]
+
+
+def _reference_pieces(cells):
+    """Drop zero cells and merge equal neighbours, in exact arithmetic."""
+    out = []
+    for lo, hi, v in cells:
+        if v == 0:
+            continue
+        if out and out[-1][1] == lo and out[-1][2] == v:
+            out[-1] = (out[-1][0], hi, v)
+        else:
+            out.append((lo, hi, v))
+    return out
+
+
+def test_twenty_thousand_pieces_in_one_dimension():
+    rng = random.Random(20_000)
+    amb = box1(0.0, 1.0)
+    (pf, vf), (pg, vg) = _big_tiling(rng), _big_tiling(rng)
+    unit = Fraction(1, BIG_GRID)
+    f = StepFunction(amb, tuple((box1(a / BIG_GRID, b / BIG_GRID), float(v))
+                                for a, b, v in zip(pf, pf[1:], vf)))
+    g = StepFunction(amb, tuple((box1(a / BIG_GRID, b / BIG_GRID), float(v))
+                                for a, b, v in zip(pg, pg[1:], vg)))
+    f_cells = [(a * unit, b * unit, Fraction(v)) for a, b, v in zip(pf, pf[1:], vf)]
+    assert _exact_pieces(f) == f_cells
+
+    # f - 2g, read off the merged breakpoints
+    pts = sorted(set(pf) | set(pg))
+    value_f = dict(zip(pf, vf))
+    value_g = dict(zip(pg, vg))
+    cells, cur_f, cur_g = [], 0, 0
+    for a, b in zip(pts, pts[1:]):
+        cur_f = value_f.get(a, cur_f)
+        cur_g = value_g.get(a, cur_g)
+        cells.append((a * unit, b * unit, Fraction(cur_f) - 2 * Fraction(cur_g)))
+    h = linear_combine(1.0, f, -2.0, g)
+    assert _exact_pieces(h) == _reference_pieces(cells)
+
+    window = (Fraction(1, 4), Fraction(3, 4))
+    clipped = [(max(lo, window[0]), min(hi, window[1]), v) for lo, hi, v in f_cells
+               if lo < window[1] and hi > window[0]]
+    r = restrict(f, Interval(0.25, 0.75))
+    assert _exact_pieces(r) == _reference_pieces(clipped)
+
+    boxes = [b for b, _ in f.pieces]
+    assert measurable_set(boxes).boxes == tuple(boxes)
+    with pytest.raises(OrderViolationError):
+        measurable_set(boxes + [box1(0.5 - 2.0 ** -20, 0.5 + 2.0 ** -20)])
+
+    F = var_upper_integral(f, 0.0)
+    assert F.xs == tuple(a / BIG_GRID for a in pf)
+    running = [Fraction(0)]
+    for lo, hi, v in f_cells:
+        running.append(running[-1] + v * (hi - lo))
+    assert [Fraction(y) for y in F.ys] == running
