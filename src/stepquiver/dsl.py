@@ -49,7 +49,7 @@ from .errors import (
 from .integrate import _Evaluator, _monotone_runs
 from .measure import Interval, box1, make_interval
 from .quiver import Arrow, GentlePresentation, Quiver
-from .stepfn import StepFunction
+from .stepfn import StepFunction, indicator, linear_combine, zero_function
 
 RESERVED = ("quiver", "vertices", "arrows", "relations")
 
@@ -117,9 +117,12 @@ def _tokenize_qv(text: str) -> list[_Tok]:
     return toks
 
 
-class _QvParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize_qv(text)
+class _TokenCursor:
+    """Position in a token list; errors point at the offending token, or
+    just past the last one at end of input."""
+
+    def __init__(self, toks: list[_Tok]):
+        self.toks = toks
         self.pos = 0
 
     def _err(self, expected: str):
@@ -132,6 +135,11 @@ class _QvParser:
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos].text if self.pos < len(self.toks) else None
+
+
+class _QvParser(_TokenCursor):
+    def __init__(self, text: str):
+        super().__init__(_tokenize_qv(text))
 
     def peek2(self) -> Optional[str]:
         return self.toks[self.pos + 1].text if self.pos + 1 < len(self.toks) else None
@@ -326,20 +334,9 @@ def _tokenize_fn(text: str) -> list[_Tok]:
     return toks
 
 
-class _FnParser:
+class _FnParser(_TokenCursor):
     def __init__(self, text: str):
-        self.toks = _tokenize_fn(text)
-        self.pos = 0
-
-    def _err(self, expected: str):
-        if self.pos < len(self.toks):
-            t = self.toks[self.pos]
-            raise DslSyntaxError(t.line, t.col, expected, t.text)
-        raise DslSyntaxError(1, self.toks[-1].col + 1 if self.toks else 1,
-                             expected, "end of input")
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos].text if self.pos < len(self.toks) else None
+        super().__init__(_tokenize_fn(text))
 
     def take(self, expected: Optional[str] = None) -> str:
         if self.pos >= len(self.toks) or (expected is not None
@@ -522,10 +519,12 @@ def step_literal(e: FnExpr) -> Optional[StepFunction]:
     intervals = [iv for _, iv in terms if iv is not None]
     if not intervals or any(k != 0.0 and iv is None for k, iv in terms):
         return None
-    ambient = make_interval(min(iv.lo for iv in intervals),
-                            max(iv.hi for iv in intervals))
-    pieces = [(box1(iv.lo, iv.hi), k) for k, iv in terms if iv is not None]
-    return StepFunction(box1(ambient.lo, ambient.hi), tuple(pieces))
+    ambient = box1(min(iv.lo for iv in intervals), max(iv.hi for iv in intervals))
+    f = zero_function(ambient)
+    for k, iv in terms:
+        if iv is not None:      # overlapping terms add up
+            f = linear_combine(1.0, f, k, indicator(iv, ambient))
+    return f
 
 
 def _finite_at(e: FnExpr, x: float) -> bool:

@@ -3,10 +3,14 @@
 Everything here reduces to two convex integrands:
 
 * ``1/sqrt(1 - t^2)`` on (-1, 1) — arcsine/arccosine, the quarter-period
-  constant K (= pi/2 classically), and by bisection-inversion sine and
-  cosine;
-* ``1/t`` on (0, inf) — the natural logarithm, and by bisection-inversion
-  the exponential.
+  constant K (= pi/2 classically), and by inversion sine and cosine;
+* ``1/t`` on (0, inf) — the natural logarithm, and by inversion the
+  exponential.
+
+Both inversions run through one certified bisection, :func:`_invert`: a
+step is decided by a loose enclosure of the integral when that enclosure
+lies wholly on one side of the target, and only a straddling step asks for
+a sharp one.
 
 No transcendental library routines participate in any returned value: every
 result is an :class:`~stepquiver.integrate.Enclosure` produced by the
@@ -130,36 +134,50 @@ def k_reference() -> float:
 
 
 # ---------------------------------------------------------------------------
-# sine / cosine via bisection inversion of the arcsine
+# the certified bisection inverse; sine / cosine by inverting the arcsine
 # ---------------------------------------------------------------------------
 
 _MAX_ARG = 1e6
 
 
-def _invert_asin(target: float, tol: float) -> Enclosure:
-    """Solve ``asin(y) = target`` for y in [-1, 1] by plain bisection.
+def _invert(enclose, target: float, lo: float, hi: float, tol: float,
+            scale, floor: float):
+    """Bisect ``[lo, hi]`` for ``F(y) = target``, F increasing and known
+    only through enclosures ``enclose(y, tol)``.
 
-    Bisection (not Newton) keeps every step inside certified arithmetic:
-    comparisons use asin enclosure midpoints at tolerance tol/4, and since
-    |d asin/dy| >= 1 an asin-space error never inflates in y-space, so the
-    final bracket widened by tol/4 contains the true y.
+    ``scale(h)`` is at least ``|dy/dF|`` for y <= h.  Each step asks for a
+    loose enclosure, a few percent of the bracket's F-space width; one lying
+    wholly on one side of the target decides the step exactly.  A straddling
+    step is sharpened to ``inner = max(tol / (4·scale), floor)`` and decided
+    by its midpoint.  Returns ``(lo, hi, worst)``, where ``worst >= inner``
+    is the largest F-space half-width a midpoint decision rested on; the
+    caller pads by it times its own derivative bound.
     """
-    if not math.isfinite(target):
-        raise InversionFailedError(f"non-finite inversion target {target!r}")
-    inner = 0.25 * tol
-    worst = 0.0
-    lo, hi = -1.0, 1.0
-    for _ in range(80):
-        if hi - lo <= 0.5 * tol:
+    inner = max(tol / (4.0 * scale(hi)), floor)
+    worst = inner
+    for _ in range(400):
+        if hi - lo <= max(0.5 * tol, 4.0 * math.ulp(hi)):
             break
         mid = 0.5 * (lo + hi)
-        enc = asin_cat(mid, inner)
-        worst = max(worst, 0.5 * enc.width + (0.0 if enc.converged else inner))
-        if enc.midpoint < target:
-            lo = mid
+        step_tol = max(inner, min(1e-3, 0.06 * (hi - lo) / scale(hi)))
+        enc = enclose(mid, step_tol)
+        if enc.lower <= target <= enc.upper:
+            if step_tol != inner:
+                enc = enclose(mid, inner)
+            worst = max(worst, 0.5 * enc.width + (0.0 if enc.converged else inner))
+            below = enc.midpoint < target
         else:
-            hi = mid
-    pad = max(inner, worst)
+            below = enc.upper < target
+        lo, hi = (mid, hi) if below else (lo, mid)
+    return lo, hi, worst
+
+
+def _invert_asin(target: float, tol: float) -> Enclosure:
+    """Solve ``asin(y) = target`` for y in [-1, 1]; since |dy/d asin| <= 1,
+    padding by ``worst`` keeps the true y inside."""
+    if not math.isfinite(target):
+        raise InversionFailedError(f"non-finite inversion target {target!r}")
+    lo, hi, pad = _invert(asin_cat, target, -1.0, 1.0, tol, lambda h: 1.0, 0.0)
     return Enclosure(max(-1.0, lo - pad), min(1.0, hi + pad),
                      (hi - lo) + 2 * pad <= tol * (1 + 1e-9))
 
@@ -254,7 +272,7 @@ def ln_cat(y: float, tol: float = 1e-6) -> Enclosure:
 
 
 def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
-    """Inverse of :func:`ln_cat` by bisection with a doubling bracket.
+    """Inverse of :func:`ln_cat`: a doubling bracket, then :func:`_invert`.
 
     ``tol`` is an absolute width target on the result, which is realistic
     in binary64 only while the result itself is moderate; arguments are
@@ -282,28 +300,8 @@ def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
             lo *= 0.5
         else:
             raise InversionFailedError(f"could not bracket exp({x})")
-    inner = max(tol / (8.0 * max(1.0, hi)), 1e-14)
-    worst = inner
-    for _ in range(400):
-        if hi - lo <= max(0.5 * tol, 4.0 * math.ulp(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        # a loose log enclosure that certainly separates mid from x decides
-        # the step at zero error cost; sharpen only when it straddles
-        step_tol = max(inner, min(1e-3, 0.03 * (hi - lo) / max(hi, 1.0)))
-        enc = ln_cat(mid, step_tol)
-        if enc.upper < x:
-            lo = mid
-            continue
-        if enc.lower > x:
-            hi = mid
-            continue
-        enc = ln_cat(mid, inner)
-        worst = max(worst, 0.5 * enc.width + (0.0 if enc.converged else inner))
-        if enc.midpoint < x:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, worst = _invert(ln_cat, x, lo, hi, tol,
+                            lambda h: 2.0 * max(1.0, h), LN_RES)
     # an error delta in log space moves the preimage by at most ~y*delta
     slack = 2.0 * hi * worst
     return Enclosure(max(0.0, lo - slack), hi + slack,

@@ -495,12 +495,7 @@ def _gldim_threads(forb: Sequence[Thread]) -> int:
 
 
 def _gldim_integral(forb: Sequence[Thread], p: GentlePresentation) -> int:
-    best = 0
-    for t in forb:
-        weights = path_source_weights(p, t)
-        value = 2.0 * multiple_integral_affine_unit_box(weights, 1.0)
-        best = max(best, integer_from_float(value, 1e-9))
-    return best
+    return max((path_length_via_integral(p, t) for t in forb), default=0)
 
 
 def _gldim_stieltjes(dual: GentlePresentation) -> int:

@@ -188,6 +188,16 @@ def test_integrate_step_literals_are_exact(capsys):
     assert payload["converged"] is True
 
 
+@pytest.mark.parametrize("fn, hi, line", [
+    ("indicator(0,1)+indicator(0.5,2)", "2",
+     "enclosure = [2.5, 2.5]  width = 0.0  converged = true\n"),
+    ("indicator(0,0.5)-indicator(0.25,1)", "1",
+     "enclosure = [-0.25, -0.25]  width = 0.0  converged = true\n"),
+], ids=["sum", "difference"])
+def test_integrate_sums_overlapping_indicator_terms(capsys, fn, hi, line):
+    assert run_cli(capsys, "integrate", "--fn", fn, "--domain", "0", hi) == (0, line, "")
+
+
 def test_integrate_smooth_integrand_encloses_truth(capsys):
     payload = run_json(capsys, "integrate", "--fn", "t^2",
                        "--domain", "0", "1", "--tol", "1e-6")

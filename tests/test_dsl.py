@@ -171,6 +171,16 @@ def test_expression_parse_errors(bad):
         parse_fn_expr(bad)
 
 
+@pytest.mark.parametrize("text, col", [
+    ("indicator", 10), ("sqrt", 5), ("t +", 4), ("(t", 3), ("", 1),
+])
+def test_expression_end_of_input_column_follows_the_last_token(text, col):
+    # the same rule as the .qv parser: the column just past the last token
+    with pytest.raises(DslSyntaxError) as exc:
+        parse_fn_expr(text)
+    assert (exc.value.line, exc.value.col, exc.value.found) == (1, col, "end of input")
+
+
 def test_unary_minus_binds_looser_than_power():
     # -3^2 must read -(3^2), matching the usual convention
     assert float(parse_fn_expr("-3^2")(0.0)) == -9.0
@@ -195,6 +205,20 @@ def test_step_literal_recognizes_indicator_combinations():
     g = step_literal(parse_fn_expr("-indicator(0,2)/4"))
     assert g is not None
     assert integrate_step(g) == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("text, pieces, total", [
+    ("indicator(0,1)+indicator(0.5,2)",
+     [(0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (1.0, 2.0, 1.0)], 2.5),
+    ("indicator(0,0.5)-indicator(0.25,1)",
+     [(0.0, 0.25, 1.0), (0.5, 1.0, -1.0)], -0.25),
+    ("indicator(0,1)+indicator(0,1)", [(0.0, 1.0, 2.0)], 2.0),
+])
+def test_step_literal_sums_overlapping_indicators(text, pieces, total):
+    f = step_literal(parse_fn_expr(text))
+    got = [(b.factors[0].lo, b.factors[0].hi, k) for b, k in f.pieces]
+    assert got == pieces
+    assert integrate_step(f) == total
 
 
 def test_step_literal_ambient_is_the_indicator_hull():

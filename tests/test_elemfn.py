@@ -24,6 +24,7 @@ from stepquiver import (
     ln_cat,
     sin_cat,
 )
+from stepquiver import elemfn
 
 HALF_PI = math.pi / 2.0
 
@@ -202,3 +203,41 @@ def test_pythagorean_identity_at_midpoints(x):
     # identity can drift by a few widths at tol = 1e-3
     assert abs(s * s + c * c - 1.0) <= 5e-3, \
         f"sin²({x})+cos²({x}) = {s * s + c * c}"
+
+
+# ---------------------------------------------------------------------------
+# the bisection inverse at tight tolerances
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, x, tol", [
+    ("sin", 0.3, 1.5e-12), ("sin", 0.9, 1.5e-12), ("sin", -1.1, 1.5e-9),
+    ("sin", 0.5, 1.5e-9), ("cos", 1.2, 1.5e-12), ("cos", 1.9, 1.5e-12),
+    ("cos", 0.4, 1.5e-9), ("cos", 2.6, 1.5e-9), ("exp", 0.5, 1.5e-12),
+    ("exp", 1.2, 1.5e-12), ("exp", -4.0, 1.5e-9), ("exp", 3.0, 1.5e-9),
+])
+def test_inverse_contains_oracle_at_tight_tolerance(name, x, tol):
+    fn, ref = {"sin": (sin_cat, math.sin), "cos": (cos_cat, math.cos),
+               "exp": (exp_cat, math.exp)}[name]
+    enc = fn(x, tol)
+    assert enc.contains(ref(x)), \
+        f"{name}({x}, {tol}): [{enc.lower}, {enc.upper}] misses {ref(x)}"
+    # cosine carries the K reduction slack, which alone exceeds these tols
+    assert enc.converged or name == "cos"
+
+
+def test_sine_sharpens_only_straddling_steps(monkeypatch):
+    # a loose arcsine enclosure that clears the target decides a bisection
+    # step by itself; only the few steps it straddles need the inner tol
+    tol = 1.5e-12
+    sin_cat(0.9, tol)  # warm the cached quarter-period
+    asked = []
+    real = elemfn.asin_cat
+
+    def counting(y, t=1e-6):
+        asked.append(t)
+        return real(y, t)
+
+    monkeypatch.setattr(elemfn, "asin_cat", counting)
+    enc = sin_cat(0.9, tol)
+    assert enc.converged and enc.contains(math.sin(0.9))
+    assert 0 < asked.count(0.25 * tol) < 10, asked
