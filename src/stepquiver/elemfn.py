@@ -220,7 +220,7 @@ def cos_cat(x: float, tol: float = 1e-3) -> Enclosure:
 # logarithm / exponential
 # ---------------------------------------------------------------------------
 
-LN_RES = 1e-14           # quadrature floor on ∫ dt/t at the uniform cell cap
+LN_RES = 1e-14           # demand floor on ∫ dt/t; one cell budget gets ∫_1^2 to ~5e-15
 
 _LN2_BEST: list = [None, math.inf]  # refined-on-demand ∫_1^2 dt/t + lowest tol tried
 

@@ -1,30 +1,36 @@
 """Integration: exact step-function integrals and certified enclosures.
 
 The exact layer (:func:`integrate_step`) is plain arithmetic.  The numeric
-layer brackets integrals of ordinary evaluators between lower and upper
-step functions:
+layer brackets integrals of ordinary evaluators between a lower and an
+upper sum:
 
-* :func:`integrate_enclosure` — Darboux brackets on declared monotone
-  pieces.  For a monotone piece the bracket width telescopes to
-  ``h * |f(b) - f(a)|``, so the number of cells needed for a width ``tol``
-  is known in closed form; pieces too expensive for one uniform grid are
-  bisected dyadically with the tolerance split ∝ sqrt(len * |Δf|) between
-  the halves (the allocation that minimizes total cells).  Refinement is
-  capped by a recursion depth of 30 and a global cell budget; on cap the
-  best enclosure is returned flagged ``converged=False`` — it still
-  brackets the integral, it is just wider than requested.
+* :func:`integrate_enclosure` — Darboux min/max sums on declared monotone
+  pieces.
 * :func:`convex_enclosure` — for integrands known (analytically, by the
   caller) to be convex, the midpoint sum is a lower and the trapezoid sum
   an upper bound; the bracket width scales like 1/N², which is what makes
   tight tolerances affordable for the elementary-function constructions.
 
-Both refinements are deterministic: identical inputs produce identical
-enclosures, independent of evaluation order.
+Both run on one driver, :func:`_refine`.  A cell rule gives a cell's two
+sums on a uniform grid of ``RULE_CELLS`` sub-cells.  The driver keeps the
+cells in a heap by bracket width and bisects the widest one until the
+widths sum to at most ``tol``, the next bisection would spend more than
+``CELL_BUDGET`` evaluations, or the widest cell has no float strictly
+inside it.  The order of the bisections depends on the widths alone, and
+each bisection refines both sums, so a smaller ``tol`` passes through the
+state at which a larger one stops: a tighter tolerance never returns a
+wider bracket (up to the rounding of the sums).  A driver that stops short
+of ``tol`` returns its bracket flagged ``converged=False`` — it still
+brackets the integral, it is just wider than requested.
+
+The refinement is deterministic: identical inputs produce identical
+enclosures.
 """
 
 from __future__ import annotations
 
 import bisect as _bisect
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -48,10 +54,9 @@ from .errors import (
 from .measure import Interval, StieltjesMeasure, make_interval
 from .stepfn import Region, StepFunction, region_boxes
 
-MAX_SPLIT_DEPTH = 30
-UNIFORM_MAX = 1 << 20
 CELL_BUDGET = 1 << 24
-LEAF_CELLS = 1 << 12
+# uniform sub-cells of the grid a cell rule lays inside every cell
+RULE_CELLS = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -196,64 +201,82 @@ def _as_interval(domain) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Darboux enclosures on monotone pieces
+# the refinement driver and its two cell rules
 # ---------------------------------------------------------------------------
 
-def _darboux_uniform(ev: _Evaluator, lo: float, hi: float, n: int, budget: list):
-    xs = np.linspace(lo, hi, n + 1)
-    vals = ev(xs)
-    _finite_or_raise(vals, xs)
-    budget[0] -= n
-    h = (hi - lo) / n
-    lower = h * float(np.sum(np.minimum(vals[:-1], vals[1:])))
-    upper = h * float(np.sum(np.maximum(vals[:-1], vals[1:])))
-    return lower, upper
+def _refine(rule, cells, tol: float) -> tuple[float, float, bool]:
+    """Bracket ``Σ k ∫_[lo,hi] f`` over ``cells`` of ``(lo, hi, k)``.
 
-
-def _darboux_piece(ev, lo, hi, flo, fhi, tol, depth, budget, cap):
-    """Bracket ``∫_[lo,hi] f`` for monotone ``f`` with known endpoint values.
-
-    ``cap`` limits the evaluations this subtree may use, so an expensive
-    region cannot starve its siblings: bisection passes each child a share
-    proportional to ``sqrt(span * variation)`` (the N-optimal split) plus
-    whatever its left sibling returned unused.  When the tolerance is not
-    reachable within the cap, the node degrades to the finest uniform grid
-    its allotment buys — the bracket is still valid, just wider than asked.
+    ``rule(lo, hi)`` returns ``(lower, upper, evaluations)`` for one cell.
+    The widest cell is bisected until the widths sum to at most ``tol``,
+    the next bisection would take the evaluations past ``CELL_BUDGET``, or
+    the widest cell has no float strictly inside it.  The order depends
+    only on the widths, so a smaller ``tol`` runs on from where a larger
+    one stopped.  The starting cells are evaluated whatever their number.
     """
-    span = hi - lo
-    var = abs(fhi - flo)
-    if span * var == 0.0:
-        v = span * flo
-        return v, v, True
-    cap = min(cap, max(0, budget[0]))
-    if cap < 2:  # out of evaluations: secant cell from the endpoint values
-        lower, upper = span * min(flo, fhi), span * max(flo, fhi)
-        return lower, upper, (upper - lower) <= tol * (1 + 1e-9)
-    need = span * var / tol
-    if need <= UNIFORM_MAX and need <= cap:
-        n = max(1, math.ceil(need))
-        lower, upper = _darboux_uniform(ev, lo, hi, n, budget)
-        return lower, upper, (upper - lower) <= tol * (1 + 1e-9)
-    if depth >= MAX_SPLIT_DEPTH or cap <= LEAF_CELLS:
-        n = int(min(UNIFORM_MAX, cap))
-        lower, upper = _darboux_uniform(ev, lo, hi, n, budget)
-        return lower, upper, (upper - lower) <= tol * (1 + 1e-9)
-    mid = lo + 0.5 * span
-    fmid = float(ev(np.array([mid]))[0])
-    if not math.isfinite(fmid):
-        raise NonFiniteError(f"integrand non-finite at x = {mid!r}")
-    budget[0] -= 1
-    w1 = math.sqrt((mid - lo) * abs(fmid - flo))
-    w2 = math.sqrt((hi - mid) * abs(fhi - fmid))
-    tol1 = tol * (w1 / (w1 + w2)) if (w1 + w2) > 0 else 0.5 * tol
-    cap1 = int((cap - 1) * (w1 / (w1 + w2))) if (w1 + w2) > 0 else (cap - 1) // 2
-    before = budget[0]
-    l1, u1, c1 = _darboux_piece(ev, lo, mid, flo, fmid, tol1, depth + 1, budget, cap1)
-    used = before - budget[0]
-    l2, u2, c2 = _darboux_piece(ev, mid, hi, fmid, fhi, tol - tol1, depth + 1,
-                                budget, cap - 1 - used)
-    return l1 + l2, u1 + u2, c1 and c2
+    heap: list = []
+    spent = cost = 0
 
+    def enter(lo, hi, k):
+        nonlocal spent, cost
+        lower, upper, cost = rule(lo, hi)
+        spent += cost
+        lower, upper = (k * lower, k * upper) if k >= 0 else (k * upper, k * lower)
+        heapq.heappush(heap, (lower - upper, lo, hi, k, lower, upper))
+        return upper - lower
+
+    # the running sum of widths drifts, so a stop it suggests is confirmed
+    width = sum(enter(*cell) for cell in cells)
+    while width > tol or math.fsum(u - l for *_, l, u in heap) > tol:
+        neg, lo, hi, k, _, _ = heap[0]
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi or spent + 2 * cost > CELL_BUDGET:
+            break
+        heapq.heappop(heap)
+        width += neg + enter(lo, mid, k) + enter(mid, hi, k)
+    lower = math.fsum(e[4] for e in heap)
+    upper = math.fsum(e[5] for e in heap)
+    return lower, upper, upper - lower <= tol * (1 + 1e-9)
+
+
+def _darboux_rule(ev: _Evaluator):
+    """Lower and upper Darboux sums of a monotone ``f`` on a cell's grid."""
+    def rule(lo, hi):
+        xs = np.linspace(lo, hi, RULE_CELLS + 1)
+        vals = ev(xs)
+        _finite_or_raise(vals, xs)
+        h = (hi - lo) / RULE_CELLS
+        a, b = vals[:-1], vals[1:]
+        return (h * float(np.sum(np.minimum(a, b))), h * float(np.sum(np.maximum(a, b))),
+                RULE_CELLS + 1)
+    return rule
+
+
+def _sandwich_rule(ev: _Evaluator):
+    """Midpoint (lower) and trapezoid (upper) sums of a convex ``f`` on a
+    cell's grid; the midpoints are the odd points of one doubled grid."""
+    def rule(lo, hi):
+        xs = np.linspace(lo, hi, 2 * RULE_CELLS + 1)
+        vals = ev(xs)
+        _finite_or_raise(vals, xs)
+        h = (hi - lo) / RULE_CELLS
+        ends = vals[::2]
+        m = h * float(np.sum(vals[1::2]))
+        t = h * (0.5 * float(ends[0]) + float(np.sum(ends[1:-1])) + 0.5 * float(ends[-1]))
+        if t - m < -1e-12 * (abs(m) + abs(t) + 1.0):
+            # midpoint sum above trapezoid sum beyond rounding: the sandwich
+            # points the wrong way, so the convexity premise is false
+            raise NotMonotoneError(
+                f"integrand is not convex on [{lo}, {hi}] "
+                f"(midpoint sum {m!r} exceeds trapezoid sum {t!r})"
+            )
+        return m, t, 2 * RULE_CELLS + 1
+    return rule
+
+
+# ---------------------------------------------------------------------------
+# Darboux enclosures on monotone pieces
+# ---------------------------------------------------------------------------
 
 def _check_tiling(domain: Interval, pieces: Sequence[Interval]) -> list[Interval]:
     if not pieces:
@@ -273,11 +296,11 @@ def _check_tiling(domain: Interval, pieces: Sequence[Interval]) -> list[Interval
     return ivs
 
 
-def _sample_monotone(ev: _Evaluator, iv: Interval, samples: int = 17) -> tuple[float, float]:
+def _sample_monotone(ev: _Evaluator, iv: Interval, samples: int = 17) -> None:
     """Cheap sanity check that samples of f on ``iv`` don't change direction.
 
-    Returns the endpoint values.  Catches blatantly non-monotone declarations;
-    it is a sampling heuristic, not a proof — the declaration is the contract.
+    Catches blatantly non-monotone declarations; it is a sampling heuristic,
+    not a proof — the declaration is the contract.
     """
     xs = np.linspace(iv.lo, iv.hi, samples)
     vals = ev(xs)
@@ -288,7 +311,6 @@ def _sample_monotone(ev: _Evaluator, iv: Interval, samples: int = 17) -> tuple[f
         raise BadPiecesError(
             f"integrand is not monotone on declared piece [{iv.lo}, {iv.hi}]"
         )
-    return float(vals[0]), float(vals[-1])
 
 
 def integrate_enclosure(
@@ -300,8 +322,8 @@ def integrate_enclosure(
     """Darboux enclosure of ``∫_domain f`` using declared monotone pieces.
 
     ``monotone_pieces`` must tile the domain left to right (default: the
-    whole domain as one piece).  See the module docstring for the refinement
-    strategy and the meaning of ``converged``.
+    whole domain as one piece); they are the driver's starting cells.  See
+    the module docstring for the refinement and the meaning of ``converged``.
     """
     domain = _as_interval(domain)
     _check_tol(tol)
@@ -309,85 +331,14 @@ def integrate_enclosure(
         return Enclosure(0.0, 0.0, True)
     pieces = _check_tiling(domain, monotone_pieces if monotone_pieces is not None else [domain])
     ev = _Evaluator(f)
-    ends = [_sample_monotone(ev, iv) for iv in pieces]
-    weights = [math.sqrt(iv.length * abs(b - a)) for iv, (a, b) in zip(pieces, ends)]
-    wsum = sum(weights)
-    budget = [CELL_BUDGET]
-    lower = upper = 0.0
-    converged = True
-    for iv, (flo, fhi), w in zip(pieces, ends, weights):
-        tol_i = tol * (w / wsum) if wsum > 0 else tol / len(pieces)
-        cap_i = int(CELL_BUDGET * (w / wsum)) if wsum > 0 else CELL_BUDGET // len(pieces)
-        l, u, c = _darboux_piece(ev, iv.lo, iv.hi, flo, fhi, tol_i, 0, budget,
-                                 max(64, cap_i))
-        lower += l
-        upper += u
-        converged = converged and c
-    converged = converged and (upper - lower) <= tol * (1 + 1e-9)
-    return Enclosure(lower, upper, converged)
+    for iv in pieces:
+        _sample_monotone(ev, iv)
+    return Enclosure(*_refine(_darboux_rule(ev), [(iv.lo, iv.hi, 1.0) for iv in pieces], tol))
 
 
 # ---------------------------------------------------------------------------
 # midpoint/trapezoid sandwich for convex integrands
 # ---------------------------------------------------------------------------
-
-def _sandwich_sums(ev: _Evaluator, lo: float, hi: float, n: int, budget: list):
-    xs = np.linspace(lo, hi, n + 1)
-    vals = ev(xs)
-    _finite_or_raise(vals, xs)
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    mvals = ev(mids)
-    _finite_or_raise(mvals, mids)
-    budget[0] -= 2 * n + 1
-    h = (hi - lo) / n
-    trap = h * (0.5 * float(vals[0]) + float(np.sum(vals[1:-1])) + 0.5 * float(vals[-1]))
-    midp = h * float(np.sum(mvals))
-    return midp, trap
-
-
-def _convex_piece(ev, lo, hi, tol, depth, budget):
-    n0 = 16
-    m, t = _sandwich_sums(ev, lo, hi, n0, budget)
-    w = t - m
-    if w < -1e-12 * (abs(m) + abs(t) + 1.0):
-        # midpoint sum above trapezoid sum beyond rounding: the sandwich
-        # points the wrong way, so the convexity premise is false
-        raise NotMonotoneError(
-            f"integrand is not convex on [{lo}, {hi}] "
-            f"(midpoint sum {m!r} exceeds trapezoid sum {t!r})"
-        )
-    if w <= tol or budget[0] <= 0:
-        return m, t, w <= tol
-    n_need = math.ceil(n0 * math.sqrt(w / tol) * 1.2)
-    if n_need <= UNIFORM_MAX and 2 * n_need <= budget[0]:
-        m, t = _sandwich_sums(ev, lo, hi, n_need, budget)
-        w = t - m
-        # keep doubling only while the O(1/N²) rate is actually delivered;
-        # sub-quadratic improvement means the variation is concentrated and
-        # bisection (below) is the better spend
-        while w > tol and n_need < UNIFORM_MAX and 2 * (2 * n_need) + 1 <= budget[0]:
-            n_need = min(UNIFORM_MAX, 2 * n_need)
-            m2, t2 = _sandwich_sums(ev, lo, hi, n_need, budget)
-            improved = (t2 - m2) <= 0.45 * w
-            m, t, w = m2, t2, t2 - m2
-            if not improved:
-                break
-        if w <= tol:
-            return m, t, True
-    if depth >= MAX_SPLIT_DEPTH or budget[0] <= 0:
-        return m, t, False
-    mid = lo + 0.5 * (hi - lo)
-    m1, t1 = _sandwich_sums(ev, lo, mid, n0, budget)
-    m2, t2 = _sandwich_sums(ev, mid, hi, n0, budget)
-    a = max(0.0, t1 - m1) ** (1.0 / 3.0)
-    b = max(0.0, t2 - m2) ** (1.0 / 3.0)
-    if a + b == 0.0:
-        return m1 + m2, t1 + t2, (t1 - m1) + (t2 - m2) <= tol
-    tol1 = tol * a / (a + b)
-    l1, u1, c1 = _convex_piece(ev, lo, mid, tol1, depth + 1, budget)
-    l2, u2, c2 = _convex_piece(ev, mid, hi, tol - tol1, depth + 1, budget)
-    return l1 + l2, u1 + u2, c1 and c2
-
 
 def convex_enclosure(f: Callable, domain, tol: float) -> Enclosure:
     """Enclosure of ``∫_domain f`` for an integrand convex on the domain.
@@ -400,9 +351,8 @@ def convex_enclosure(f: Callable, domain, tol: float) -> Enclosure:
     _check_tol(tol)
     if domain.is_degenerate():
         return Enclosure(0.0, 0.0, True)
-    ev = _Evaluator(f)
-    budget = [CELL_BUDGET]
-    lower, upper, conv = _convex_piece(ev, domain.lo, domain.hi, tol, 0, budget)
+    lower, upper, conv = _refine(_sandwich_rule(_Evaluator(f)),
+                                 [(domain.lo, domain.hi, 1.0)], tol)
     # roundoff can nudge the sums past each other on near-linear integrands
     return Enclosure(min(lower, upper), max(lower, upper), conv)
 
@@ -598,31 +548,26 @@ def _stieltjes_exact_step(f: StepFunction, phi: StieltjesMeasure, domain: Interv
 def _density_enclosure(f, fp, domain: Interval, tol: float) -> Optional[Enclosure]:
     """Best-effort enclosure of ``∫ f(t) φ'(t) dt``; None if not certifiable.
 
-    For a step function the integrand is handled one constant-coefficient
-    cell at a time, the cells :func:`_stieltjes_exact_step` reads; otherwise
-    ``f * φ'`` is split on sampled monotone runs.  Returns None when sampling
-    cannot produce a trustworthy monotone-piece picture.
+    For a step function the monotone runs of ``φ'`` on each cell that
+    :func:`_stieltjes_exact_step` reads go to one driver call, each run
+    carrying its cell's coefficient; otherwise ``f * φ'`` is split on
+    sampled monotone runs.  Returns None when sampling cannot produce a
+    trustworthy monotone-piece picture.
     """
     if isinstance(f, StepFunction):
-        cells = list(_step_cells(f, domain.lo, domain.hi))
         ev_fp = _Evaluator(fp)
-        total: Enclosure = Enclosure(0.0, 0.0)
-        tol_sub = tol / max(1, len(cells))
-        for a, b_, k in cells:
-            if k == 0.0:
-                continue
-
-            def g(xs, _k=k):
-                return _k * ev_fp(np.atleast_1d(np.asarray(xs, dtype=float)))
-
-            runs = _monotone_runs(_Evaluator(g), Interval(a, b_))
+        cells = []
+        for a, b, k in _step_cells(f, domain.lo, domain.hi):
+            runs = _monotone_runs(ev_fp, Interval(a, b)) if k != 0.0 else []
             if runs is None:
                 return None
             try:
-                total = total + integrate_enclosure(g, (a, b_), runs, tol_sub)
+                for iv in runs:
+                    _sample_monotone(ev_fp, iv)
             except BadPiecesError:
                 return None
-        return total
+            cells += [(iv.lo, iv.hi, k) for iv in runs]
+        return Enclosure(*_refine(_darboux_rule(ev_fp), cells, tol))
 
     ev_f = _Evaluator(f)
     ev_fp = _Evaluator(fp)

@@ -241,3 +241,15 @@ def test_sine_sharpens_only_straddling_steps(monkeypatch):
     enc = sin_cat(0.9, tol)
     assert enc.converged and enc.contains(math.sin(0.9))
     assert 0 < asked.count(0.25 * tol) < 10, asked
+
+
+@pytest.mark.parametrize("fn, x, tol, ref", [
+    (asin_cat, 0.47942354530096054, 2.5e-21, math.asin),
+    (sin_cat, 0.5, 1e-20, math.sin),
+    (sin_cat, 0.0, 1e-30, math.sin),
+], ids=["asin", "sin-half", "sin-zero"])
+def test_tolerances_below_the_float_floor_still_bracket(fn, x, tol, ref):
+    # far below what binary64 sums can certify: the result may come back
+    # unconverged, but it is an enclosure of the value, not a crash
+    enc = fn(x, tol)
+    assert enc.contains(ref(x)), f"[{enc.lower}, {enc.upper}] misses {ref(x)}"

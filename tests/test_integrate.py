@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stepquiver import (
     AmbientMismatchError,
@@ -38,7 +38,8 @@ from stepquiver import (
 )
 
 from stepquiver import integrate as integrate_module
-from stepquiver.integrate import STIELTJES_BLOCK, _Evaluator, _stieltjes_sum
+from stepquiver.elemfn import _circle
+from stepquiver.integrate import CELL_BUDGET, STIELTJES_BLOCK, _Evaluator, _stieltjes_sum
 
 from conftest import random_step
 
@@ -128,6 +129,51 @@ def test_convex_enclosure_rejects_concave_integrand():
     with pytest.raises(NotMonotoneError):
         convex_enclosure(lambda t: math.sqrt(1.0 - t * t), (0.0, 0.9),
                          tol=1e-8)
+
+
+# one family per enclosure route; ``p`` in [0, 1]^3 picks the instance
+TOL_FAMILIES = {
+    "darboux-recip": lambda p, tol: integrate_enclosure(lambda t: 1.0 / t, (1.0, 2.0), None, tol),
+    "convex-recip": lambda p, tol: convex_enclosure(lambda t: 1.0 / t, (1.0, 1.0 + 7.0 * p[0]), tol),
+    "circle": lambda p, tol: convex_enclosure(_circle, (0.0, 0.999), tol),
+    "quadratic": lambda p, tol: convex_enclosure(
+        lambda t: 2.0 * p[0] + 10.0 ** (-12.0 * p[1]) * t * t, (-p[2], 1.0), tol),
+}
+
+
+@given(st.sampled_from(sorted(TOL_FAMILIES)),
+       st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
+       st.floats(min_value=-15.0, max_value=-3.0),
+       st.floats(min_value=-15.0, max_value=-3.0))
+@settings(max_examples=24, deadline=None)
+def test_a_tighter_tolerance_never_widens_the_bracket(family, p, e1, e2):
+    assume(e1 != e2)
+    loose, tight = (TOL_FAMILIES[family](p, 10.0 ** e) for e in (max(e1, e2), min(e1, e2)))
+    # the sums are rounded to nearest, so allow their own rounding
+    bound = max(abs(x) for e in (loose, tight) for x in (e.lower, e.upper))
+    assert tight.width <= loose.width + 2 * math.ulp(bound), \
+        f"{family}{p}: width {tight.width} at 1e{min(e1, e2)} > {loose.width} at 1e{max(e1, e2)}"
+
+
+def test_sandwich_at_a_sub_rounding_tolerance_stays_narrow():
+    e = convex_enclosure(lambda t: 0.1 + t * t, (0.0, 1.0), 1e-15)
+    assert e.width <= 1e-13 and e.contains(0.1 + 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("call, sampled", [
+    (lambda f: integrate_enclosure(f, (1.0, 2.0), None, 1e-12), 17),
+    (lambda f: convex_enclosure(f, (1.0, 64.0), 1e-15), 0),
+], ids=["darboux", "convex"])
+def test_an_unreachable_tolerance_spends_one_budget(call, sampled):
+    points = []
+
+    def recip(xs):
+        points.append(np.size(xs))
+        return 1.0 / xs
+
+    e = call(recip)
+    assert not e.converged
+    assert CELL_BUDGET // 2 < sum(points) <= CELL_BUDGET + sampled
 
 
 STEP = indicator(box1(0.0, 0.5), box1(0.0, 1.0), 2.0)
@@ -333,3 +379,27 @@ def test_stieltjes_sum_past_one_block_lands_within_tol(monkeypatch):
     value = stieltjes_integrate(lambda x: x, log_power_measure(2000.0), (1.0, 2.0), tol=1e-9)
     assert max(sizes) > STIELTJES_BLOCK
     assert abs(value - 2000.0) <= 1e-9, value
+
+
+def test_stieltjes_step_density_check_spends_one_budget():
+    # 32 cells of l/t: the density enclosure refines all of them under one
+    # CELL_BUDGET, and the returned value is still the exact step value
+    n = 32
+    f = StepFunction(box1(1.0, 2.0), tuple((box1(1 + i / n, 1 + (i + 1) / n), float(i % 3 + 1))
+                                           for i in range(n)))
+    points = []
+
+    def density(xs):
+        points.append(np.size(xs))
+        return 3.0 / xs
+
+    phi = StieltjesMeasure(phi=lambda x: 3.0 * np.log(x), phi_prime=density)
+    value = stieltjes_integrate(f, phi, (1.0, 2.0), 1e-9)
+    exact = 0.0
+    for b, k in f.pieces:
+        iv = b.factors[0]
+        exact += k * (float(phi.phi(iv.hi)) - float(phi.phi(iv.lo)))
+    assert value == exact
+    # each cell is sampled for monotone runs (129 points) and each run is
+    # checked (17 points) before the driver starts
+    assert sum(points) <= CELL_BUDGET + n * (129 + 17)
