@@ -23,6 +23,15 @@ wider bracket (up to the rounding of the sums).  A driver that stops short
 of ``tol`` returns its bracket flagged ``converged=False`` — it still
 brackets the integral, it is just wider than requested.
 
+A call that stops on the budget costs ``CELL_BUDGET`` times the cost of one
+grid point, so the rules keep that cost low.  Each grid is a scaled copy of
+one cached array of the integers ``0 … 2·RULE_CELLS``, the same points
+``np.linspace`` gives.  On a monotone cell, with ``S = Σ v_i``,
+``Σ min(v_i, v_i+1) = S − max(v_0, v_N)`` and ``Σ max(v_i, v_i+1) = S −
+min(v_0, v_N)``, so the Darboux rule takes one sum once one comparison
+pass finds the values monotone.  Both rules scan their values for a
+non-finite one only when a sum is not finite.
+
 The refinement is deterministic: identical inputs produce identical
 enclosures.
 """
@@ -57,6 +66,8 @@ from .stepfn import Region, StepFunction, region_boxes
 CELL_BUDGET = 1 << 24
 # uniform sub-cells of the grid a cell rule lays inside every cell
 RULE_CELLS = 1 << 12
+# 0, 1, ..., 2 RULE_CELLS: both rules scale a prefix of it into their grid
+_UNIT = np.arange(2 * RULE_CELLS + 1, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +250,36 @@ def _refine(rule, cells, tol: float) -> tuple[float, float, bool]:
     return lower, upper, upper - lower <= tol * (1 + 1e-9)
 
 
+def _grid(lo, hi, n: int):
+    """``np.linspace(lo, hi, n * RULE_CELLS + 1)`` from the cached ``_UNIT``:
+    numpy's ``k * step + lo`` with the last point ``hi``, so bit for bit the
+    same points whenever the step is not 0."""
+    xs = _UNIT[:n * RULE_CELLS + 1] * ((hi - lo) / (n * RULE_CELLS))
+    xs += lo
+    xs[-1] = hi
+    return xs
+
+
 def _darboux_rule(ev: _Evaluator):
-    """Lower and upper Darboux sums of a monotone ``f`` on a cell's grid."""
+    """Lower and upper Darboux sums of a monotone ``f`` on a cell's
+    :func:`_grid` of ``N = RULE_CELLS`` sub-cells.
+
+    On monotone grid values, with ``S = Σ v_i``, the sums are
+    ``h (S - max(v_0, v_N))`` and ``h (S - min(v_0, v_N))``.  Values that
+    turn keep the pairwise min/max sums, whose width makes the driver
+    refine a bump that :func:`_sample_monotone` stepped over.
+    """
     def rule(lo, hi):
-        xs = np.linspace(lo, hi, RULE_CELLS + 1)
+        xs = _grid(lo, hi, 1)
         vals = ev(xs)
-        _finite_or_raise(vals, xs)
+        s = float(np.sum(vals))
+        if not math.isfinite(s):  # a non-finite value, or finite ones that overflow
+            _finite_or_raise(vals, xs)
         h = (hi - lo) / RULE_CELLS
-        a, b = vals[:-1], vals[1:]
+        v0, vn = float(vals[0]), float(vals[-1])
+        a, b = (vals[:-1], vals[1:]) if v0 <= vn else (vals[1:], vals[:-1])
+        if np.all(a <= b):
+            return h * (s - max(v0, vn)), h * (s - min(v0, vn)), RULE_CELLS + 1
         return (h * float(np.sum(np.minimum(a, b))), h * float(np.sum(np.maximum(a, b))),
                 RULE_CELLS + 1)
     return rule
@@ -254,15 +287,17 @@ def _darboux_rule(ev: _Evaluator):
 
 def _sandwich_rule(ev: _Evaluator):
     """Midpoint (lower) and trapezoid (upper) sums of a convex ``f`` on a
-    cell's grid; the midpoints are the odd points of one doubled grid."""
+    cell's grid; the midpoints are the odd points of one doubled
+    :func:`_grid`."""
     def rule(lo, hi):
-        xs = np.linspace(lo, hi, 2 * RULE_CELLS + 1)
+        xs = _grid(lo, hi, 2)
         vals = ev(xs)
-        _finite_or_raise(vals, xs)
         h = (hi - lo) / RULE_CELLS
         ends = vals[::2]
         m = h * float(np.sum(vals[1::2]))
         t = h * (0.5 * float(ends[0]) + float(np.sum(ends[1:-1])) + 0.5 * float(ends[-1]))
+        if not (math.isfinite(m) and math.isfinite(t)):
+            _finite_or_raise(vals, xs)
         if t - m < -1e-12 * (abs(m) + abs(t) + 1.0):
             # midpoint sum above trapezoid sum beyond rounding: the sandwich
             # points the wrong way, so the convexity premise is false

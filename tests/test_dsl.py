@@ -26,6 +26,8 @@ from stepquiver import (
     validate_gentle,
 )
 
+from stepquiver.dsl import FnBin, FnConst, FnNeg, FnPow, FnSqrt, FnVar
+
 from conftest import CORPUS_DIR, corpus_names
 
 
@@ -184,6 +186,54 @@ def test_expression_end_of_input_column_follows_the_last_token(text, col):
 def test_unary_minus_binds_looser_than_power():
     # -3^2 must read -(3^2), matching the usual convention
     assert float(parse_fn_expr("-3^2")(0.0)) == -9.0
+
+
+def _walk_with_full_constants(e, t):
+    """``e(t)`` with every constant an ``np.full`` array, as a reference."""
+    if isinstance(e, FnConst):
+        return np.full(np.shape(t), e.value, dtype=float)
+    if isinstance(e, FnBin):
+        op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}[e.op]
+        return op(_walk_with_full_constants(e.left, t), _walk_with_full_constants(e.right, t))
+    if isinstance(e, FnPow):  # the package's own power, applied to the walked base
+        return FnPow(FnVar(), e.num, e.den)(_walk_with_full_constants(e.base, t))
+    if isinstance(e, FnNeg):
+        return -_walk_with_full_constants(e.arg, t)
+    if isinstance(e, FnSqrt):
+        return np.sqrt(_walk_with_full_constants(e.arg, t))
+    return e(t)
+
+
+@pytest.mark.parametrize("text", [
+    "0.1 + 1.25*t^1 + 0.75*t^2 + 2.0*t^3", "1/(1 + t)", "2*t - 3", "3 - t/7",
+    "0.37*sqrt(t)", "-2/t", "t^(1/2)*3", "1-2-3", "8/4/2*t", "indicator(0,1)*2 + 1e-300",
+    "(t - 0.30865)^2*1e12 + 1", "1e308*t*10",
+])
+def test_constant_operands_give_the_full_array_values_bit_for_bit(text):
+    e = parse_fn_expr(text)
+    xs = np.concatenate([np.random.default_rng(3).uniform(-3.0, 3.0, 4001),
+                         [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]])
+    with np.errstate(all="ignore"):
+        got, want = e(xs), _walk_with_full_constants(e, xs)
+        assert np.array_equal(got, want, equal_nan=True), text
+        assert np.array_equal(np.signbit(got), np.signbit(want)), text
+        assert float(e(0.25)) == float(_walk_with_full_constants(e, 0.25)), text
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_small_integer_powers_are_within_two_ulps_of_pow(k):
+    rng = np.random.default_rng(k)
+    xs = np.concatenate([rng.uniform(-10.0, 10.0, 20000), np.exp(rng.uniform(-70.0, 70.0, 20000))])
+    got, want = parse_fn_expr(f"t^{k}")(xs), np.power(xs, float(k))
+    assert np.max(np.abs(got - want) / np.spacing(np.abs(want))) <= 2
+
+
+@pytest.mark.parametrize("text, exponent", [
+    ("t^5", 5.0), ("t^0", 0.0), ("t^-2", -2.0), ("t^(2/2)", 1.0), ("t^(3/2)", 1.5),
+])
+def test_other_powers_stay_on_pow(text, exponent):
+    xs = np.linspace(0.25, 4.0, 101)
+    assert np.array_equal(parse_fn_expr(text)(xs), np.power(xs, exponent))
 
 
 @settings(max_examples=50, deadline=None)

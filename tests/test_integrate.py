@@ -30,7 +30,9 @@ from stepquiver import (
     linear_combine,
     log_power_measure,
     make_interval,
+    monotone_pieces,
     multiple_integral_affine_unit_box,
+    parse_fn_expr,
     stieltjes_integrate,
     upper_limit_record,
     var_upper_integral,
@@ -39,7 +41,9 @@ from stepquiver import (
 
 from stepquiver import integrate as integrate_module
 from stepquiver.elemfn import _circle
-from stepquiver.integrate import CELL_BUDGET, STIELTJES_BLOCK, _Evaluator, _stieltjes_sum
+from stepquiver.integrate import (
+    CELL_BUDGET, RULE_CELLS, STIELTJES_BLOCK, _Evaluator, _stieltjes_sum,
+)
 
 from conftest import random_step
 
@@ -189,6 +193,131 @@ STEP = indicator(box1(0.0, 0.5), box1(0.0, 1.0), 2.0)
 def test_every_enclosure_rejects_a_bad_tolerance(call, tol):
     with pytest.raises(OrderViolationError, match="tolerance must be a positive real"):
         call(tol)
+
+
+# ---------------------------------------------------------------------------
+# the cell rules: cached grid, one-sum Darboux, folded finite check
+# ---------------------------------------------------------------------------
+
+def _seeded_cells(seed, count):
+    rng = np.random.default_rng(seed)
+    cells = [(0, 1), (-3, 5), (1, 2 ** 40), (-7, -2)]  # int endpoints
+    for _ in range(count):
+        lo = float(rng.uniform(-1e3, 1e3))
+        span = float(10.0 ** rng.uniform(-14.0, 3.0))
+        cells.append((lo, lo + span))
+        cells.append((-lo - span, -lo))  # the mirrored, negative-side cell
+        cells.append((lo + span, lo))  # a negative span
+        cells.append((lo, math.nextafter(lo, math.inf)))  # a 1-ulp cell
+    return cells
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["darboux", "sandwich"])
+def test_rule_grid_is_linspace_bit_for_bit(n):
+    for lo, hi in _seeded_cells(5, 700):
+        got = integrate_module._grid(lo, hi, n)
+        want = np.linspace(lo, hi, n * RULE_CELLS + 1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (lo, hi)
+
+
+MONOTONE = [lambda t: 1.0 / (1.0 + t), lambda t: t * t * t + 0.5 * t, np.sqrt,
+            np.exp, lambda t: -3.0 * t, lambda t: 1.0 / t]
+
+
+def test_one_sum_darboux_matches_the_min_max_sums():
+    # on a monotone cell Σ min(v_i, v_i+1) = S - max(v_0, v_N) exactly,
+    # so the two differ only by the rounding of the sums
+    rng = np.random.default_rng(11)
+    for i in range(900):
+        f = MONOTONE[i % len(MONOTONE)]
+        lo = float(rng.uniform(0.1, 4.0))
+        hi = lo + float(10.0 ** rng.uniform(-12.0, 0.5))
+        if i % 3 == 0 and i % len(MONOTONE) in (1, 4):  # odd ones also left of 0
+            lo, hi = -hi, -lo
+        lower, upper, cost = integrate_module._darboux_rule(_Evaluator(f))(lo, hi)
+        xs = np.linspace(lo, hi, RULE_CELLS + 1)
+        v, h = f(xs), (hi - lo) / RULE_CELLS
+        ref = (h * float(np.sum(np.minimum(v[:-1], v[1:]))),
+               h * float(np.sum(np.maximum(v[:-1], v[1:]))))
+        ulp = math.ulp(max(map(abs, ref)))
+        assert abs(lower - ref[0]) <= 4 * ulp and abs(upper - ref[1]) <= 4 * ulp, (i, lo, hi)
+        assert lower <= upper and cost == RULE_CELLS + 1
+
+
+def test_values_that_turn_keep_the_pairwise_darboux_sums():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        lo = float(rng.uniform(-3.0, 3.0))
+        hi = lo + float(rng.uniform(0.2, 2.0))  # longer than a period
+        f = lambda t: np.cos(40.0 * t) + 0.1 * t  # noqa: E731
+        lower, upper, _ = integrate_module._darboux_rule(_Evaluator(f))(lo, hi)
+        v, h = f(np.linspace(lo, hi, RULE_CELLS + 1)), (hi - lo) / RULE_CELLS
+        assert (lower, upper) == (h * float(np.sum(np.minimum(v[:-1], v[1:]))),
+                                  h * float(np.sum(np.maximum(v[:-1], v[1:]))))
+
+
+def test_a_bump_between_the_samples_stays_inside_the_bracket():
+    # the sampled tiling calls the bump's piece monotone; its grid values
+    # turn, and the pairwise sums make the driver refine the bump
+    f = parse_fn_expr("t + 1000/(1 + 1000000000000*(t-0.30865)^2)")
+    with np.errstate(all="ignore"):
+        e = integrate_enclosure(f, (0.0, 1.0), monotone_pieces(f, (0.0, 1.0)), 1e-4)
+    exact = 0.5 + 1e-3 * (math.atan(1e6 * (1.0 - 0.30865)) + math.atan(1e6 * 0.30865))
+    assert e.converged and e.contains(exact), (e, exact)
+
+
+# evaluation counts recorded before the cheaper grid points; the work is
+# the same, so calls and points must match to the last point
+PINNED_COUNTS = [
+    (lambda f: integrate_enclosure(f, (0.0, 1.0), None, 1e-6),
+     lambda t: 1.0 / (1.0 + t), 246, 1003782),
+    (lambda f: integrate_enclosure(f, (-1.0, 1.0), None, 1.5e-9),
+     lambda t: t * t * t + 0.5 * t, 4096, 16777232),
+    (lambda f: integrate_enclosure(f, (0.25, 4.0), None, 1e-6), np.sqrt, 2784, 11401968),
+    (lambda f: convex_enclosure(f, (1.0, 8.0), 1e-12), lambda t: 1.0 / t, 777, 6365961),
+    (lambda f: convex_enclosure(f, (0.0, 1.0), 1e-10), lambda t: 0.1 + t * t, 29, 237597),
+]
+
+
+@pytest.mark.parametrize("call, g, calls, points", PINNED_COUNTS,
+                         ids=["recip", "cubic", "sqrt", "convex-recip", "convex-quadratic"])
+def test_enclosures_spend_the_pinned_evaluations(call, g, calls, points):
+    sizes = []
+
+    def f(xs):
+        sizes.append(np.size(xs))
+        return g(xs)
+
+    call(f)
+    assert (len(sizes), sum(sizes)) == (calls, points)
+
+
+def _poisoned(x, value, g=lambda t: t * t):
+    # finite at every sampling point k/16, ``value`` at the grid point x
+    return lambda t: np.where(t == x, value, g(t))
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: integrate_enclosure(f, (0.0, 1.0), None, 1e-6),
+    lambda f: convex_enclosure(f, (0.0, 1.0), 1e-6),
+], ids=["darboux", "convex"])
+@pytest.mark.parametrize("x", [1 / 4096, 3 / 8192])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_grid_value_is_refused_with_its_point(call, x, value):
+    message = (f"integrand returned a non-finite value near x = {x!r}; "
+               "truncate improper endpoints before integrating")
+    with pytest.raises(NonFiniteError) as exc:
+        call(_poisoned(x, value))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: integrate_enclosure(f, (0.0, 1.0), None, 1e-6),
+    lambda f: convex_enclosure(f, (0.0, 1.0), 1e-6),
+], ids=["darboux", "convex"])
+def test_finite_values_whose_sum_overflows_are_refused(call):
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        call(lambda t: 1e308 + 0 * t)
 
 
 # ---------------------------------------------------------------------------
