@@ -236,15 +236,18 @@ def _refine(rule, cells, tol: float) -> tuple[float, float, bool]:
         heapq.heappush(heap, (lower - upper, lo, hi, k, lower, upper))
         return upper - lower
 
-    # the running sum of widths drifts, so a stop it suggests is confirmed
-    width = sum(enter(*cell) for cell in cells)
-    while width > tol or math.fsum(u - l for *_, l, u in heap) > tol:
-        neg, lo, hi, k, _, _ = heap[0]
-        mid = lo + 0.5 * (hi - lo)
-        if not lo < mid < hi or spent + 2 * cost > CELL_BUDGET:
-            break
-        heapq.heappop(heap)
-        width += neg + enter(lo, mid, k) + enter(mid, hi, k)
+    # A rule's sum that overflows is reported as a NonFiniteError, so numpy's
+    # warning on the way is noise; one errstate per call, not per cell.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the running sum of widths drifts, so a stop it suggests is confirmed
+        width = sum(enter(*cell) for cell in cells)
+        while width > tol or math.fsum(u - l for *_, l, u in heap) > tol:
+            neg, lo, hi, k, _, _ = heap[0]
+            mid = lo + 0.5 * (hi - lo)
+            if not lo < mid < hi or spent + 2 * cost > CELL_BUDGET:
+                break
+            heapq.heappop(heap)
+            width += neg + enter(lo, mid, k) + enter(mid, hi, k)
     lower = math.fsum(e[4] for e in heap)
     upper = math.fsum(e[5] for e in heap)
     return lower, upper, upper - lower <= tol * (1 + 1e-9)

@@ -9,13 +9,22 @@ dimension, and the forbidden/permitted correspondence.
 from __future__ import annotations
 
 import itertools
+import re
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from stepquiver import (
+    Arrow,
+    DslSyntaxError,
     GentlePresentation,
+    NonQuadraticRelationError,
+    Quiver,
+    QuiverDoc,
     box1,
     indicator,
     linear_combine,
@@ -74,6 +83,161 @@ def corpus_docs():
 @pytest.fixture(scope="session")
 def finite_corpus():
     return {name: load_presentation(name) for name in EXPECTED_GLDIM}
+
+
+# ---------------------------------------------------------------------------
+# reference .qv parser: a line-by-line tokenizer and a method-per-token
+# cursor, kept as the oracle for the one-scan parser in stepquiver.dsl
+# ---------------------------------------------------------------------------
+
+_REF_RESERVED = ("quiver", "vertices", "arrows", "relations")
+_REF_QV_TOKEN = re.compile(r"->|[{}:,*]|[A-Za-z0-9_]+|\S")
+
+
+@dataclass(frozen=True)
+class _RefTok:
+    text: str
+    line: int
+    col: int
+
+
+def _ref_tokenize_qv(text: str) -> list[_RefTok]:
+    toks = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        for m in _REF_QV_TOKEN.finditer(line):
+            t = m.group(0)
+            if t in "{}:,*" or t == "->" or re.fullmatch(r"[A-Za-z0-9_]+", t):
+                toks.append(_RefTok(t, ln, m.start() + 1))
+            else:
+                raise DslSyntaxError(ln, m.start() + 1, "token", t)
+    return toks
+
+
+class _RefQvParser:
+    def __init__(self, text: str):
+        self.toks = _ref_tokenize_qv(text)
+        self.pos = 0
+
+    def _err(self, expected: str):
+        if self.pos < len(self.toks):
+            t = self.toks[self.pos]
+            raise DslSyntaxError(t.line, t.col, expected, t.text)
+        last = self.toks[-1] if self.toks else _RefTok("", 1, 1)
+        raise DslSyntaxError(last.line, last.col + len(last.text), expected,
+                             "end of input")
+
+    def peek(self) -> Optional[str]:
+        return self.toks[self.pos].text if self.pos < len(self.toks) else None
+
+    def peek2(self) -> Optional[str]:
+        return self.toks[self.pos + 1].text if self.pos + 1 < len(self.toks) else None
+
+    def take(self, expected: Optional[str] = None) -> _RefTok:
+        if self.pos >= len(self.toks) or (expected is not None
+                                          and self.toks[self.pos].text != expected):
+            self._err(expected or "token")
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def ident(self, what: str) -> str:
+        t = self.peek()
+        if t is None or not re.fullmatch(r"[A-Za-z0-9_]+", t) or t in _REF_RESERVED:
+            self._err(what)
+        return self.take().text
+
+    def _at_clause(self, keyword: str) -> bool:
+        return self.peek() == keyword and self.peek2() == ":"
+
+    def parse(self) -> QuiverDoc:
+        self.take("quiver")
+        name = self.ident("quiver name")
+        self.take("{")
+        self.take("vertices")
+        self.take(":")
+        vertices = []
+        while self.peek() not in (None, "}") and not (
+                self._at_clause("arrows") or self._at_clause("relations")):
+            vertices.append(self.ident("vertex name"))
+        if not vertices:
+            self._err("vertex name")
+        arrows: list[Arrow] = []
+        if self._at_clause("arrows"):
+            self.take("arrows")
+            self.take(":")
+            while True:
+                nm = self.ident("arrow declaration")
+                self.take(":")
+                src = self.ident("source vertex")
+                self.take("->")
+                dst = self.ident("target vertex")
+                arrows.append(Arrow(nm, src, dst))
+                if self.peek() == ",":
+                    self.take(",")
+                else:
+                    break
+        relations: list[tuple[str, str]] = []
+        if self._at_clause("relations"):
+            self.take("relations")
+            self.take(":")
+            while True:
+                path = [self.ident("relation path")]
+                while self.peek() == "*":
+                    self.take("*")
+                    path.append(self.ident("relation path"))
+                if len(path) != 2:
+                    raise NonQuadraticRelationError(
+                        f"relation {'*'.join(path)} has length {len(path)}, not 2"
+                    )
+                relations.append((path[0], path[1]))
+                if self.peek() == ",":
+                    self.take(",")
+                else:
+                    break
+        self.take("}")
+        if self.pos != len(self.toks):
+            self._err("end of input")
+        return QuiverDoc(name, tuple(vertices), tuple(arrows), tuple(relations))
+
+
+def reference_parse_qv(text: str) -> QuiverDoc:
+    """What ``parse_quiver_dsl`` must return or raise on ``text``."""
+    return _RefQvParser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# random gentle presentations
+# ---------------------------------------------------------------------------
+
+@st.composite
+def gentle_presentations(draw):
+    """A quiver with at most two arrows into and out of each vertex, and a
+    relation set meeting gentle conditions (2)/(3): chains, branches,
+    cycles and loops, with or without relations."""
+    vs = [str(i) for i in range(draw(st.integers(min_value=1, max_value=6)))]
+    ins: dict[str, list[str]] = {v: [] for v in vs}
+    outs: dict[str, list[str]] = {v: [] for v in vs}
+    arrows = []
+    for k in range(draw(st.integers(min_value=0, max_value=2 * len(vs)))):
+        s, t = draw(st.sampled_from(vs)), draw(st.sampled_from(vs))
+        if len(outs[s]) < 2 and len(ins[t]) < 2:
+            arrows.append(Arrow(f"x{k}", s, t))
+            outs[s].append(f"x{k}")
+            ins[t].append(f"x{k}")
+    rels = set()
+    for v in vs:
+        a_in, a_out = ins[v], outs[v]
+        if len(a_in) == 2 and len(a_out) == 2:  # a matching of ins to outs
+            b1, b2 = draw(st.permutations(a_out))
+            rels |= {(a_in[0], b1), (a_in[1], b2)}
+        elif len(a_in) == 2 and len(a_out) == 1:
+            rels.add((draw(st.sampled_from(a_in)), a_out[0]))
+        elif len(a_in) == 1 and len(a_out) == 2:
+            rels.add((a_in[0], draw(st.sampled_from(a_out))))
+        elif len(a_in) == 1 and len(a_out) == 1 and draw(st.booleans()):
+            rels.add((a_in[0], a_out[0]))
+    return Quiver(tuple(vs), tuple(arrows)), rels
 
 
 # ---------------------------------------------------------------------------

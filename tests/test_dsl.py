@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from stepquiver import (
     Interval,
     NonQuadraticRelationError,
     QuiverDoc,
+    StepQuiverError,
     UnknownVertexError,
     doc_from_presentation,
     emit_dsl,
@@ -28,7 +32,12 @@ from stepquiver import (
 
 from stepquiver.dsl import FnBin, FnConst, FnNeg, FnPow, FnSqrt, FnVar
 
-from conftest import CORPUS_DIR, corpus_names
+from conftest import (
+    CORPUS_DIR,
+    corpus_names,
+    gentle_presentations,
+    reference_parse_qv,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +132,124 @@ def test_doc_from_presentation_round_trips():
 def test_quiver_doc_validates_on_construction():
     with pytest.raises(UnknownVertexError):
         QuiverDoc("x", ("1",), (Arrow("a", "1", "7"),), ())
+
+
+def test_quiver_doc_keeps_its_validated_quiver():
+    doc = parse_quiver_dsl((CORPUS_DIR / "square_half.qv").read_text())
+    q = doc.quiver()
+    assert q is doc.quiver()
+    assert (q.vertices, q.arrows) == (doc.vertices, doc.arrows)
+    assert all(type(a) is Arrow for a in doc.arrows)
+    rebuilt = QuiverDoc(doc.name, doc.vertices, doc.arrows, doc.relations)
+    assert rebuilt == doc and hash(rebuilt) == hash(doc)
+    assert repr(rebuilt) == repr(doc) and "_quiver" not in repr(doc)
+
+
+def test_full_chain_of_1e5_arrows_round_trips():
+    n = 100_000
+    text = "".join([
+        "quiver chain {\n",
+        "  vertices: ", " ".join(str(i) for i in range(1, n + 2)), "\n",
+        "  arrows: ", ", ".join(f"a{i}: {i} -> {i + 1}" for i in range(1, n + 1)), "\n",
+        "  relations: ", ", ".join(f"a{i}*a{i + 1}" for i in range(1, n)), "\n",
+        "}\n",
+    ])
+    doc = parse_quiver_dsl(text)
+    assert (len(doc.vertices), len(doc.arrows), len(doc.relations)) == (n + 1, n, n - 1)
+    assert doc.arrows[-1] == Arrow(f"a{n}", str(n), str(n + 1))
+    assert emit_dsl(doc) == text
+
+
+# the differential test: the one-scan parser against the line-by-line
+# reference in conftest, on valid text with random layout and on mutants
+
+_QV_WORDS = re.compile(r"->|[{}:,*]|[A-Za-z0-9_]+")
+_LAYOUT = [" ", " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c",
+           "\x85", "\u2028", "\u2029", "\n\n", " # note\n", "#c\r", "\t# é; {x\r\n",
+           " #\u2028", "#\x0c", ""]
+_BAD = [";", "=", "é", "-", ">", "#", "\u00a0", "->>"]
+_RESERVED = ["quiver", "vertices", "arrows", "relations"]
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """``text`` re-laid out with random whitespace and comments, after at
+    most one random edit of its tokens."""
+    toks = _QV_WORDS.findall(text)
+    k = rng.randrange(len(toks) + 1)
+    kind = rng.choice(["none", "none", "drop", "dup", "swap", "bad", "reserved",
+                       "cut", "empty"])
+    if kind == "drop" and k < len(toks):
+        del toks[k]
+    elif kind == "dup" and k < len(toks):
+        toks.insert(k, toks[k])
+    elif kind == "swap" and k + 1 < len(toks):
+        toks[k], toks[k + 1] = toks[k + 1], toks[k]
+    elif kind == "bad":
+        toks.insert(k, rng.choice(_BAD))
+    elif kind == "reserved":
+        names = [i for i, t in enumerate(toks) if t[0].isalnum() or t[0] == "_"]
+        toks[rng.choice(names)] = rng.choice(_RESERVED)
+    elif kind == "cut":
+        toks = toks[:k]
+    elif kind == "empty":
+        toks = []
+    out = [rng.choice(_LAYOUT) if rng.random() < 0.3 else ""]
+    for t in toks:
+        out += [t, rng.choice(_LAYOUT)]
+    return "".join(out)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except StepQuiverError as exc:
+        return exc
+
+
+def assert_parses_like_reference(text: str) -> None:
+    want, got = _outcome(reference_parse_qv, text), _outcome(parse_quiver_dsl, text)
+    if isinstance(want, QuiverDoc):
+        assert got == want, f"{text!r}: {got!r}"
+        return
+    assert type(got) is type(want) and str(got) == str(want), f"{text!r}: {got!r}"
+    if isinstance(want, DslSyntaxError):
+        fields = ("line", "col", "expected", "found")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    " \t\r\n# only a comment\x0c",
+    "quiver x {\r\n  vertices: 1\r\n  arrows: a = 1 -> 2\r\n}",
+    "quiver x {\r  vertices: 1 2\r  arrows: a: 1 -> 2;\r}",
+    "quiver x {\x0c vertices: 1\u2028 arrows: a: 1 -> 2\u2029 relations: a*a*a }",
+    "quiver x {\x0b\x1c\x85 vertices: é }",
+    "quiver x {\n\tvertices:\t1\t2\n\tarrows:\ta:\t1\t->\t2,\n}",
+    "quiver x { vertices: 1 2 # é { ;\r\n arrows: a: 1 -> 2 } }",
+    "quiver x { vertices: 1 2 arrows: a: 1 ->\r\n",
+    "quiver x { vertices: 1 arrows: arrows: 1 -> 1 }",
+    "quiver quiver { vertices: relations }",
+    "quiver x { vertices: 1 2 relations: a*b }",
+    "quiver x { vertices: 1 } \r\n\r\n trailing",
+    "quiver x { vertices: 1 --> 2 }",
+    "quiver x { vertices: 1 }\n# a trailing comment without a newline",
+])
+def test_parser_matches_reference_on_examples(text):
+    assert_parses_like_reference(text)
+
+
+def _canonical_texts():
+    return [(CORPUS_DIR / f"{name}.qv").read_text() for name in corpus_names()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(source=st.one_of(
+           st.sampled_from(_canonical_texts()),
+           gentle_presentations().map(lambda qr: emit_dsl(QuiverDoc(
+               "g", qr[0].vertices, qr[0].arrows, tuple(qr[1]))))),
+       rng=st.randoms(use_true_random=False))
+def test_parser_matches_reference_on_random_layouts_and_mutants(source, rng):
+    assert_parses_like_reference(_mutate(source, rng))
 
 
 # ---------------------------------------------------------------------------

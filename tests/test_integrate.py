@@ -315,8 +315,9 @@ def test_a_non_finite_grid_value_is_refused_with_its_point(call, x, value):
     lambda f: integrate_enclosure(f, (0.0, 1.0), None, 1e-6),
     lambda f: convex_enclosure(f, (0.0, 1.0), 1e-6),
 ], ids=["darboux", "convex"])
+@pytest.mark.filterwarnings("error")  # the overflow is the error, not a warning
 def test_finite_values_whose_sum_overflows_are_refused(call):
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError):
         call(lambda t: 1e308 + 0 * t)
 
 

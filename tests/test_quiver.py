@@ -50,6 +50,7 @@ from conftest import (
     brute_global_dimension,
     brute_threads,
     corpus_names,
+    gentle_presentations,
     load_doc,
     load_presentation,
 )
@@ -267,36 +268,6 @@ def test_thread_walk_rejects_a_non_gentle_presentation():
                    (Arrow("a", "1", "3"), Arrow("b", "2", "3"), Arrow("c", "3", "4")))
     with pytest.raises(NotGentleError):
         enumerate_threads(GentlePresentation(merge, {("a", "c"), ("b", "c")}), "forbidden")
-
-
-@st.composite
-def gentle_presentations(draw):
-    """A quiver with at most two arrows into and out of each vertex, and a
-    relation set meeting gentle conditions (2)/(3): chains, branches,
-    cycles and loops, with or without relations."""
-    vs = [str(i) for i in range(draw(st.integers(min_value=1, max_value=6)))]
-    ins: dict[str, list[str]] = {v: [] for v in vs}
-    outs: dict[str, list[str]] = {v: [] for v in vs}
-    arrows = []
-    for k in range(draw(st.integers(min_value=0, max_value=2 * len(vs)))):
-        s, t = draw(st.sampled_from(vs)), draw(st.sampled_from(vs))
-        if len(outs[s]) < 2 and len(ins[t]) < 2:
-            arrows.append(Arrow(f"x{k}", s, t))
-            outs[s].append(f"x{k}")
-            ins[t].append(f"x{k}")
-    rels = set()
-    for v in vs:
-        a_in, a_out = ins[v], outs[v]
-        if len(a_in) == 2 and len(a_out) == 2:  # a matching of ins to outs
-            b1, b2 = draw(st.permutations(a_out))
-            rels |= {(a_in[0], b1), (a_in[1], b2)}
-        elif len(a_in) == 2 and len(a_out) == 1:
-            rels.add((draw(st.sampled_from(a_in)), a_out[0]))
-        elif len(a_in) == 1 and len(a_out) == 2:
-            rels.add((a_in[0], draw(st.sampled_from(a_out))))
-        elif len(a_in) == 1 and len(a_out) == 1 and draw(st.booleans()):
-            rels.add((a_in[0], a_out[0]))
-    return Quiver(tuple(vs), tuple(arrows)), rels
 
 
 def assert_cycle_witness(exc, on_cycles: set, doc, kind: str) -> None:
