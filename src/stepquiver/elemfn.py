@@ -10,7 +10,15 @@ Everything here reduces to two convex integrands:
 Both inversions run through one certified bisection, :func:`_invert`: a
 step is decided by a loose enclosure of the integral when that enclosure
 lies wholly on one side of the target, and only a straddling step asks for
-a sharp one.
+a sharp one.  Every step of one call reads one resumable primitive
+(:class:`~stepquiver.integrate.Primitive`) made for that call alone: of
+``1/t`` based at 1 for the exponential, on both sides of 1, and of the
+convex main part of the circle integrand based at 0 for sine and cosine,
+with negative arguments mirrored onto [0, 1].  A step so pays only for the
+refinement the steps before it have not done, and one ``CELL_BUDGET``
+caps the whole inversion.  Logarithms outside [1/64, 64] add a multiple of
+one ln 2 enclosure computed once per process, so no result depends on the
+calls made before it.
 
 No transcendental library routines participate in any returned value: every
 result is an :class:`~stepquiver.integrate.Enclosure` produced by the
@@ -29,13 +37,14 @@ bracket stays honest for large arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict
 
 import numpy as np
 
 from .errors import InversionFailedError, OutOfDomainError
-from .integrate import Enclosure, convex_enclosure
+from .integrate import Enclosure, convex_enclosure, convex_primitive
 
 UNIT_EPS = 1e-8          # default truncation distance at the ±1 endpoints
 K_REF_TOL = 1e-9         # tolerance of the cached reference quarter-period
@@ -59,14 +68,20 @@ def _tail_pos(t0: float, t1: float) -> Enclosure:
     return Enclosure(base / math.sqrt(2.0), base / math.sqrt(1.0 + t0))
 
 
-def _enclose_circle(a: float, b: float, tol: float, eps: float = UNIT_EPS) -> Enclosure:
+def _convex_circle(lo: float, hi: float, tol: float) -> Enclosure:
+    return convex_enclosure(_circle, (lo, hi), tol)
+
+
+def _enclose_circle(a: float, b: float, tol: float, main=_convex_circle,
+                    eps: float = UNIT_EPS) -> Enclosure:
     """Enclosure of ``∫_a^b dt/sqrt(1-t²)``, -1 <= a <= b <= 1.
 
-    The integrand is evaluated only on [-1+δ, 1-δ]; the slivers beyond are
-    bracketed analytically.  The tail width is ~0.35·δ^{3/2}, so δ is grown
-    with the tolerance (δ = 0.5·tol^{2/3}, clamped to [eps, 1e-3]): spending
-    a quarter of the budget on the tail keeps the numeric part away from the
-    blow-up, where the sandwich would need astronomically fine cells.
+    The integrand is evaluated only on [-1+δ, 1-δ], by ``main(lo, hi,
+    tol)``; the slivers beyond are bracketed analytically.  The tail width
+    is ~0.35·δ^{3/2}, so δ is grown with the tolerance (δ = 0.5·tol^{2/3},
+    clamped to [eps, 1e-3]): spending a quarter of the budget on the tail
+    keeps the numeric part away from the blow-up, where the sandwich would
+    need astronomically fine cells.
     """
     if not (-1.0 <= a <= b <= 1.0):
         raise OutOfDomainError(f"[{a}, {b}] is not a subinterval of [-1, 1]")
@@ -85,7 +100,7 @@ def _enclose_circle(a: float, b: float, tol: float, eps: float = UNIT_EPS) -> En
     hi_main = min(b, cut)
     if lo_main < hi_main:
         tol_main = max(0.5 * tol, tol - total.width)
-        total = total + convex_enclosure(_circle, (lo_main, hi_main), tol_main)
+        total = total + main(lo_main, hi_main, tol_main)
     return total
 
 
@@ -98,9 +113,14 @@ def asin_cat(y: float, tol: float = 1e-6) -> Enclosure:
     y = float(y)
     if not -1.0 <= y <= 1.0:
         raise OutOfDomainError(f"asin argument {y} outside [-1, 1]")
+    return _asin(y, tol)
+
+
+def _asin(y: float, tol: float, main=_convex_circle) -> Enclosure:
+    # the integrand is even: a negative argument mirrors onto [0, -y]
     if y >= 0.0:
-        return _enclose_circle(0.0, y, tol)
-    return -_enclose_circle(0.0, -y, tol)
+        return _enclose_circle(0.0, y, tol, main)
+    return -_enclose_circle(0.0, -y, tol, main)
 
 
 def acos_cat(y: float, tol: float = 1e-6) -> Enclosure:
@@ -152,6 +172,11 @@ def _invert(enclose, target: float, lo: float, hi: float, tol: float,
     by its midpoint.  Returns ``(lo, hi, worst)``, where ``worst >= inner``
     is the largest F-space half-width a midpoint decision rested on; the
     caller pads by it times its own derivative bound.
+
+    The callers' ``enclose`` reads one :class:`~stepquiver.integrate.Primitive`
+    made for this inversion alone, so a step pays only for the refinement
+    the steps before it have not done, and one ``CELL_BUDGET`` caps the
+    refinement of the whole inversion.
     """
     inner = max(tol / (4.0 * scale(hi)), floor)
     worst = inner
@@ -177,7 +202,13 @@ def _invert_asin(target: float, tol: float) -> Enclosure:
     padding by ``worst`` keeps the true y inside."""
     if not math.isfinite(target):
         raise InversionFailedError(f"non-finite inversion target {target!r}")
-    lo, hi, pad = _invert(asin_cat, target, -1.0, 1.0, tol, lambda h: 1.0, 0.0)
+    prim = convex_primitive(_circle, 0.0)
+
+    def main(lo, hi, t):  # lo is 0: the arguments are mirrored onto [0, 1]
+        return prim.enclose(hi, t)
+
+    lo, hi, pad = _invert(lambda y, t: _asin(y, t, main), target, -1.0, 1.0, tol,
+                          lambda h: 1.0, 0.0)
     return Enclosure(max(-1.0, lo - pad), min(1.0, hi + pad),
                      (hi - lo) + 2 * pad <= tol * (1 + 1e-9))
 
@@ -222,23 +253,12 @@ def cos_cat(x: float, tol: float = 1e-3) -> Enclosure:
 
 LN_RES = 1e-14           # demand floor on ∫ dt/t; one cell budget gets ∫_1^2 to ~5e-15
 
-_LN2_BEST: list = [None, math.inf]  # refined-on-demand ∫_1^2 dt/t + lowest tol tried
 
-
-def _ln2_enclosure(tol: float) -> Enclosure:
-    """Cached enclosure of ln 2, recomputed only for genuinely new demands.
-
-    Demands are clamped at the binary64 resolution floor, and a demand that
-    was already attempted is never retried — otherwise an unreachable
-    tolerance would burn the full cell budget on every call.
-    """
-    tol = max(tol, LN_RES)
-    best, attempted = _LN2_BEST
-    if best is None or (best.width > tol and tol < 0.99 * attempted):
-        best = convex_enclosure(_recip, (1.0, 2.0), 0.5 * tol)
-        _LN2_BEST[0] = best
-        _LN2_BEST[1] = min(attempted, tol)
-    return best
+@functools.cache
+def _ln2() -> Enclosure:
+    """ln 2 as ``∫_1^2 dt/t`` at the ``LN_RES`` floor, computed once per
+    process, so a logarithm never depends on the calls before it."""
+    return convex_enclosure(_recip, (1.0, 2.0), 0.5 * LN_RES)
 
 
 def ln_cat(y: float, tol: float = 1e-6) -> Enclosure:
@@ -246,33 +266,33 @@ def ln_cat(y: float, tol: float = 1e-6) -> Enclosure:
 
     Large and tiny arguments are reduced through the additivity of the
     logarithm: with ``y = m · 2^e`` (m in [0.5, 1)), ``ln y = e·ln 2 +
-    ln m``, where ln 2 is a cached enclosure of ``∫_1^2 dt/t``.
+    ln m``, where ln 2 is the one cached enclosure :func:`_ln2`.
     """
     y = float(y)
     if not math.isfinite(y) or y <= 0.0:
         raise OutOfDomainError(f"logarithm argument {y!r} outside (0, inf)")
+    return _ln(convex_primitive(_recip, 1.0), y, tol)
+
+
+def _ln(prim, y: float, tol: float) -> Enclosure:
+    """:func:`ln_cat` of a positive ``y`` on ``prim``, a primitive of
+    ``1/t`` based at 1."""
     if y == 1.0:
         return Enclosure(0.0, 0.0)
     if 1.0 / 64.0 <= y <= 64.0:
-        eff = max(tol, LN_RES)
-        if y > 1.0:
-            enc = convex_enclosure(_recip, (1.0, y), eff)
-        else:
-            enc = -convex_enclosure(_recip, (y, 1.0), eff)
-        return Enclosure(enc.lower, enc.upper,
-                         enc.width <= tol * (1.0 + 1e-9))
+        enc = prim.enclose(y, max(tol, LN_RES))
+        return Enclosure(enc.lower, enc.upper, enc.width <= tol * (1.0 + 1e-9))
     m, e = math.frexp(y)             # y = m * 2**e, m in [0.5, 1)
     # sub-resolution demands are clamped: at this magnitude the answer has
     # no binary64 digits left to certify, and the flag reports that
     eff = max(tol, LN_RES * (1.0 + abs(e)))
-    ln2 = _ln2_enclosure(0.5 * eff / max(1, abs(e)))
-    main = -convex_enclosure(_recip, (m, 1.0), 0.5 * eff)
-    s = ln2.scale(float(e)) + main
+    s = _ln2().scale(float(e)) + prim.enclose(m, 0.5 * eff)
     return Enclosure(s.lower, s.upper, s.width <= tol * (1.0 + 1e-9))
 
 
 def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
-    """Inverse of :func:`ln_cat`: a doubling bracket, then :func:`_invert`.
+    """Inverse of :func:`ln_cat`: a doubling bracket, then :func:`_invert`,
+    both on one primitive of ``1/t`` made for this call.
 
     ``tol`` is an absolute width target on the result, which is realistic
     in binary64 only while the result itself is moderate; arguments are
@@ -285,23 +305,27 @@ def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
         raise InversionFailedError(f"exp argument {x!r} out of supported range")
     if x == 0.0:
         return Enclosure(1.0, 1.0)
+    prim = convex_primitive(_recip, 1.0)
+
+    def ln(y, t):
+        return _ln(prim, y, t)
+
     lo = hi = 1.0
     if x > 0:
         for _ in range(80):
-            if ln_cat(hi, 1e-3).midpoint >= x + 1e-3:
+            if ln(hi, 1e-3).midpoint >= x + 1e-3:
                 break
             hi *= 2.0
         else:
             raise InversionFailedError(f"could not bracket exp({x})")
     else:
         for _ in range(80):
-            if ln_cat(lo, 1e-3).midpoint <= x - 1e-3:
+            if ln(lo, 1e-3).midpoint <= x - 1e-3:
                 break
             lo *= 0.5
         else:
             raise InversionFailedError(f"could not bracket exp({x})")
-    lo, hi, worst = _invert(ln_cat, x, lo, hi, tol,
-                            lambda h: 2.0 * max(1.0, h), LN_RES)
+    lo, hi, worst = _invert(ln, x, lo, hi, tol, lambda h: 2.0 * max(1.0, h), LN_RES)
     # an error delta in log space moves the preimage by at most ~y*delta
     slack = 2.0 * hi * worst
     return Enclosure(max(0.0, lo - slack), hi + slack,

@@ -11,9 +11,9 @@ upper sum:
   an upper bound; the bracket width scales like 1/N², which is what makes
   tight tolerances affordable for the elementary-function constructions.
 
-Both run on one driver, :func:`_refine`.  A cell rule gives a cell's two
-sums on a uniform grid of ``RULE_CELLS`` sub-cells.  The driver keeps the
-cells in a heap by bracket width and bisects the widest one until the
+Both run on one driver, :class:`Primitive`.  A cell rule gives a cell's
+two sums on a uniform grid of ``RULE_CELLS`` sub-cells.  The driver keeps
+the cells in a heap by bracket width and bisects the widest one until the
 widths sum to at most ``tol``, the next bisection would spend more than
 ``CELL_BUDGET`` evaluations, or the widest cell has no float strictly
 inside it.  The order of the bisections depends on the widths alone, and
@@ -22,6 +22,15 @@ state at which a larger one stops: a tighter tolerance never returns a
 wider bracket (up to the rounding of the sums).  A driver that stops short
 of ``tol`` returns its bracket flagged ``converged=False`` — it still
 brackets the integral, it is just wider than requested.
+
+The driver is resumable.  A :class:`Primitive` is ``y ↦ ∫_base^y f`` and
+keeps its refined cells between queries: a query at ``y`` adds one
+breakpoint there and refines only the cells between ``base`` and ``y``,
+under one budget for all its queries.  An inversion that asks for ``F`` at
+a run of nearby points (:mod:`stepquiver.elemfn`) so pays for about one
+tight enclosure, not one per point.  A single enclosure is the
+single-query case (:func:`_refine` for given starting cells), with the
+same bisections, brackets and evaluation counts.
 
 A call that stops on the budget costs ``CELL_BUDGET`` times the cost of one
 grid point, so the rules keep that cost low.  Each grid is a scaled copy of
@@ -41,6 +50,7 @@ from __future__ import annotations
 import bisect as _bisect
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -215,42 +225,113 @@ def _as_interval(domain) -> Interval:
 # the refinement driver and its two cell rules
 # ---------------------------------------------------------------------------
 
+_LO = operator.itemgetter(1)
+_NEG_WIDTH = operator.itemgetter(0)
+
+
+class Primitive:
+    """``F(y) = ∫_base^y f`` for one cell rule, with its refined cells kept
+    between queries (``-∫_y^base f`` for ``y < base``).
+
+    A query ``enclose(y, tol)`` adds a breakpoint at ``y``: one split of the
+    cell that holds it, or one new cell past the cells so far.  It then
+    bisects the widest cell between ``base`` and ``y`` until their widths
+    sum to at most ``tol``, the next bisection would take the evaluations
+    of all queries together past ``CELL_BUDGET``, or the widest cell has no
+    float strictly inside it.  The order depends only on the widths, so a
+    smaller ``tol`` runs on from where a larger one stopped, and the cells
+    one query refined serve every later query.  A query's breakpoint is
+    evaluated even once the budget is spent, since the query cannot be
+    answered without it: at most two cells a query.  :func:`_refine` is the
+    single-query case.
+    """
+
+    def __init__(self, rule, base):
+        self.rule = rule
+        self.base = base
+        self.cells: list = []   # heap entries sorted by lo; they tile a span around base
+        self.spent = self.cost = 0
+
+    def _enter(self, lo, hi, k):
+        lower, upper, self.cost = self.rule(lo, hi)
+        self.spent += self.cost
+        lower, upper = (k * lower, k * upper) if k >= 0 else (k * upper, k * lower)
+        return (lower - upper, lo, hi, k, lower, upper)
+
+    def _bisect(self, heap: list, tol: float) -> tuple[float, float, bool]:
+        """Refine the cells of ``heap`` (entries, reordered in place) best
+        first; the running sum of widths drifts, so a stop it suggests is
+        confirmed by ``math.fsum``."""
+        width = sum(-e[0] for e in heap)
+        heapq.heapify(heap)
+        while width > tol or -math.fsum(map(_NEG_WIDTH, heap)) > tol:
+            neg, lo, hi, k, _, _ = heap[0]
+            mid = lo + 0.5 * (hi - lo)
+            if not lo < mid < hi or self.spent + 2 * self.cost > CELL_BUDGET:
+                break
+            left, right = self._enter(lo, mid, k), self._enter(mid, hi, k)
+            heapq.heapreplace(heap, left)
+            heapq.heappush(heap, right)
+            width += neg - left[0] - right[0]
+        lower = math.fsum(e[4] for e in heap)
+        upper = math.fsum(e[5] for e in heap)
+        return lower, upper, upper - lower <= tol * (1 + 1e-9)
+
+    def enclose(self, y, tol: float) -> Enclosure:
+        """Enclosure of ``F(y)``; ``converged`` says whether ``tol`` was met."""
+        _check_tol(tol)
+        base, cells = self.base, self.cells
+        if y == base:
+            return Enclosure(0.0, 0.0, True)
+        # cells[:i0] tile [L, base] and cells[i0:] tile [base, R]; the part
+        # of a split cell beyond y is stored unevaluated until a query needs it
+        i0 = _bisect.bisect_left(cells, base, key=_LO)
+        rest = []
+        if y > base:
+            a, b = i0, _bisect.bisect_left(cells, y, key=_LO)
+            part = cells[a:b]
+            end = part[-1][2] if part else base
+            if end < y:
+                part.append(_pending(end, y, 1.0))
+            elif end > y:
+                _, lo, hi, k, _, _ = part.pop()
+                part.append(_pending(lo, y, k))
+                rest.append(_pending(y, hi, k))
+        else:
+            a, b = max(_bisect.bisect_right(cells, y, key=_LO) - 1, 0), i0
+            part = cells[a:b]
+            start = part[0][1] if part else base
+            if y < start:
+                part.insert(0, _pending(y, start, 1.0))
+            elif start < y:
+                _, lo, hi, k, _, _ = part[0]
+                part[0] = _pending(y, hi, k)
+                rest.append(_pending(lo, y, k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            heap = [e if e[0] is not None else self._enter(*e[1:4]) for e in part]
+            lower, upper, conv = self._bisect(heap, tol)
+        cells[a:b] = sorted(heap + rest, key=_LO)
+        # roundoff can nudge the sums past each other on near-linear integrands
+        lower, upper = min(lower, upper), max(lower, upper)
+        return Enclosure(lower, upper, conv) if y > base else Enclosure(-upper, -lower, conv)
+
+
+def _pending(lo, hi, k):
+    return (None, lo, hi, k, None, None)
+
+
 def _refine(rule, cells, tol: float) -> tuple[float, float, bool]:
-    """Bracket ``Σ k ∫_[lo,hi] f`` over ``cells`` of ``(lo, hi, k)``.
+    """Bracket ``Σ k ∫_[lo,hi] f`` over ``cells`` of ``(lo, hi, k)``: the
+    single-query case of :class:`Primitive`, whose cells are these.
 
     ``rule(lo, hi)`` returns ``(lower, upper, evaluations)`` for one cell.
-    The widest cell is bisected until the widths sum to at most ``tol``,
-    the next bisection would take the evaluations past ``CELL_BUDGET``, or
-    the widest cell has no float strictly inside it.  The order depends
-    only on the widths, so a smaller ``tol`` runs on from where a larger
-    one stopped.  The starting cells are evaluated whatever their number.
+    The starting cells are evaluated whatever their number.
     """
-    heap: list = []
-    spent = cost = 0
-
-    def enter(lo, hi, k):
-        nonlocal spent, cost
-        lower, upper, cost = rule(lo, hi)
-        spent += cost
-        lower, upper = (k * lower, k * upper) if k >= 0 else (k * upper, k * lower)
-        heapq.heappush(heap, (lower - upper, lo, hi, k, lower, upper))
-        return upper - lower
-
+    p = Primitive(rule, None)
     # A rule's sum that overflows is reported as a NonFiniteError, so numpy's
     # warning on the way is noise; one errstate per call, not per cell.
     with np.errstate(over="ignore", invalid="ignore"):
-        # the running sum of widths drifts, so a stop it suggests is confirmed
-        width = sum(enter(*cell) for cell in cells)
-        while width > tol or math.fsum(u - l for *_, l, u in heap) > tol:
-            neg, lo, hi, k, _, _ = heap[0]
-            mid = lo + 0.5 * (hi - lo)
-            if not lo < mid < hi or spent + 2 * cost > CELL_BUDGET:
-                break
-            heapq.heappop(heap)
-            width += neg + enter(lo, mid, k) + enter(mid, hi, k)
-    lower = math.fsum(e[4] for e in heap)
-    upper = math.fsum(e[5] for e in heap)
-    return lower, upper, upper - lower <= tol * (1 + 1e-9)
+        return p._bisect([p._enter(*cell) for cell in cells], tol)
 
 
 def _grid(lo, hi, n: int):
@@ -389,10 +470,13 @@ def convex_enclosure(f: Callable, domain, tol: float) -> Enclosure:
     _check_tol(tol)
     if domain.is_degenerate():
         return Enclosure(0.0, 0.0, True)
-    lower, upper, conv = _refine(_sandwich_rule(_Evaluator(f)),
-                                 [(domain.lo, domain.hi, 1.0)], tol)
-    # roundoff can nudge the sums past each other on near-linear integrands
-    return Enclosure(min(lower, upper), max(lower, upper), conv)
+    return convex_primitive(f, domain.lo).enclose(domain.hi, tol)
+
+
+def convex_primitive(f: Callable, base) -> Primitive:
+    """The :class:`Primitive` ``y ↦ ∫_base^y f`` of an integrand convex
+    wherever it is queried, on the midpoint/trapezoid sandwich."""
+    return Primitive(_sandwich_rule(_Evaluator(f)), base)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ oracle whether or not it managed to converge to the requested width.
 from __future__ import annotations
 
 import math
+import os
+import random
+import subprocess
+import sys
 import time
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +31,9 @@ from stepquiver import (
     sin_cat,
 )
 from stepquiver import elemfn
+from stepquiver.integrate import CELL_BUDGET, RULE_CELLS, Primitive
+
+from conftest import REPO_ROOT
 
 HALF_PI = math.pi / 2.0
 
@@ -225,22 +234,96 @@ def test_inverse_contains_oracle_at_tight_tolerance(name, x, tol):
     assert enc.converged or name == "cos"
 
 
-def test_sine_sharpens_only_straddling_steps(monkeypatch):
-    # a loose arcsine enclosure that clears the target decides a bisection
-    # step by itself; only the few steps it straddles need the inner tol
+def _counting(monkeypatch, name):
+    points = []
+    real = getattr(elemfn, name)
+
+    def counted(ts):
+        points.append(np.size(ts))
+        return real(ts)
+
+    monkeypatch.setattr(elemfn, name, counted)
+    return points
+
+
+def test_sine_spends_the_pinned_evaluations(monkeypatch):
+    # One primitive per inversion: a step pays only for the refinement the
+    # steps before it have not done.  A fresh arcsine enclosure per step
+    # took 2225 calls and 18229425 points here.
     tol = 1.5e-12
     sin_cat(0.9, tol)  # warm the cached quarter-period
-    asked = []
-    real = elemfn.asin_cat
-
-    def counting(y, t=1e-6):
-        asked.append(t)
-        return real(y, t)
-
-    monkeypatch.setattr(elemfn, "asin_cat", counting)
+    points = _counting(monkeypatch, "_circle")
     enc = sin_cat(0.9, tol)
     assert enc.converged and enc.contains(math.sin(0.9))
-    assert 0 < asked.count(0.25 * tol) < 10, asked
+    assert (len(points), sum(points)) == (401, 3285393)
+
+
+def test_one_inversion_spends_one_budget(monkeypatch):
+    # 1e-20 is far below what the sums can reach, so the refinement stops on
+    # CELL_BUDGET, once for the whole inversion rather than once per step.
+    # Past the budget a query still needs its breakpoint: at most two cells.
+    sin_cat(0.5, 1e-3)  # warm the cached quarter-period
+    points = _counting(monkeypatch, "_circle")
+    queries = []
+    real_enclose = Primitive.enclose
+
+    def counted(self, y, tol):
+        queries.append(y)
+        return real_enclose(self, y, tol)
+
+    monkeypatch.setattr(Primitive, "enclose", counted)
+    enc = sin_cat(0.5, 1e-20)
+    assert enc.contains(math.sin(0.5)) and not enc.converged
+    cell = 2 * RULE_CELLS + 1
+    assert CELL_BUDGET - 2 * cell < sum(points) <= CELL_BUDGET + 2 * cell * len(queries)
+    assert len(queries) < 100
+
+
+INVERSES = {"sin": (sin_cat, (-10.0, 10.0)), "cos": (cos_cat, (-9.0, 11.0)),
+            "exp": (exp_cat, (-5.0, 5.0))}
+
+
+def test_inverses_do_not_depend_on_earlier_calls():
+    calls = [("sin", 0.9, 1.5e-12), ("cos", 1.9, 1.5e-12), ("exp", 1.2, 1.5e-12),
+             ("exp", 4.5, 1.5e-9), ("exp", -4.5, 1.5e-9), ("sin", -7.5, 1.5e-9)]
+    first = [INVERSES[name][0](x, tol) for name, x, tol in calls]
+    for name, x, tol in calls:  # nearby arguments, tighter tolerances
+        INVERSES[name][0](x + 0.01, tol / 10)
+    ln_cat(1000.0, 1e-12)
+    again = [INVERSES[name][0](x, tol) for name, x, tol in reversed(calls)]
+    assert first == again[::-1]
+
+
+def test_ln_does_not_depend_on_call_history():
+    # a fresh interpreter, so the first call is the first of the process
+    code = ("from stepquiver import ln_cat\n"
+            "a = ln_cat(1000.0, 1e-6)\n"
+            "ln_cat(1000.0, 1e-12)\n"
+            "print(a == ln_cat(1000.0, 1e-6), a.contains(6.907755278982137))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.stdout == "True True\n", proc.stderr
+
+
+# |sin x| near 1, cos x near ±1, and the ends of each range, beside seeded points
+EDGES = {"sin": [-10.0, -7.85, -4.71, -1.5708, 1.5707, 4.7124, 7.854, 10.0],
+         "cos": [-9.0, -6.2832, -3.1416, 0.0, 3.1415, 6.2831, 9.4248, 11.0],
+         "exp": [-5.0, -0.001, 0.001, 4.16, 4.159, 5.0]}
+
+
+@pytest.mark.parametrize("tol", [1.5e-9, 1.5e-12], ids=["tol9", "tol12"])
+@pytest.mark.parametrize("name", ["sin", "cos", "exp"])
+def test_inverses_contain_high_precision_references(name, tol):
+    mpmath = pytest.importorskip("mpmath")
+    fn, (lo, hi) = INVERSES[name]
+    rng = random.Random(f"{name}{tol}")
+    for x in EDGES[name] + [rng.uniform(lo, hi) for _ in range(6)]:
+        enc = fn(x, tol)
+        with mpmath.workdps(50):
+            exact = getattr(mpmath, name)(mpmath.mpf(x))
+            assert mpmath.mpf(enc.lower) <= exact <= mpmath.mpf(enc.upper), \
+                f"{name}({x!r}, {tol}): [{enc.lower!r}, {enc.upper!r}] misses {exact}"
 
 
 @pytest.mark.parametrize("fn, x, tol, ref", [

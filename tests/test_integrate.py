@@ -42,7 +42,7 @@ from stepquiver import (
 from stepquiver import integrate as integrate_module
 from stepquiver.elemfn import _circle
 from stepquiver.integrate import (
-    CELL_BUDGET, RULE_CELLS, STIELTJES_BLOCK, _Evaluator, _stieltjes_sum,
+    CELL_BUDGET, RULE_CELLS, STIELTJES_BLOCK, _Evaluator, _stieltjes_sum, convex_primitive,
 )
 
 from conftest import random_step
@@ -178,6 +178,57 @@ def test_an_unreachable_tolerance_spends_one_budget(call, sampled):
     e = call(recip)
     assert not e.converged
     assert CELL_BUDGET // 2 < sum(points) <= CELL_BUDGET + sampled
+
+
+# ---------------------------------------------------------------------------
+# the resumable primitive
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("y, tol", [(0.3, 1e-6), (1 / 64, 1e-12), (0.999, 1e-14)])
+def test_a_fresh_query_below_the_base_is_the_negated_enclosure(y, tol):
+    # bit for bit: a logarithm below 1 is the same whichever way it is asked
+    enc = convex_primitive(lambda t: 1.0 / t, 1.0).enclose(y, tol)
+    assert enc == -convex_enclosure(lambda t: 1.0 / t, (y, 1.0), tol)
+
+
+def _tiles(cells, lo, hi):
+    return (cells[0][1] == lo and cells[-1][2] == hi
+            and all(a[2] == b[1] for a, b in zip(cells, cells[1:])))
+
+
+def test_primitive_queries_on_both_sides_contain_the_logarithm():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20)
+    prim = convex_primitive(lambda t: 1.0 / t, 1.0)
+    # reachable tolerances first, then ones that exhaust the shared budget
+    for i in range(60):
+        y = float(2.0 ** rng.uniform(-6, 6))
+        tol = float(10.0 ** rng.uniform(-11 if i < 40 else -13, -3))
+        enc = prim.enclose(y, tol)
+        with mpmath.workdps(50):
+            assert mpmath.mpf(enc.lower) <= mpmath.log(y) <= mpmath.mpf(enc.upper), (y, tol)
+        assert enc.converged == (enc.width <= tol * (1 + 1e-9))
+        assert enc.converged or i >= 40
+    assert _tiles(prim.cells, prim.cells[0][1], prim.cells[-1][2])
+    assert prim.spent <= CELL_BUDGET + 2 * 60 * (2 * RULE_CELLS + 1)
+
+
+def test_a_primitive_pays_only_for_refinement_not_yet_done():
+    points = []
+
+    def recip(xs):
+        points.append(np.size(xs))
+        return 1.0 / xs
+
+    prim = convex_primitive(recip, 1.0)
+    first = prim.enclose(3.0, 1e-12)
+    spent = sum(points)
+    # the same query again is answered from the kept cells
+    assert prim.enclose(3.0, 1e-12) == first and sum(points) == spent
+    # a nearby one costs its breakpoint and a few cells, not a second enclosure
+    prim.enclose(2.9, 1e-12)
+    assert sum(points) - spent <= 8 * (2 * RULE_CELLS + 1) < spent // 10
+    assert prim.spent == sum(points)
 
 
 STEP = indicator(box1(0.0, 0.5), box1(0.0, 1.0), 2.0)
