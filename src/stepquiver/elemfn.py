@@ -12,13 +12,14 @@ step is decided by a loose enclosure of the integral when that enclosure
 lies wholly on one side of the target, and only a straddling step asks for
 a sharp one.  Every step of one call reads one resumable primitive
 (:class:`~stepquiver.integrate.Primitive`) made for that call alone: of
-``1/t`` based at 1 for the exponential, on both sides of 1, and of the
-convex main part of the circle integrand based at 0 for sine and cosine,
-with negative arguments mirrored onto [0, 1].  A step so pays only for the
-refinement the steps before it have not done, and one ``CELL_BUDGET``
-caps the whole inversion.  Logarithms outside [1/64, 64] add a multiple of
-one ln 2 enclosure computed once per process, so no result depends on the
-calls made before it.
+``1/t`` based at 1 for the exponential, and of the convex main part of the
+circle integrand based at 0 for sine and cosine, with negative arguments
+mirrored onto [0, 1].  A step so pays only for the refinement the steps
+before it have not done, and one ``CELL_BUDGET`` caps the whole inversion.
+Every logarithm is reduced to ``y = m·2^e`` with m in [1, 2), ``ln y =
+e·ln 2 + ∫_1^m dt/t``, so a primitive is only ever asked above its base.
+ln 2 is one enclosure per process and power-of-two tolerance, so no result
+depends on the calls made before it.
 
 No transcendental library routines participate in any returned value: every
 result is an :class:`~stepquiver.integrate.Enclosure` produced by the
@@ -72,22 +73,21 @@ def _convex_circle(lo: float, hi: float, tol: float) -> Enclosure:
     return convex_enclosure(_circle, (lo, hi), tol)
 
 
-def _enclose_circle(a: float, b: float, tol: float, main=_convex_circle,
-                    eps: float = UNIT_EPS) -> Enclosure:
+def _enclose_circle(a: float, b: float, tol: float, main=_convex_circle) -> Enclosure:
     """Enclosure of ``∫_a^b dt/sqrt(1-t²)``, -1 <= a <= b <= 1.
 
     The integrand is evaluated only on [-1+δ, 1-δ], by ``main(lo, hi,
     tol)``; the slivers beyond are bracketed analytically.  The tail width
     is ~0.35·δ^{3/2}, so δ is grown with the tolerance (δ = 0.5·tol^{2/3},
-    clamped to [eps, 1e-3]): spending a quarter of the budget on the tail
-    keeps the numeric part away from the blow-up, where the sandwich would
-    need astronomically fine cells.
+    clamped to [UNIT_EPS, 1e-3]): spending a quarter of the budget on the
+    tail keeps the numeric part away from the blow-up, where the sandwich
+    would need astronomically fine cells.
     """
     if not (-1.0 <= a <= b <= 1.0):
         raise OutOfDomainError(f"[{a}, {b}] is not a subinterval of [-1, 1]")
     if a == b:
         return Enclosure(0.0, 0.0)
-    delta = max(eps, min(1e-3, 0.5 * tol ** (2.0 / 3.0)))
+    delta = max(UNIT_EPS, min(1e-3, 0.5 * tol ** (2.0 / 3.0)))
     cut = 1.0 - delta
     total = Enclosure(0.0, 0.0)
     if a < -cut:
@@ -255,18 +255,19 @@ LN_RES = 1e-14           # demand floor on ∫ dt/t; one cell budget gets ∫_1^
 
 
 @functools.cache
-def _ln2() -> Enclosure:
-    """ln 2 as ``∫_1^2 dt/t`` at the ``LN_RES`` floor, computed once per
-    process, so a logarithm never depends on the calls before it."""
-    return convex_enclosure(_recip, (1.0, 2.0), 0.5 * LN_RES)
+def _ln2(tol: float) -> Enclosure:
+    """ln 2 as ``∫_1^2 dt/t`` to ``tol``, one enclosure per process and
+    tolerance, so a logarithm never depends on the calls before it.
+    :func:`_ln` asks only at powers of two, which bounds the cache."""
+    return convex_enclosure(_recip, (1.0, 2.0), tol)
 
 
 def ln_cat(y: float, tol: float = 1e-6) -> Enclosure:
-    """``ln y`` as ``∫_1^y dt/t`` (negated reversed integral for y < 1).
+    """``ln y`` as ``∫_1^y dt/t``, for y > 0.
 
-    Large and tiny arguments are reduced through the additivity of the
-    logarithm: with ``y = m · 2^e`` (m in [0.5, 1)), ``ln y = e·ln 2 +
-    ln m``, where ln 2 is the one cached enclosure :func:`_ln2`.
+    With ``y = m · 2^e`` (m in [1, 2)), ``ln y = e·ln 2 + ∫_1^m dt/t``, so
+    the integral is only ever taken on [1, 2), where 1/t is gentlest; ln 2
+    is a cached enclosure of :func:`_ln2`.
     """
     y = float(y)
     if not math.isfinite(y) or y <= 0.0:
@@ -276,29 +277,37 @@ def ln_cat(y: float, tol: float = 1e-6) -> Enclosure:
 
 def _ln(prim, y: float, tol: float) -> Enclosure:
     """:func:`ln_cat` of a positive ``y`` on ``prim``, a primitive of
-    ``1/t`` based at 1."""
-    if y == 1.0:
-        return Enclosure(0.0, 0.0)
-    if 1.0 / 64.0 <= y <= 64.0:
-        enc = prim.enclose(y, max(tol, LN_RES))
-        return Enclosure(enc.lower, enc.upper, enc.width <= tol * (1.0 + 1e-9))
-    m, e = math.frexp(y)             # y = m * 2**e, m in [0.5, 1)
-    # sub-resolution demands are clamped: at this magnitude the answer has
-    # no binary64 digits left to certify, and the flag reports that
+    ``1/t`` based at 1 that is queried only on [1, 2).
+
+    ``∫_1^m`` takes the whole tolerance when e = 0 and half of it
+    otherwise; ln 2 gets the other half over |e|, rounded down to a power
+    of two, the key of its cache.  Sub-resolution demands are clamped to
+    ``LN_RES·(1 + |e|)``: below that the answer has no binary64 digits left
+    to certify, and the flag reports that.
+    """
+    m, e = math.frexp(y)
+    m, e = 2.0 * m, e - 1            # y = m * 2**e, m in [1, 2)
     eff = max(tol, LN_RES * (1.0 + abs(e)))
-    s = _ln2().scale(float(e)) + prim.enclose(m, 0.5 * eff)
+    if e == 0:
+        s = prim.enclose(m, eff)
+    else:
+        share = math.ldexp(0.5, math.frexp(0.5 * eff / abs(e))[1])
+        s = _ln2(share).scale(float(e)) + prim.enclose(m, 0.5 * eff)
     return Enclosure(s.lower, s.upper, s.width <= tol * (1.0 + 1e-9))
 
 
 def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
-    """Inverse of :func:`ln_cat`: a doubling bracket, then :func:`_invert`,
-    both on one primitive of ``1/t`` made for this call.
+    """Inverse of :func:`ln_cat` by :func:`_invert` on one primitive of
+    ``1/t`` made for this call.
 
-    ``tol`` is an absolute width target on the result, which is realistic
-    in binary64 only while the result itself is moderate; arguments are
-    therefore capped at |x| <= 40.  The returned bracket is honest either
-    way: its padding uses the widths the inner log enclosures actually
-    achieved, and ``converged`` reports whether the target was met.
+    The bracket is ``[2^(k-1), 2^(k+2)]`` with ``k = floor(x / 0.69)``: as
+    0.69 < ln 2 < 0.6932, ``x / 0.69`` is within 0.3 of ``log2 e^x`` for
+    |x| <= 40, so no search is needed.  ``tol`` is an absolute width target
+    on the result, which is realistic in binary64 only while the result
+    itself is moderate; arguments are therefore capped at |x| <= 40.  The
+    returned bracket is honest either way: its padding uses the widths the
+    inner log enclosures actually achieved, and ``converged`` reports
+    whether the target was met.
     """
     x = float(x)
     if not math.isfinite(x) or abs(x) > 40.0:
@@ -306,26 +315,9 @@ def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
     if x == 0.0:
         return Enclosure(1.0, 1.0)
     prim = convex_primitive(_recip, 1.0)
-
-    def ln(y, t):
-        return _ln(prim, y, t)
-
-    lo = hi = 1.0
-    if x > 0:
-        for _ in range(80):
-            if ln(hi, 1e-3).midpoint >= x + 1e-3:
-                break
-            hi *= 2.0
-        else:
-            raise InversionFailedError(f"could not bracket exp({x})")
-    else:
-        for _ in range(80):
-            if ln(lo, 1e-3).midpoint <= x - 1e-3:
-                break
-            lo *= 0.5
-        else:
-            raise InversionFailedError(f"could not bracket exp({x})")
-    lo, hi, worst = _invert(ln, x, lo, hi, tol, lambda h: 2.0 * max(1.0, h), LN_RES)
+    k = math.floor(x / 0.69)
+    lo, hi, worst = _invert(lambda y, t: _ln(prim, y, t), x, math.ldexp(1.0, k - 1),
+                            math.ldexp(1.0, k + 2), tol, lambda h: 2.0 * max(1.0, h), LN_RES)
     # an error delta in log space moves the preimage by at most ~y*delta
     slack = 2.0 * hi * worst
     return Enclosure(max(0.0, lo - slack), hi + slack,

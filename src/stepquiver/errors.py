@@ -105,7 +105,7 @@ class TauNotHomomorphismError(StepQuiverError):
 # ---------------------------------------------------------------------------
 
 class InversionFailedError(StepQuiverError):
-    """Bisection could not bracket or refine an inverse-function value."""
+    """An inverse function was asked at an argument it cannot invert."""
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ wider bracket (up to the rounding of the sums).  A driver that stops short
 of ``tol`` returns its bracket flagged ``converged=False`` — it still
 brackets the integral, it is just wider than requested.
 
-The driver is resumable.  A :class:`Primitive` is ``y ↦ ∫_base^y f`` and
-keeps its refined cells between queries: a query at ``y`` adds one
-breakpoint there and refines only the cells between ``base`` and ``y``,
-under one budget for all its queries.  An inversion that asks for ``F`` at
-a run of nearby points (:mod:`stepquiver.elemfn`) so pays for about one
-tight enclosure, not one per point.  A single enclosure is the
+The driver is resumable.  A :class:`Primitive` is ``y ↦ ∫_base^y f`` for
+``y >= base`` and keeps its refined cells between queries: a query at ``y``
+adds one breakpoint there and refines only the cells between ``base`` and
+``y``, under one budget for all its queries.  An inversion that asks for
+``F`` at a run of nearby points (:mod:`stepquiver.elemfn`) so pays for about
+one tight enclosure, not one per point.  A single enclosure is the
 single-query case (:func:`_refine` for given starting cells), with the
 same bisections, brackets and evaluation counts.
 
@@ -230,8 +230,8 @@ _NEG_WIDTH = operator.itemgetter(0)
 
 
 class Primitive:
-    """``F(y) = ∫_base^y f`` for one cell rule, with its refined cells kept
-    between queries (``-∫_y^base f`` for ``y < base``).
+    """``F(y) = ∫_base^y f`` for ``y >= base`` and one cell rule, with its
+    refined cells kept between queries.
 
     A query ``enclose(y, tol)`` adds a breakpoint at ``y``: one split of the
     cell that holds it, or one new cell past the cells so far.  It then
@@ -249,7 +249,7 @@ class Primitive:
     def __init__(self, rule, base):
         self.rule = rule
         self.base = base
-        self.cells: list = []   # heap entries sorted by lo; they tile a span around base
+        self.cells: list = []   # heap entries sorted by lo; they tile [base, R]
         self.spent = self.cost = 0
 
     def _enter(self, lo, hi, k):
@@ -281,39 +281,27 @@ class Primitive:
         """Enclosure of ``F(y)``; ``converged`` says whether ``tol`` was met."""
         _check_tol(tol)
         base, cells = self.base, self.cells
+        if not y >= base:
+            raise OrderViolationError(f"primitive based at {base!r} queried at {y!r} below it")
         if y == base:
             return Enclosure(0.0, 0.0, True)
-        # cells[:i0] tile [L, base] and cells[i0:] tile [base, R]; the part
-        # of a split cell beyond y is stored unevaluated until a query needs it
-        i0 = _bisect.bisect_left(cells, base, key=_LO)
-        rest = []
-        if y > base:
-            a, b = i0, _bisect.bisect_left(cells, y, key=_LO)
-            part = cells[a:b]
-            end = part[-1][2] if part else base
-            if end < y:
-                part.append(_pending(end, y, 1.0))
-            elif end > y:
-                _, lo, hi, k, _, _ = part.pop()
-                part.append(_pending(lo, y, k))
-                rest.append(_pending(y, hi, k))
-        else:
-            a, b = max(_bisect.bisect_right(cells, y, key=_LO) - 1, 0), i0
-            part = cells[a:b]
-            start = part[0][1] if part else base
-            if y < start:
-                part.insert(0, _pending(y, start, 1.0))
-            elif start < y:
-                _, lo, hi, k, _, _ = part[0]
-                part[0] = _pending(y, hi, k)
-                rest.append(_pending(lo, y, k))
+        # the part of a split cell beyond y is stored unevaluated until a
+        # query needs it
+        b = _bisect.bisect_left(cells, y, key=_LO)
+        part, rest = cells[:b], []
+        end = part[-1][2] if part else base
+        if end < y:
+            part.append(_pending(end, y, 1.0))
+        elif end > y:
+            _, lo, hi, k, _, _ = part.pop()
+            part.append(_pending(lo, y, k))
+            rest.append(_pending(y, hi, k))
         with np.errstate(over="ignore", invalid="ignore"):
             heap = [e if e[0] is not None else self._enter(*e[1:4]) for e in part]
             lower, upper, conv = self._bisect(heap, tol)
-        cells[a:b] = sorted(heap + rest, key=_LO)
+        cells[:b] = sorted(heap + rest, key=_LO)
         # roundoff can nudge the sums past each other on near-linear integrands
-        lower, upper = min(lower, upper), max(lower, upper)
-        return Enclosure(lower, upper, conv) if y > base else Enclosure(-upper, -lower, conv)
+        return Enclosure(min(lower, upper), max(lower, upper), conv)
 
 
 def _pending(lo, hi, k):
@@ -415,13 +403,13 @@ def _check_tiling(domain: Interval, pieces: Sequence[Interval]) -> list[Interval
     return ivs
 
 
-def _sample_monotone(ev: _Evaluator, iv: Interval, samples: int = 17) -> None:
-    """Cheap sanity check that samples of f on ``iv`` don't change direction.
+def _sample_monotone(ev: _Evaluator, iv: Interval) -> None:
+    """Cheap sanity check that 17 samples of f on ``iv`` don't change direction.
 
     Catches blatantly non-monotone declarations; it is a sampling heuristic,
     not a proof — the declaration is the contract.
     """
-    xs = np.linspace(iv.lo, iv.hi, samples)
+    xs = np.linspace(iv.lo, iv.hi, 17)
     vals = ev(xs)
     _finite_or_raise(vals, xs)
     eps = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
@@ -618,14 +606,14 @@ def _stieltjes_sum(ev_f: _Evaluator, ev_phi: _Evaluator, lo: float, hi: float,
     return sums[0]
 
 
-def _monotone_runs(ev: _Evaluator, iv: Interval, samples: int = 129):
-    """Split ``iv`` at sampled direction changes of the integrand.
+def _monotone_runs(ev: _Evaluator, iv: Interval):
+    """Split ``iv`` at direction changes of the integrand among 129 samples.
 
     Returns a list of intervals on which samples are one-directional, with
     each internal boundary sharpened by ternary search, or None when the
     samples change direction too often to trust the picture.
     """
-    xs = np.linspace(iv.lo, iv.hi, samples)
+    xs = np.linspace(iv.lo, iv.hi, 129)
     vals = ev(xs)
     _finite_or_raise(vals, xs)
     eps = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
@@ -670,54 +658,36 @@ def _stieltjes_exact_step(f: StepFunction, phi: StieltjesMeasure, domain: Interv
 def _density_enclosure(f, fp, domain: Interval, tol: float) -> Optional[Enclosure]:
     """Best-effort enclosure of ``∫ f(t) φ'(t) dt``; None if not certifiable.
 
-    For a step function the monotone runs of ``φ'`` on each cell that
-    :func:`_stieltjes_exact_step` reads go to one driver call, each run
-    carrying its cell's coefficient; otherwise ``f * φ'`` is split on
-    sampled monotone runs.  Returns None when sampling cannot produce a
-    trustworthy monotone-piece picture.
+    For a step function the integrand is ``φ'`` on the cells that
+    :func:`_stieltjes_exact_step` reads, each carrying its coefficient;
+    otherwise it is ``f * φ'`` on the domain.  Each cell is split on sampled
+    monotone runs, and all runs go to one driver call.  Returns None when
+    sampling cannot produce a trustworthy monotone-piece picture.
     """
     if isinstance(f, StepFunction):
-        ev_fp = _Evaluator(fp)
-        cells = []
-        for a, b, k in _step_cells(f, domain.lo, domain.hi):
-            runs = _monotone_runs(ev_fp, Interval(a, b)) if k != 0.0 else []
-            if runs is None:
-                return None
-            try:
-                for iv in runs:
-                    _sample_monotone(ev_fp, iv)
-            except BadPiecesError:
-                return None
-            cells += [(iv.lo, iv.hi, k) for iv in runs]
-        return Enclosure(*_refine(_darboux_rule(ev_fp), cells, tol))
+        ev = _Evaluator(fp)
+        cells = [(a, b, k) for a, b, k in _step_cells(f, domain.lo, domain.hi) if k != 0.0]
+    else:
+        ev_f, ev_fp = _Evaluator(f), _Evaluator(fp)
 
-    ev_f = _Evaluator(f)
-    ev_fp = _Evaluator(fp)
+        def g(xs):
+            xs = np.atleast_1d(np.asarray(xs, dtype=float))
+            return ev_f(xs) * ev_fp(xs)
 
-    def g(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return ev_f(xs) * ev_fp(xs)
-
-    pieces = _monotone_runs(_Evaluator(g), domain)
-    if pieces is None:
-        return None
-    try:
-        return integrate_enclosure(g, domain, pieces, tol)
-    except BadPiecesError:
-        return None
-
-
-def _stieltjes_cross_check(f, phi: StieltjesMeasure, domain: Interval,
-                           value: float, tol: float) -> None:
-    """Compare against an enclosure of ``∫ f(t) φ'(t) dt`` when possible."""
-    enc = _density_enclosure(f, phi.phi_prime, domain, max(tol, 1e-12))
-    if enc is None:
-        return
-    if not (enc.lower - 2.0 * tol <= value <= enc.upper + 2.0 * tol):
-        raise MethodDisagreementError(
-            f"Stieltjes sum {value!r} disagrees with density enclosure "
-            f"[{enc.lower!r}, {enc.upper!r}] beyond 2*tol"
-        )
+        ev = _Evaluator(g)
+        cells = [(domain.lo, domain.hi, 1.0)]
+    pieces = []
+    for a, b, k in cells:
+        runs = _monotone_runs(ev, Interval(a, b))
+        if runs is None:
+            return None
+        try:
+            for iv in runs:
+                _sample_monotone(ev, iv)
+        except BadPiecesError:
+            return None
+        pieces += [(iv.lo, iv.hi, k) for iv in runs]
+    return Enclosure(*_refine(_darboux_rule(ev), pieces, tol))
 
 
 def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> float:
@@ -741,28 +711,32 @@ def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> 
         if f.dim != 1:
             raise DimensionMismatchError("Stieltjes integration is one-dimensional")
         value = _stieltjes_exact_step(f, phi, domain)
-        if phi.phi_prime is not None:
-            _stieltjes_cross_check(f, phi, domain, value, max(tol, 1e-12))
-        return value
-
-    ev_f = _Evaluator(f)
-    ev_phi = _Evaluator(phi.phi)
-    n = 64
-    prev = None
-    value = None
-    while n <= STIELTJES_MAX_N:
-        s = _stieltjes_sum(ev_f, ev_phi, domain.lo, domain.hi, n)
-        if prev is not None and abs(s - prev) <= 0.5 * tol:
-            value = s
-            break
-        prev = s
-        n *= 2
-    if value is None:
-        raise ToleranceUnreachedError(
-            f"Stieltjes sums did not settle within {tol} by N = {STIELTJES_MAX_N}"
-        )
+        slack = max(tol, 1e-12)
+    else:
+        ev_f = _Evaluator(f)
+        ev_phi = _Evaluator(phi.phi)
+        n = 64
+        prev = None
+        value = None
+        while n <= STIELTJES_MAX_N:
+            s = _stieltjes_sum(ev_f, ev_phi, domain.lo, domain.hi, n)
+            if prev is not None and abs(s - prev) <= 0.5 * tol:
+                value = s
+                break
+            prev = s
+            n *= 2
+        if value is None:
+            raise ToleranceUnreachedError(
+                f"Stieltjes sums did not settle within {tol} by N = {STIELTJES_MAX_N}"
+            )
+        slack = tol
     if phi.phi_prime is not None:
-        _stieltjes_cross_check(f, phi, domain, value, tol)
+        enc = _density_enclosure(f, phi.phi_prime, domain, max(tol, 1e-12))
+        if enc is not None and not enc.lower - 2.0 * slack <= value <= enc.upper + 2.0 * slack:
+            raise MethodDisagreementError(
+                f"Stieltjes sum {value!r} disagrees with density enclosure "
+                f"[{enc.lower!r}, {enc.upper!r}] beyond 2*tol"
+            )
     return value
 
 

@@ -40,6 +40,7 @@ from stepquiver import (
 )
 
 from stepquiver import integrate as integrate_module
+from stepquiver import elemfn
 from stepquiver.elemfn import _circle
 from stepquiver.integrate import (
     CELL_BUDGET, RULE_CELLS, STIELTJES_BLOCK, _Evaluator, _stieltjes_sum, convex_primitive,
@@ -185,10 +186,11 @@ def test_an_unreachable_tolerance_spends_one_budget(call, sampled):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("y, tol", [(0.3, 1e-6), (1 / 64, 1e-12), (0.999, 1e-14)])
-def test_a_fresh_query_below_the_base_is_the_negated_enclosure(y, tol):
-    # bit for bit: a logarithm below 1 is the same whichever way it is asked
-    enc = convex_primitive(lambda t: 1.0 / t, 1.0).enclose(y, tol)
-    assert enc == -convex_enclosure(lambda t: 1.0 / t, (y, 1.0), tol)
+def test_a_query_below_the_base_is_refused(y, tol):
+    prim = convex_primitive(lambda t: 1.0 / t, 1.0)
+    with pytest.raises(OrderViolationError, match="below"):
+        prim.enclose(y, tol)
+    assert prim.cells == [] and prim.spent == 0
 
 
 def _tiles(cells, lo, hi):
@@ -200,16 +202,17 @@ def test_primitive_queries_on_both_sides_contain_the_logarithm():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20)
     prim = convex_primitive(lambda t: 1.0 / t, 1.0)
-    # reachable tolerances first, then ones that exhaust the shared budget
+    # reachable tolerances first, then ones that exhaust the shared budget;
+    # the logarithm takes every y to the primitive's side of 1, on [1, 2)
     for i in range(60):
         y = float(2.0 ** rng.uniform(-6, 6))
         tol = float(10.0 ** rng.uniform(-11 if i < 40 else -13, -3))
-        enc = prim.enclose(y, tol)
+        enc = elemfn._ln(prim, y, tol)
         with mpmath.workdps(50):
             assert mpmath.mpf(enc.lower) <= mpmath.log(y) <= mpmath.mpf(enc.upper), (y, tol)
         assert enc.converged == (enc.width <= tol * (1 + 1e-9))
         assert enc.converged or i >= 40
-    assert _tiles(prim.cells, prim.cells[0][1], prim.cells[-1][2])
+    assert _tiles(prim.cells, 1.0, prim.cells[-1][2]) and prim.cells[-1][2] < 2.0
     assert prim.spent <= CELL_BUDGET + 2 * 60 * (2 * RULE_CELLS + 1)
 
 

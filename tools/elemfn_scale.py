@@ -1,15 +1,18 @@
-"""Time sin, cos and exp across their argument ranges at tight tolerances.
+"""Time sin, cos, exp and ln across their argument ranges at tight tolerances.
 
     python3 tools/elemfn_scale.py CHECKOUT [--label NAME] > rows.json
 
 For each function and tolerance (``sin_cat`` on [-10, 10], ``cos_cat`` on
-[-9, 11], ``exp_cat`` on [-5, 5], each at 1.5e-9 and 1.5e-12) a fresh
-interpreter imports ``stepquiver`` from ``CHECKOUT/src`` and calls the
-function at ``POINTS`` arguments spaced evenly over the range (cell
-midpoints, so no argument sits on a range end).  Before timing it fills the
-process-wide caches that every call shares: the quarter-period reference
-for sin and cos, and ln 2 at the ``LN_RES`` floor for exp.  Each call is
-timed with ``time.perf_counter`` and its integrand evaluations are counted
+[-9, 11], ``exp_cat`` on [-5, 5] and ``ln_cat`` at ``y = 2^u`` for u on
+[-10, 20], each at 1.5e-9 and 1.5e-12) a fresh interpreter imports
+``stepquiver`` from ``CHECKOUT/src`` and calls the function at ``POINTS``
+arguments spaced evenly over the range (cell midpoints, so no argument sits
+on a range end; for ln the row's ``xs`` are the exponents u).  Before timing
+it makes one untimed call of the row's function at the range's upper end
+and the row's tolerance, which fills the quarter-period reference that
+every sin and cos call shares; the ln 2 enclosures that exp and ln read are
+cached per power-of-two tolerance, so the timed calls pay for the ones they
+are the first to need, as a process would.  Each call is timed with ``time.perf_counter`` and its integrand evaluations are counted
 by wrapping ``elemfn._circle`` and ``elemfn._recip``: ``calls`` is the
 number of cell-rule calls, ``points`` the number of points they evaluated.
 
@@ -27,7 +30,7 @@ import sys
 import time
 from pathlib import Path
 
-RANGES = {"sin": (-10.0, 10.0), "cos": (-9.0, 11.0), "exp": (-5.0, 5.0)}
+RANGES = {"sin": (-10.0, 10.0), "cos": (-9.0, 11.0), "exp": (-5.0, 5.0), "ln": (-10.0, 20.0)}
 TOLS = (1.5e-9, 1.5e-12)
 POINTS = 21
 
@@ -38,9 +41,13 @@ def child(checkout: str, fn: str, tol: float) -> dict:
     import numpy as np
     from stepquiver import elemfn
 
-    call = getattr(elemfn, f"{fn}_cat")
-    elemfn.k_reference()
-    elemfn.ln_cat(1e3, elemfn.LN_RES)  # ln 2 at the floor
+    cat = getattr(elemfn, f"{fn}_cat")
+
+    def call(x, tol):
+        return cat(2.0 ** x if fn == "ln" else x, tol)
+
+    lo, hi = RANGES[fn]
+    call(hi, tol)
     counts = []
     for name in ("_circle", "_recip"):
         real = getattr(elemfn, name)
@@ -50,7 +57,6 @@ def child(checkout: str, fn: str, tol: float) -> dict:
             return real(ts)
         setattr(elemfn, name, counted)
 
-    lo, hi = RANGES[fn]
     xs = [lo + (hi - lo) * (i + 0.5) / POINTS for i in range(POINTS)]
     seconds, evals, calls, converged = [], [], 0, []
     for x in xs:
