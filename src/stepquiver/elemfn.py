@@ -45,7 +45,7 @@ from typing import Dict
 import numpy as np
 
 from .errors import InversionFailedError, OutOfDomainError
-from .integrate import Enclosure, convex_enclosure, convex_primitive
+from .integrate import Enclosure, _check_tol, convex_enclosure, convex_primitive
 
 UNIT_EPS = 1e-8          # default truncation distance at the ±1 endpoints
 K_REF_TOL = 1e-9         # tolerance of the cached reference quarter-period
@@ -110,6 +110,7 @@ def _enclose_circle(a: float, b: float, tol: float, main=_convex_circle) -> Encl
 
 def asin_cat(y: float, tol: float = 1e-6) -> Enclosure:
     """``∫_0^y dt/sqrt(1-t²)`` — the arcsine, for y in [-1, 1]."""
+    _check_tol(tol)
     y = float(y)
     if not -1.0 <= y <= 1.0:
         raise OutOfDomainError(f"asin argument {y} outside [-1, 1]")
@@ -125,6 +126,7 @@ def _asin(y: float, tol: float, main=_convex_circle) -> Enclosure:
 
 def acos_cat(y: float, tol: float = 1e-6) -> Enclosure:
     """``∫_y^1 dt/sqrt(1-t²)`` — the arccosine, for y in [-1, 1]."""
+    _check_tol(tol)
     y = float(y)
     if not -1.0 <= y <= 1.0:
         raise OutOfDomainError(f"acos argument {y} outside [-1, 1]")
@@ -136,6 +138,7 @@ _K_CACHE: Dict[float, Enclosure] = {}
 
 def K_constant(tol: float = 1e-3) -> Enclosure:
     """The quarter-period ``K = ∫_0^1 dt/sqrt(1-t²)`` (classically pi/2)."""
+    _check_tol(tol)
     enc = _K_CACHE.get(tol)
     if enc is None:
         enc = _enclose_circle(0.0, 1.0, tol)
@@ -215,6 +218,7 @@ def _invert_asin(target: float, tol: float) -> Enclosure:
 
 def sin_cat(x: float, tol: float = 1e-3) -> Enclosure:
     """Sine on the line, via ``s(x ± 2uK) = (-1)^u s(x)`` and inversion."""
+    _check_tol(tol)
     x = float(x)
     if not math.isfinite(x) or abs(x) > _MAX_ARG:
         raise InversionFailedError(f"sine argument {x!r} out of supported range")
@@ -232,6 +236,7 @@ def sin_cat(x: float, tol: float = 1e-3) -> Enclosure:
 
 def cos_cat(x: float, tol: float = 1e-3) -> Enclosure:
     """Cosine via ``acos(y) = K - asin(y)`` on the base window [0, 2K)."""
+    _check_tol(tol)
     x = float(x)
     if not math.isfinite(x) or abs(x) > _MAX_ARG:
         raise InversionFailedError(f"cosine argument {x!r} out of supported range")
@@ -269,6 +274,7 @@ def ln_cat(y: float, tol: float = 1e-6) -> Enclosure:
     the integral is only ever taken on [1, 2), where 1/t is gentlest; ln 2
     is a cached enclosure of :func:`_ln2`.
     """
+    _check_tol(tol)
     y = float(y)
     if not math.isfinite(y) or y <= 0.0:
         raise OutOfDomainError(f"logarithm argument {y!r} outside (0, inf)")
@@ -309,6 +315,7 @@ def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
     inner log enclosures actually achieved, and ``converged`` reports
     whether the target was met.
     """
+    _check_tol(tol)
     x = float(x)
     if not math.isfinite(x) or abs(x) > 40.0:
         raise InversionFailedError(f"exp argument {x!r} out of supported range")

@@ -482,7 +482,6 @@ class VarIntegralFn:
     base: float
     xs: tuple[float, ...]
     ys: tuple[float, ...]
-    integrand: Optional[StepFunction] = None
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
@@ -521,7 +520,7 @@ def var_upper_integral(f: StepFunction, c: float) -> VarIntegralFn:
     for _, x1, k in _step_cells(f, amb.lo, amb.hi):
         ys.append(ys[-1] + k * (x1 - xs[-1]))
         xs.append(x1)
-    return VarIntegralFn(base=amb.lo, xs=tuple(xs), ys=tuple(ys), integrand=f)
+    return VarIntegralFn(base=amb.lo, xs=tuple(xs), ys=tuple(ys))
 
 
 def _step_cells(f: StepFunction, lo, hi):
@@ -567,7 +566,7 @@ def eta(F: VarIntegralFn, G: VarIntegralFn, domain) -> VarIntegralFn:
             continue
         xs.append(x)
         ys.append(0.5 * (fd + y))
-    return VarIntegralFn(base=c, xs=tuple(xs), ys=tuple(ys), integrand=None)
+    return VarIntegralFn(base=c, xs=tuple(xs), ys=tuple(ys))
 
 
 # ---------------------------------------------------------------------------

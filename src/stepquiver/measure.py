@@ -14,14 +14,17 @@ types here.  Two design points worth knowing:
   ``(a, b) -> a*x + b`` whose coefficients are dyadic rationals, so up to
   depth 40 every endpoint is an exact binary64 value and tilings telescope
   with ``==`` rather than tolerance.
-* Disjointness is decided on the common endpoint grid: two non-degenerate
-  boxes overlap with positive measure exactly when they share a grid cell.
-  Degenerate boxes are exempt, so they may touch or repeat.
+* Finite unions of boxes get their canonical form from one pair:
+  :func:`grid_cells` cuts the non-degenerate boxes on their common endpoint
+  grid into cells named by index tuples, and :func:`merge_cells` merges
+  equal-valued runs axis by axis and builds boxes only for the result.  Two
+  non-degenerate boxes overlap with positive measure exactly when they
+  share a cell; degenerate boxes are exempt, so they may touch or repeat.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -37,6 +40,7 @@ from .errors import (
 )
 
 MAX_DEPTH = 40
+MONOTONE_SAMPLES = 257   # points at which StieltjesMeasure.check_monotone samples phi
 
 
 def _check_finite(*values: float) -> None:
@@ -183,8 +187,9 @@ class MeasurableSet:
             for b in bs[1:]:
                 if b.dim != d:
                     raise DimensionMismatchError("mixed box dimensions in one set")
-            disjoint_cells([b for b in bs if not b.is_degenerate()],
-                           "boxes overlap with positive measure; normalize_set them first")
+            grid_cells([(b, None) for b in bs if not b.is_degenerate()],
+                       overlap_error("boxes overlap with positive measure; "
+                                     "normalize_set them first"))
 
     @property
     def dim(self) -> int:
@@ -202,98 +207,82 @@ def measurable_set(boxes: Iterable[Box]) -> MeasurableSet:
     return MeasurableSet(tuple(boxes))
 
 
-def _merge_axis(cells: list, axis: int) -> list:
-    """Merge adjacent equal-tagged ``(Box, tag)`` cells along ``axis``.
+def overlap_error(message: str) -> Callable:
+    """A ``repeat`` for :func:`grid_cells` that rejects every shared cell."""
+    def repeat(old, new):
+        raise OrderViolationError(message)
+    return repeat
 
-    Cells merge when their tags compare equal and every factor other than
-    ``axis`` coincides; tags may be any hashable (indices, coefficients...).
+
+def grid_cells(items: Sequence[tuple[Box, object]], repeat: Callable):
+    """Cut non-degenerate ``(box, value)`` items on their common endpoint grid.
+
+    Returns ``(grids, cells)``.  ``grids[ax]`` holds the sorted distinct
+    endpoints on axis ``ax``, stored as ``x + 0.0`` so no grid point is
+    ``-0.0``.  ``cells`` maps the index tuple of every grid cell a box
+    covers (index ``i`` spans ``grids[ax][i]`` to ``grids[ax][i + 1]``) to
+    its value, in the order the items cover them; a cell covered again gets
+    ``repeat(old, new)``.  No ``Interval`` or ``Box`` is built.
     """
-    def group_key(item):
-        b, tag = item
-        rest = tuple((f.lo, f.hi) for i, f in enumerate(b.factors) if i != axis)
-        return (tag, rest)
-
-    cells = sorted(cells, key=lambda it: (group_key(it), it[0].factors[axis].lo))
-    out: list[tuple[Box, int]] = []
-    for b, tag in cells:
-        if out:
-            pb, ptag = out[-1]
-            if group_key((pb, ptag)) == group_key((b, tag)) and pb.factors[axis].hi == b.factors[axis].lo:
-                merged = list(pb.factors)
-                merged[axis] = Interval(pb.factors[axis].lo, b.factors[axis].hi)
-                out[-1] = (Box(tuple(merged)), tag)
-                continue
-        out.append((b, tag))
-    return out
-
-
-def split_on_grid(boxes: Sequence[Box]):
-    """Cut every box along the union of all per-coordinate endpoints.
-
-    Returns ``(cells, tags)`` where each cell is a grid-aligned sub-box of
-    exactly one input box and ``tags[i]`` is the index of the input box that
-    cell ``i`` came from.  Degenerate factors pass through uncut.
-    """
-    if not boxes:
-        return [], []
-    dim = boxes[0].dim
-    grids = [sorted({e for b in boxes for e in (b.factors[ax].lo, b.factors[ax].hi)})
+    if not items:
+        return [], {}
+    dim = items[0][0].dim
+    if any(b.dim != dim for b, _ in items):
+        raise DimensionMismatchError("mixed box dimensions")
+    grids = [sorted({x + 0.0 for b, _ in items for x in (b.factors[ax].lo, b.factors[ax].hi)})
              for ax in range(dim)]
-
-    cells: list[Box] = []
-    tags: list[int] = []
-    for idx, b in enumerate(boxes):
-        if b.dim != dim:
-            raise DimensionMismatchError("mixed box dimensions")
-        per_axis: list[list[Interval]] = []
-        for f, grid in zip(b.factors, grids):
-            cuts = grid[bisect.bisect_right(grid, f.lo):bisect.bisect_left(grid, f.hi)]
-            pts = [f.lo] + cuts + [f.hi]
-            per_axis.append([Interval(a, c) for a, c in zip(pts, pts[1:])])
-        # cartesian product of the per-axis pieces
-        combos = [()]
-        for pieces in per_axis:
-            combos = [prefix + (iv,) for prefix in combos for iv in pieces]
-        for combo in combos:
-            cells.append(Box(combo))
-            tags.append(idx)
-    return cells, tags
+    where = [{x: i for i, x in enumerate(g)} for g in grids]
+    cells: dict = {}
+    for b, v in items:
+        spans = [range(w[f.lo], w[f.hi]) for f, w in zip(b.factors, where)]
+        for key in itertools.product(*spans):
+            cells[key] = repeat(cells[key], v) if key in cells else v
+    return grids, cells
 
 
-def disjoint_cells(boxes: Sequence[Box], overlap_message: str):
-    """:func:`split_on_grid` of non-degenerate boxes; a cell shared by two
-    of them is an overlap and raises ``OrderViolationError(overlap_message)``."""
-    cells, tags = split_on_grid(boxes)
-    if len(set(cells)) < len(cells):
-        raise OrderViolationError(overlap_message)
-    return cells, tags
+def merge_cells(grids: list, cells: dict) -> list:
+    """Merge the :func:`grid_cells` of equal value along axis 0, then axis 1,
+    and on: two runs merge when their values compare equal, they meet on
+    that axis and their spans on every other axis coincide.
+
+    Runs are per-axis index spans; ``Interval`` and ``Box`` objects are
+    built only for the merged pieces, returned as ``(Box, value)``.  The
+    sort for the last axis orders the runs by their spans, so the pieces
+    come out sorted by :meth:`Box.sort_key`.
+    """
+    runs = [(tuple((i, i + 1) for i in key), v) for key, v in cells.items()]
+    for ax in range(len(grids)):
+        runs.sort(key=lambda r: (r[0][:ax] + r[0][ax + 1:], r[0][ax]))
+        out: list = []
+        for spans, v in runs:
+            if out:
+                last, lv = out[-1]
+                if (lv == v and last[ax][1] == spans[ax][0]
+                        and last[:ax] == spans[:ax] and last[ax + 1:] == spans[ax + 1:]):
+                    out[-1] = (last[:ax] + ((last[ax][0], spans[ax][1]),) + last[ax + 1:], v)
+                    continue
+            out.append((spans, v))
+        runs = out
+    return [(Box(tuple(Interval(g[lo], g[hi]) for g, (lo, hi) in zip(grids, spans))), v)
+            for spans, v in runs]
 
 
 def normalize_set(boxes: Iterable[Box]) -> MeasurableSet:
     """Canonical form of a finite union of boxes (union semantics).
 
-    Pipeline: split every box on the common per-coordinate endpoint grid,
-    deduplicate cells, then greedily merge adjacent cells along axis 0, then
-    axis 1, and so on.  The result is idempotent, measure-preserving, and
-    sorted, e.g. ``{[0,2], [1,3]} -> {[0,3]}``.
+    The non-degenerate boxes are cut on their common endpoint grid, each
+    covered cell counted once, and merged along axis 0, then axis 1, and so
+    on.  The result is measure-preserving and sorted, e.g. ``{[0,2], [1,3]}
+    -> {[0,3]}``, and its non-degenerate part is idempotent.  A degenerate
+    box is kept unless a box kept before it contains it, so which ones stay
+    depends on their input order.
     """
-    raw = [b for b in boxes]
-    if not raw:
-        return MeasurableSet(())
-    solid = [b for b in raw if not b.is_degenerate()]
-    degenerate = [b for b in raw if b.is_degenerate()]
-    cells, _ = split_on_grid(solid)
-    seen = {}
-    for c in cells:
-        seen[c.sort_key()] = c
-    merged = [(c, 0) for c in sorted(seen.values(), key=Box.sort_key)]
-    dim = raw[0].dim
-    for ax in range(dim):
-        merged = _merge_axis(merged, ax)
-    keep = [b for b, _ in merged]
-    # degenerate boxes survive only if not already covered by a solid box
-    for d in degenerate:
-        if not any(k.contains_box(d) for k in keep):
+    raw = list(boxes)
+    solid = [(b, True) for b in raw if not b.is_degenerate()]
+    keep = [b for b, _ in merge_cells(*grid_cells(solid, lambda old, new: old))]
+    # degenerate boxes survive only if not already covered by a kept box
+    for d in raw:
+        if d.is_degenerate() and not any(k.contains_box(d) for k in keep):
             keep.append(d)
     return MeasurableSet(tuple(keep))
 
@@ -414,10 +403,10 @@ class StieltjesMeasure:
     phi_prime: Optional[Callable[[float], float]] = None
     label: str = field(default="phi")
 
-    def check_monotone(self, iv: Interval, samples: int = 257) -> None:
+    def check_monotone(self, iv: Interval) -> None:
         if iv.is_degenerate():
             return
-        xs = np.linspace(iv.lo, iv.hi, samples)
+        xs = np.linspace(iv.lo, iv.hi, MONOTONE_SAMPLES)
         # a non-finite sample raises NonFiniteError just below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = np.asarray([float(self.phi(float(x))) for x in xs])

@@ -9,14 +9,16 @@ boundary points (never used by integration).
 Canonical form: zero coefficients and degenerate boxes are dropped, the
 rest are cut on the common per-coordinate endpoint grid (two pieces sharing
 a grid cell overlap and are rejected), and adjacent cells with equal
-coefficients are merged axis by axis.  Two step functions equal almost
-everywhere therefore have identical canonical pieces, which makes ``==``
-(and hashing) meaningful.
+coefficients are merged axis by axis, all by the canonicaliser of
+:mod:`stepquiver.measure`; :func:`linear_combine` sums both operands in
+one cut.  Two step functions equal almost everywhere therefore have
+identical canonical pieces, which makes ``==`` (and hashing) meaningful.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -33,9 +35,9 @@ from .measure import (
     DyadicScheme,
     Interval,
     MeasurableSet,
-    _merge_axis,
-    disjoint_cells,
-    split_on_grid,
+    grid_cells,
+    merge_cells,
+    overlap_error,
 )
 
 Point = Union[float, Sequence[float]]
@@ -65,29 +67,12 @@ def region_boxes(region: Region, dim: int) -> tuple[Box, ...]:
     raise TypeError(f"unsupported region type: {type(region).__name__}")
 
 
-def _canonical_pieces(ambient: Box, pieces) -> tuple[tuple[Box, float], ...]:
-    cleaned: list[tuple[Box, float]] = []
-    for b, k in pieces:
-        k = float(k)
-        if not math.isfinite(k):
-            raise NonFiniteError(f"non-finite coefficient {k!r}")
-        if b.dim != ambient.dim:
-            raise DimensionMismatchError(
-                f"piece dim {b.dim} inside ambient dim {ambient.dim}"
-            )
-        if not ambient.contains_box(b):
-            raise AmbientMismatchError(f"piece {b.to_json()} escapes ambient {ambient.to_json()}")
-        if k == 0.0 or b.is_degenerate():
-            continue
-        cleaned.append((b, k))
-    cells, tags = disjoint_cells(
-        [b for b, _ in cleaned],
-        "pieces overlap with positive measure; combine them via linear_combine")
-    tagged = [(cell, cleaned[tag][1]) for cell, tag in zip(cells, tags)]
-    for ax in range(ambient.dim):
-        tagged = _merge_axis(tagged, ax)
-    tagged.sort(key=lambda it: it[0].sort_key())
-    return tuple(tagged)
+_OVERLAP = overlap_error("pieces overlap with positive measure; combine them via linear_combine")
+
+
+def _check_coeff(k: float) -> None:
+    if not math.isfinite(k):
+        raise NonFiniteError(f"non-finite coefficient {k!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +85,20 @@ class StepFunction:
     def __post_init__(self):
         if isinstance(self.ambient, Interval):
             object.__setattr__(self, "ambient", Box((self.ambient,)))
-        object.__setattr__(self, "pieces", _canonical_pieces(self.ambient, self.pieces))
+        cleaned: list[tuple[Box, float]] = []
+        for b, k in self.pieces:
+            k = float(k)
+            _check_coeff(k)
+            if b.dim != self.ambient.dim:
+                raise DimensionMismatchError(
+                    f"piece dim {b.dim} inside ambient dim {self.ambient.dim}"
+                )
+            if not self.ambient.contains_box(b):
+                raise AmbientMismatchError(
+                    f"piece {b.to_json()} escapes ambient {self.ambient.to_json()}")
+            if k != 0.0 and not b.is_degenerate():
+                cleaned.append((b, k))
+        object.__setattr__(self, "pieces", tuple(merge_cells(*grid_cells(cleaned, _OVERLAP))))
 
     @property
     def dim(self) -> int:
@@ -170,20 +168,15 @@ def linear_combine(a: float, f: StepFunction, b: float, g: StepFunction) -> Step
     """Canonical representative of ``a*f + b*g`` on the common refinement."""
     if f.ambient != g.ambient:
         raise AmbientMismatchError("linear_combine needs a common ambient")
-    boxes = [bx for bx, _ in f.pieces] + [bx for bx, _ in g.pieces]
-    if not boxes:
-        return zero_function(f.ambient)
-    nf = len(f.pieces)
-    cells, tags = split_on_grid(boxes)
-    acc: dict[tuple, tuple[Box, float]] = {}
-    for cell, tag in zip(cells, tags):
-        key = cell.sort_key()
-        coeff = a * f.pieces[tag][1] if tag < nf else b * g.pieces[tag - nf][1]
-        if key in acc:
-            acc[key] = (cell, acc[key][1] + coeff)
-        else:
-            acc[key] = (cell, coeff)
-    return StepFunction(f.ambient, tuple(acc.values()))
+    grids, cells = grid_cells([(bx, a * k) for bx, k in f.pieces]
+                              + [(bx, b * k) for bx, k in g.pieces], operator.add)
+    for k in cells.values():
+        _check_coeff(k)
+    # the cells are disjoint, checked and summed: merge them without a second cut
+    h = zero_function(f.ambient)
+    object.__setattr__(h, "pieces", tuple(merge_cells(
+        grids, {key: k for key, k in cells.items() if k != 0.0})))
+    return h
 
 
 def restrict(f: StepFunction, region: Region) -> StepFunction:

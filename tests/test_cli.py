@@ -254,6 +254,12 @@ def test_elemfn_requires_a_point_for_functions(capsys):
     assert rc == 1 and "requires --at" in err
 
 
+def test_elemfn_rejects_a_negative_tolerance(capsys):
+    rc, out, err = run_cli(capsys, "elemfn", "--name", "asin", "--at", "0.5", "--tol", "-1")
+    assert rc == 1 and out == ""
+    assert err == "error: tolerance must be a positive real, got -1.0\n"
+
+
 def test_iposet_add_agrees_with_the_library(capsys):
     payload = run_json(capsys, "iposet-add", "--fn", "indicator(0,4)",
                        "--first", "0", "2", "--second", "1", "3")

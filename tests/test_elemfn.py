@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from stepquiver import (
     InversionFailedError,
     K_constant,
+    OrderViolationError,
     OutOfDomainError,
     acos_cat,
     asin_cat,
@@ -88,6 +89,18 @@ def test_asin_domain_checked():
         asin_cat(1.2)
     with pytest.raises(OutOfDomainError):
         acos_cat(-1.0001)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda t: asin_cat(0.5, t), lambda t: acos_cat(0.5, t), lambda t: K_constant(t),
+    lambda t: sin_cat(0.5, t), lambda t: cos_cat(0.5, t), lambda t: ln_cat(3.0, t),
+    lambda t: exp_cat(1.0, t),
+], ids=["asin", "acos", "K", "sin", "cos", "ln", "exp"])
+def test_every_elementary_function_rejects_a_bad_tolerance(call, tol):
+    with pytest.raises(OrderViolationError) as err:
+        call(tol)
+    assert str(err.value) == f"tolerance must be a positive real, got {tol!r}"
 
 
 def test_asin_is_odd_in_enclosure_terms():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ from stepquiver import (
     locate,
     make_interval,
     measurable_set,
+    normalize_set,
     p_norm,
     restrict,
     var_upper_integral,
@@ -355,6 +358,98 @@ def test_disjointness_matches_the_pairwise_oracle(drawn, data):
     else:
         f = StepFunction(amb, pieces)
         assert integrate_step(f) == sum(k * b.measure for b, k in pieces)
+
+
+# ---------------------------------------------------------------------------
+# the canonical form against exact values at the centres of the dyadic cells
+# ---------------------------------------------------------------------------
+
+def _centres(dim):
+    """Centres of the 8**dim cells of side 1/8 in the unit cube; every
+    ``dyadic_boxes`` endpoint is a multiple of 1/8, so no centre lies on a
+    face and a box contains a centre exactly when it covers that cell."""
+    return list(itertools.product([(2 * i + 1) / 16 for i in range(8)], repeat=dim))
+
+
+def _value(pieces, c):
+    """Value of disjoint ``(box, coeff)`` pieces at ``c``; at most one holds it."""
+    hits = [k for b, k in pieces if b.contains_point(c)]
+    assert len(hits) <= 1, f"pieces overlap at {c}"
+    return hits[0] if hits else 0.0
+
+
+def _assert_canonical(f):
+    """Nonzero, non-degenerate, sorted, and no two pieces of one value
+    share a whole face, which a merge would have joined."""
+    assert all(k != 0.0 and not b.is_degenerate() for b, k in f.pieces)
+    assert list(f.pieces) == sorted(f.pieces, key=lambda p: p[0].sort_key())
+    for (p, k), (q, m) in itertools.combinations(f.pieces, 2):
+        meet = [i for i, (u, v) in enumerate(zip(p.factors, q.factors)) if u != v]
+        if k == m and len(meet) == 1:
+            u, v = p.factors[meet[0]], q.factors[meet[0]]
+            assert u.hi != v.lo and v.hi != u.lo, f"{p} and {q} should have merged"
+
+
+@given(dyadic_boxes(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_canonical_form_matches_the_cell_centre_oracle(drawn, data):
+    dim, boxes = drawn
+    solid = [b for b in boxes if not b.is_degenerate()]
+    coeffs = data.draw(st.lists(st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5]),
+                                min_size=len(solid), max_size=len(solid)))
+    amb = Box((Interval(0.0, 1.0),) * dim)
+    centres = _centres(dim)
+
+    def oracle(c):
+        return sum(k for b, k in zip(solid, coeffs) if b.contains_point(c))
+
+    # Σ k_i 1_{B_i} by linear_combine, with repeated boxes and opposite
+    # coefficients cancelling; the sums are exact in binary64
+    h = zero_function(amb)
+    for b, k in zip(solid, coeffs):
+        h = linear_combine(1.0, h, k, indicator(b, amb))
+        _assert_canonical(h)
+    assert [_value(h.pieces, c) for c in centres] == [oracle(c) for c in centres]
+    # a.e.-equal functions have identical canonical pieces
+    back = zero_function(amb)
+    for b, k in reversed(list(zip(solid, coeffs))):
+        back = linear_combine(k, indicator(b, amb), 1.0, back)
+    assert back.pieces == h.pieces
+    cancelled = linear_combine(2.0, h, -1.0, linear_combine(1.0, h, 1.0, h))
+    assert cancelled.is_zero()
+
+    region = data.draw(st.sampled_from(boxes)) if boxes else amb
+    for where, covering in ((region, [region]), (normalize_set(boxes), solid)):
+        r = restrict(h, where)
+        _assert_canonical(r)
+        assert [_value(r.pieces, c) for c in centres] == [
+            oracle(c) if any(b.contains_point(c) for b in covering) else 0.0
+            for c in centres]
+
+    s = normalize_set(boxes)
+    kept = [b for b in s.boxes if not b.is_degenerate()]
+    assert [_value([(b, 1.0) for b in kept], c) for c in centres] == [
+        1.0 if any(b.contains_point(c) for b in solid) else 0.0 for c in centres]
+    assert all(any(k.contains_box(d) for k in s.boxes) for d in boxes if d.is_degenerate())
+    assert normalize_set(kept).boxes == tuple(kept)
+
+
+def test_no_canonical_endpoint_is_negative_zero():
+    amb = box(make_interval(-1.0, 1.0), make_interval(-1.0, 1.0))
+    left = box(make_interval(-1.0, -0.0), make_interval(-0.0, 1.0))
+    right = box(make_interval(-0.0, 1.0), make_interval(-1.0, -0.0))
+    f = StepFunction(amb, ((left, 1.0),))
+    results = [
+        f.pieces,
+        linear_combine(1.0, f, 2.0, indicator(right, amb)).pieces,
+        restrict(f, left).pieces,
+        [(b, 1.0) for b in normalize_set([left, right]).boxes],
+        StepFunction(box1(-1.0, 1.0), ((box1(-1.0, -0.0), 3.0),)).pieces,
+    ]
+    ends = [x for pieces in results for b, _ in pieces for iv in b.factors
+            for x in (iv.lo, iv.hi)]
+    assert 0.0 in ends
+    assert all(math.copysign(1.0, x) == 1.0 for x in ends if x == 0.0)
 
 
 # ---------------------------------------------------------------------------
