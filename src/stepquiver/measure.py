@@ -273,16 +273,17 @@ def normalize_set(boxes: Iterable[Box]) -> MeasurableSet:
     The non-degenerate boxes are cut on their common endpoint grid, each
     covered cell counted once, and merged along axis 0, then axis 1, and so
     on.  The result is measure-preserving and sorted, e.g. ``{[0,2], [1,3]}
-    -> {[0,3]}``, and its non-degenerate part is idempotent.  A degenerate
-    box is kept unless a box kept before it contains it, so which ones stay
-    depends on their input order.
+    -> {[0,3]}``.  A degenerate box is kept unless a box kept before it
+    contains it.  They are checked in the order of the per-axis key
+    ``(lo, -hi)``, which puts each box after every box containing it, so the
+    result depends only on the boxes given, not their order, and is idempotent.
     """
     raw = list(boxes)
     solid = [(b, True) for b in raw if not b.is_degenerate()]
     keep = [b for b, _ in merge_cells(*grid_cells(solid, lambda old, new: old))]
-    # degenerate boxes survive only if not already covered by a kept box
-    for d in raw:
-        if d.is_degenerate() and not any(k.contains_box(d) for k in keep):
+    flat = [b for b in raw if b.is_degenerate()]
+    for d in sorted(flat, key=lambda b: [(iv.lo, -iv.hi) for iv in b.factors]):
+        if not any(k.contains_box(d) for k in keep):
             keep.append(d)
     return MeasurableSet(tuple(keep))
 

@@ -24,14 +24,15 @@ Global dimension routes (must agree):
 * ``integral`` — twice the weighted unit-box integral of the source-vertex
   multiplicities of each forbidden thread at t = 1;
 * ``stieltjes`` — sup over permitted threads of the Koszul dual of
-  ``∫_1^2 x d(ℓ·ln x)``, each value within 1e-9 of the thread length.
+  ``∫_1^2 x d(ℓ·ln x) = ℓ·∫_1^2 x d(ln x)`` (one unit integral per process),
+  each value within 1e-9 of the thread length.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -48,6 +49,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .integrate import (
+    convex_enclosure,
     integer_from_float,
     multiple_integral_affine_unit_box,
     stieltjes_integrate,
@@ -479,15 +481,17 @@ def w_projection(p_dual: GentlePresentation, P, x: AlgebraElement) -> float:
 # global dimension, three ways
 # ---------------------------------------------------------------------------
 
-_STIELTJES_LENGTH_CACHE: dict[int, float] = {}
+@cache
+def _log_unit() -> float:
+    """``∫_1^2 x d(ln x)`` from its density form, whose integrand ``x · 1/x``
+    is constant, hence convex; the Stieltjes sums are cross-checked once."""
+    unit = log_power_measure(1.0)
+    stieltjes_integrate(lambda x: x, unit, (1.0, 2.0), 1e-9)
+    return convex_enclosure(lambda x: x * unit.phi_prime(x), (1.0, 2.0), 1e-9).midpoint
 
 
 def _stieltjes_length(l: int) -> float:
-    if l not in _STIELTJES_LENGTH_CACHE:
-        _STIELTJES_LENGTH_CACHE[l] = stieltjes_integrate(
-            lambda x: x, log_power_measure(float(l)), (1.0, 2.0), 1e-9
-        )
-    return _STIELTJES_LENGTH_CACHE[l]
+    return l * _log_unit()  # ∫_1^2 x d(l·ln x) is linear in the measure
 
 
 def _gldim_threads(forb: Sequence[Thread]) -> int:

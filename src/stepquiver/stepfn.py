@@ -138,8 +138,8 @@ def locate(f: StepFunction, x: Point) -> tuple[float, bool]:
     Interior of a piece: that coefficient, flag False.  Interior of the
     complement: 0, flag False.  Otherwise ``x`` lies on some piece boundary;
     the value is then the max of the coefficients of all closed pieces
-    containing ``x`` (0 if none) — an arbitrary-but-deterministic rule for
-    diagnostics only, never used by integration.
+    containing ``x`` — an arbitrary-but-deterministic rule for diagnostics
+    only, never used by integration.
     """
     pt = _as_point(x, f.dim)
     if not f.ambient.contains_point(pt):
@@ -152,12 +152,7 @@ def locate(f: StepFunction, x: Point) -> tuple[float, bool]:
             touching.append(k)
     if touching:
         return max(touching), True
-    on_boundary = any(
-        xi == iv.lo or xi == iv.hi
-        for b, _ in f.pieces
-        for iv, xi in zip(b.factors, pt)
-    )
-    return 0.0, on_boundary
+    return 0.0, False
 
 
 def eval_step(f: StepFunction, x: Point) -> float:

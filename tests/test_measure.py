@@ -115,6 +115,25 @@ def test_normalize_idempotent(spans):
     assert once == twice, f"normalize not idempotent on {boxes}"
 
 
+def test_normalize_keeps_degenerate_boxes_whatever_their_order():
+    pt = box(make_interval(1.0, 1.0), make_interval(1.0, 1.0))
+    seg = box(make_interval(0.0, 2.0), make_interval(1.0, 1.0))
+    assert normalize_set([pt, seg]).boxes == normalize_set([seg, pt]).boxes == (seg,)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda d: st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=d, max_size=d),
+    min_size=1, max_size=7)), st.randoms(use_true_random=False))
+@settings(max_examples=300)
+def test_normalize_is_order_independent_and_idempotent(spans, rnd):
+    # small integer grids make degenerate boxes, and containment, common
+    boxes = [box(*(make_interval(lo, lo + w) for lo, w in axes)) for axes in spans]
+    once = normalize_set(boxes)
+    rnd.shuffle(boxes)
+    assert normalize_set(boxes) == once, f"normalize depends on order of {boxes}"
+    assert normalize_set(once.boxes) == once, f"normalize not idempotent on {boxes}"
+
+
 # ---------------------------------------------------------------------------
 # dyadic segmentation
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ from stepquiver import (
     vertex_hom_q,
     w_projection,
 )
-from stepquiver.integrate import integer_from_float
-from stepquiver.quiver import _stieltjes_length
+from stepquiver import quiver
+from stepquiver.integrate import integer_from_float, stieltjes_integrate
+from stepquiver.quiver import _log_unit, _stieltjes_length
 
 from conftest import (
     EXPECTED_GLDIM,
@@ -342,6 +343,28 @@ def test_long_chains_have_no_recursion_limit(n, full):
 @pytest.mark.parametrize("l", [1100, 10_000])
 def test_stieltjes_length_of_long_threads_is_an_integer(l):
     assert integer_from_float(_stieltjes_length(l), 1e-9) == l
+
+
+def test_stieltjes_route_on_the_full_chain_of_a_hundred_thousand_arrows():
+    n = 100_000
+    p = validate_gentle(chain(n), full_chain_relations(n))
+    for method in ("stieltjes", "all"):
+        assert global_dimension(p, method) == n, method
+
+
+def test_stieltjes_route_integrates_once_whatever_the_lengths(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return stieltjes_integrate(*args)
+
+    monkeypatch.setattr(quiver, "stieltjes_integrate", counted)
+    _log_unit.cache_clear()
+    for n in (3, 40, 500):
+        p = validate_gentle(chain(n), full_chain_relations(n))
+        assert global_dimension(p, "stieltjes") == n
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,19 @@ def test_locate_flags_boundaries():
     assert locate(f, 1.5) == (6.0, False)
 
 
+def test_locate_off_every_piece_is_not_a_boundary_point():
+    # each point lies on the plane of a face of the piece, but not on the piece
+    f = indicator(box(make_interval(0.5, 1.0), make_interval(0.0, 1.0)),
+                  box(make_interval(0.0, 1.0), make_interval(0.0, 10.0)), 3.0)
+    assert locate(f, (0.5, 5.0)) == (0.0, False)
+    assert locate(f, (0.25, 1.0)) == (0.0, False)
+    assert locate(f, (0.5, 1.0)) == (3.0, True)
+    g = indicator(box(*(make_interval(0.0, 1.0),) * 3),
+                  box(*(make_interval(0.0, 2.0),) * 3), 2.0)
+    assert locate(g, (1.0, 1.5, 0.5)) == (0.0, False)
+    assert locate(g, (1.0, 1.0, 0.5)) == (2.0, True)
+
+
 def test_eval_2d_point():
     b = box(make_interval(0.0, 1.0), make_interval(0.0, 1.0))
     f = indicator(box(make_interval(0.0, 0.5), make_interval(0.0, 0.5)), b, 2.0)
