@@ -2,8 +2,15 @@
 stieltjes | elemfn | iposet-add.
 
 Text output by default, ``--json`` for machine output (keys sorted, two-space
-indent).  Exit codes: 0 success, 1 domain error, 2 usage error.  Identical
-invocations print byte-identical output.
+indent).  Exit codes: 0 success, 1 domain error (including a file that
+cannot be read as UTF-8 text), 2 usage error.  Identical invocations print
+byte-identical output.
+
+The quiver subcommands need only :mod:`stepquiver.quiver` and
+:mod:`stepquiver.qv`, so they start without numpy; the numeric handlers
+import their layers, and numpy with them, when they run.  ``gldim`` with
+the Stieltjes route (``--method stieltjes`` or the default ``all``) loads
+them inside :mod:`stepquiver.quiver`.
 """
 
 from __future__ import annotations
@@ -11,30 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from . import elemfn as _elemfn
-from .dsl import (
-    QuiverDoc,
-    doc_from_presentation,
-    emit_dsl,
-    ensure_proper,
-    monotone_pieces,
-    parse_fn_expr,
-    parse_quiver_dsl,
-    step_literal,
-)
 from .errors import StepQuiverError
-from .integrate import (
-    Enclosure,
-    integrate_enclosure,
-    integrate_step,
-    stieltjes_integrate,
-)
-from .iposet import add_elements, classify_case, poset_element
-from .measure import box1, identity_measure, log_power_measure, make_interval
 from .quiver import (
     FORBIDDEN,
     PERMITTED,
@@ -46,7 +32,11 @@ from .quiver import (
     koszul_dual,
     validate_gentle,
 )
-from .stepfn import StepFunction
+from .qv import QuiverDoc, doc_from_presentation, emit_dsl, parse_quiver_dsl
+
+if TYPE_CHECKING:
+    from .integrate import Enclosure
+    from .stepfn import StepFunction
 
 
 def _emit_json(payload) -> None:
@@ -55,7 +45,12 @@ def _emit_json(payload) -> None:
 
 def _load_doc(path: str) -> QuiverDoc:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_quiver_dsl(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StepQuiverError(f"{path}: not UTF-8 text ({exc.reason} "
+                                  f"at byte {exc.start})") from None
+    return parse_quiver_dsl(text)
 
 
 def _load_presentation(path: str, strict: bool = False):
@@ -166,6 +161,9 @@ def _cmd_gldim(args) -> int:
 
 def _widen_to(step: StepFunction, lo: float, hi: float) -> StepFunction:
     """Grow a step literal's ambient so it covers [lo, hi] (it is 0 there)."""
+    from .measure import box1
+    from .stepfn import StepFunction
+
     amb = step.ambient.factors[0]
     if lo < amb.lo or hi > amb.hi:
         wide = box1(min(lo, amb.lo), max(hi, amb.hi))
@@ -174,6 +172,12 @@ def _widen_to(step: StepFunction, lo: float, hi: float) -> StepFunction:
 
 
 def _cmd_integrate(args) -> int:
+    import numpy as np
+
+    from .dsl import ensure_proper, monotone_pieces, parse_fn_expr, step_literal
+    from .integrate import Enclosure, integrate_enclosure, integrate_step
+    from .measure import make_interval
+
     expr = parse_fn_expr(args.fn)
     lo, hi = args.domain
     step = step_literal(expr)
@@ -191,6 +195,12 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_stieltjes(args) -> int:
+    import numpy as np
+
+    from .dsl import ensure_proper, parse_fn_expr, step_literal
+    from .integrate import stieltjes_integrate
+    from .measure import identity_measure, log_power_measure, make_interval
+
     expr = parse_fn_expr(args.fn)
     lo, hi = args.domain
     phi = (log_power_measure(args.log_power) if args.log_power is not None
@@ -211,19 +221,23 @@ def _cmd_stieltjes(args) -> int:
     return 0
 
 
+# --name -> (function in stepquiver.elemfn, whether it takes --at)
 _ELEMFN = {
-    "asin": (_elemfn.asin_cat, True),
-    "acos": (_elemfn.acos_cat, True),
-    "sin": (_elemfn.sin_cat, True),
-    "cos": (_elemfn.cos_cat, True),
-    "ln": (_elemfn.ln_cat, True),
-    "exp": (_elemfn.exp_cat, True),
-    "K": (_elemfn.K_constant, False),
+    "asin": ("asin_cat", True),
+    "acos": ("acos_cat", True),
+    "sin": ("sin_cat", True),
+    "cos": ("cos_cat", True),
+    "ln": ("ln_cat", True),
+    "exp": ("exp_cat", True),
+    "K": ("K_constant", False),
 }
 
 
 def _cmd_elemfn(args) -> int:
-    fn, needs_point = _ELEMFN[args.name]
+    from . import elemfn
+
+    fname, needs_point = _ELEMFN[args.name]
+    fn = getattr(elemfn, fname)
     call_args = []
     if needs_point:
         if args.at is None:
@@ -240,6 +254,11 @@ def _cmd_elemfn(args) -> int:
 
 
 def _cmd_iposet_add(args) -> int:
+    from .dsl import parse_fn_expr, step_literal
+    from .iposet import add_elements, classify_case, poset_element
+    from .measure import box1, make_interval
+    from .stepfn import StepFunction
+
     expr = parse_fn_expr(args.fn)
     step = step_literal(expr)
     if step is None:
@@ -338,10 +357,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StepQuiverError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
+    except (StepQuiverError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

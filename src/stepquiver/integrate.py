@@ -52,7 +52,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -61,10 +61,8 @@ from .errors import (
     BadPiecesError,
     DimensionMismatchError,
     DomainMismatchError,
-    EmptyWeightsError,
     MethodDisagreementError,
     NonFiniteError,
-    NonIntegerResultError,
     NotMonotoneError,
     OrderViolationError,
     OutOfDomainError,
@@ -737,40 +735,3 @@ def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> 
                 f"[{enc.lower!r}, {enc.upper!r}] beyond 2*tol"
             )
     return value
-
-
-# ---------------------------------------------------------------------------
-# the weighted multiple integral over [0, t]^|weights|
-# ---------------------------------------------------------------------------
-
-def multiple_integral_affine_unit_box(weights: Mapping, t: float) -> float:
-    """``Σ_v u_v · t²/2`` — the iterated integral of the weighted sum of
-    coordinates over ``[0, t]`` in each variable, normalized per variable.
-
-    Weights are positive integer multiplicities.  The value at ``t = 1`` is
-    half the total weight; values for ``t < 1`` follow the same quadratic
-    convention (see the package notes on the convention at ``t != 1``).
-    """
-    if not weights:
-        raise EmptyWeightsError("weights must be a nonempty map")
-    total = 0
-    for v, u in weights.items():
-        if not (isinstance(u, (int, float)) and float(u).is_integer() and u >= 1):
-            raise OrderViolationError(
-                f"weight for {v!r} must be a positive integer, got {u!r}"
-            )
-        total += int(u)
-    t = float(t)
-    if not math.isfinite(t):
-        raise NonFiniteError("t must be finite")
-    if not 0.0 <= t <= 1.0:
-        raise OutOfDomainError(f"t must lie in [0, 1], got {t}")
-    return total * t * t / 2.0
-
-
-def integer_from_float(value: float, tol: float = 1e-9) -> int:
-    """Round a float that must be an integer; reject misses beyond tol."""
-    r = round(value)
-    if abs(value - r) > tol:
-        raise NonIntegerResultError(f"{value!r} is not within {tol} of an integer")
-    return int(r)

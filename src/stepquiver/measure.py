@@ -20,6 +20,10 @@ types here.  Two design points worth knowing:
   equal-valued runs axis by axis and builds boxes only for the result.  Two
   non-degenerate boxes overlap with positive measure exactly when they
   share a cell; degenerate boxes are exempt, so they may touch or repeat.
+* numpy is imported only by the Lebesgue–Stieltjes helpers at the end
+  (:meth:`StieltjesMeasure.check_monotone`, :func:`log_power_measure`,
+  :func:`identity_measure`); the box and step-function layers load
+  without it.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     DepthTooLargeError,
@@ -407,6 +409,8 @@ class StieltjesMeasure:
     def check_monotone(self, iv: Interval) -> None:
         if iv.is_degenerate():
             return
+        import numpy as np
+
         xs = np.linspace(iv.lo, iv.hi, MONOTONE_SAMPLES)
         # a non-finite sample raises NonFiniteError just below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -429,6 +433,8 @@ def log_power_measure(l: float) -> StieltjesMeasure:
     cross-checked against a certified enclosure.  Both accept a float or an
     ndarray, so quadrature evaluates them a whole grid at a time.
     """
+    import numpy as np
+
     return StieltjesMeasure(
         phi=lambda x: l * np.log(x),
         phi_prime=lambda x: l / x,
@@ -438,6 +444,8 @@ def log_power_measure(l: float) -> StieltjesMeasure:
 
 def identity_measure() -> StieltjesMeasure:
     """``phi(t) = t``: plain Lebesgue integration as a Stieltjes measure."""
+    import numpy as np
+
     return StieltjesMeasure(phi=lambda x: x,
                             phi_prime=lambda x: np.ones_like(x, dtype=float),
                             label="t")

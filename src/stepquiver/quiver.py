@@ -26,35 +26,41 @@ Global dimension routes (must agree):
 * ``stieltjes`` — sup over permitted threads of the Koszul dual of
   ``∫_1^2 x d(ℓ·ln x) = ℓ·∫_1^2 x d(ln x)`` (one unit integral per process),
   each value within 1e-9 of the thread length.
+
+The first two routes are exact integer arithmetic: their helpers
+:func:`multiple_integral_affine_unit_box` and :func:`integer_from_float`
+live here.  The module imports no numeric layer; the Stieltjes route loads
+:mod:`stepquiver.integrate` and :mod:`stepquiver.measure`, and numpy with
+them, on its first call, so the other routes and everything the ``.qv``
+format needs run without numpy.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     BijectionFailureError,
     DuplicateArrowError,
+    EmptyWeightsError,
     InfiniteDimensionalError,
     InfiniteGlobalDimensionError,
     MethodDisagreementError,
     NonComposableRelationError,
+    NonFiniteError,
+    NonIntegerResultError,
     NotGentleError,
     NotPermittedError,
+    OrderViolationError,
+    OutOfDomainError,
     PathNotInPresentationError,
     UnknownArrowError,
     UnknownVertexError,
 )
-from .integrate import (
-    convex_enclosure,
-    integer_from_float,
-    multiple_integral_affine_unit_box,
-    stieltjes_integrate,
-)
-from .measure import log_power_measure
 
 PERMITTED = "permitted"
 FORBIDDEN = "forbidden"
@@ -461,6 +467,39 @@ def path_source_weights(p: GentlePresentation, q) -> dict:
     return dict(Counter(a.source for a in arrows))
 
 
+def multiple_integral_affine_unit_box(weights: Mapping, t: float) -> float:
+    """``Σ_v u_v · t²/2`` — the iterated integral of the weighted sum of
+    coordinates over ``[0, t]`` in each variable, normalized per variable.
+
+    Weights are positive integer multiplicities.  The value at ``t = 1`` is
+    half the total weight; values for ``t < 1`` follow the same quadratic
+    convention (see the package notes on the convention at ``t != 1``).
+    """
+    if not weights:
+        raise EmptyWeightsError("weights must be a nonempty map")
+    total = 0
+    for v, u in weights.items():
+        if not (isinstance(u, (int, float)) and float(u).is_integer() and u >= 1):
+            raise OrderViolationError(
+                f"weight for {v!r} must be a positive integer, got {u!r}"
+            )
+        total += int(u)
+    t = float(t)
+    if not math.isfinite(t):
+        raise NonFiniteError("t must be finite")
+    if not 0.0 <= t <= 1.0:
+        raise OutOfDomainError(f"t must lie in [0, 1], got {t}")
+    return total * t * t / 2.0
+
+
+def integer_from_float(value: float, tol: float = 1e-9) -> int:
+    """Round a float that must be an integer; reject misses beyond tol."""
+    r = round(value)
+    if abs(value - r) > tol:
+        raise NonIntegerResultError(f"{value!r} is not within {tol} of an integer")
+    return int(r)
+
+
 def path_length_via_integral(p: GentlePresentation, q) -> int:
     """Arrow count recovered as ``2 ∫`` of the source-weight sum at t = 1."""
     weights = path_source_weights(p, q)
@@ -484,7 +523,11 @@ def w_projection(p_dual: GentlePresentation, P, x: AlgebraElement) -> float:
 @cache
 def _log_unit() -> float:
     """``∫_1^2 x d(ln x)`` from its density form, whose integrand ``x · 1/x``
-    is constant, hence convex; the Stieltjes sums are cross-checked once."""
+    is constant, hence convex; the Stieltjes sums are cross-checked once.
+    The only route that loads the numeric layers, and numpy with them."""
+    from .integrate import convex_enclosure, stieltjes_integrate
+    from .measure import log_power_measure
+
     unit = log_power_measure(1.0)
     stieltjes_integrate(lambda x: x, unit, (1.0, 2.0), 1e-9)
     return convex_enclosure(lambda x: x * unit.phi_prime(x), (1.0, 2.0), 1e-9).midpoint

@@ -87,7 +87,7 @@ def finite_corpus():
 
 # ---------------------------------------------------------------------------
 # reference .qv parser: a line-by-line tokenizer and a method-per-token
-# cursor, kept as the oracle for the one-scan parser in stepquiver.dsl
+# cursor, kept as the oracle for the one-scan parser in stepquiver.qv
 # ---------------------------------------------------------------------------
 
 _REF_RESERVED = ("quiver", "vertices", "arrows", "relations")

@@ -91,6 +91,19 @@ def test_missing_file_is_a_domain_error(capsys):
     assert rc == 1 and "error:" in err
 
 
+def test_a_directory_is_a_domain_error(capsys):
+    rc, out, err = run_cli(capsys, "validate", str(CORPUS_DIR))
+    assert (rc, out) == (1, "") and err.startswith("error:") and "directory" in err
+
+
+def test_a_file_that_is_not_utf8_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "latin1.qv"
+    path.write_bytes("quiver x { vertices: \xe9 }\n".encode("latin-1"))
+    rc, out, err = run_cli(capsys, "validate", str(path))
+    assert (rc, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 text (invalid continuation byte at byte 21)\n"
+
+
 # ---------------------------------------------------------------------------
 # threads / koszul / gldim
 # ---------------------------------------------------------------------------
@@ -216,6 +229,13 @@ def test_integrate_improper_endpoint_needs_truncate(capsys):
     assert payload["lower"] <= 18.420680743952367 <= payload["upper"]
 
 
+def test_integrate_rejects_a_number_literal_that_overflows(capsys):
+    rc, out, err = run_cli(capsys, "integrate", "--fn", "1e400*t", "--domain", "1", "2")
+    assert (rc, out) == (1, "")
+    assert err == ("error: syntax error at line 1, column 1: "
+                   "expected a finite number, found '1e400'\n")
+
+
 def test_stieltjes_identity_on_log_power(capsys):
     payload = run_json(capsys, "stieltjes", "--fn", "t", "--domain", "1", "2",
                        "--log-power", "3")
@@ -301,6 +321,35 @@ def test_repeated_invocations_are_byte_identical(capsys):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second, f"nondeterministic output for {argv}"
+
+
+# Runs the CLI module as ``python -m stepquiver.cli`` does (or only imports
+# the package when given no arguments) and reports whether numpy was loaded.
+_COLD_START = """
+import runpy, sys
+try:
+    if len(sys.argv) > 1:
+        runpy.run_module("stepquiver.cli", run_name="__main__", alter_sys=True)
+    else:
+        import stepquiver
+finally:
+    sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
+"""
+
+
+def test_quiver_subcommands_start_without_numpy(capsys):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    runs = [()] + [(cmd, qv("a4_full"), *json_flag)
+                   for cmd in ("validate", "threads", "koszul")
+                   for json_flag in ((), ("--json",))]
+    runs += [("gldim", qv("a4_full"), "--method", m) for m in ("threads", "integral")]
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
+                              capture_output=True, timeout=60, env=env)
+        assert proc.stderr.endswith(b"numpy loaded: False\n"), (argv, proc.stderr)
+        if argv:
+            rc, out, _ = run_cli(capsys, *argv)
+            assert (proc.returncode, proc.stdout) == (rc, out.encode()), argv
 
 
 def test_console_script_is_installed(tmp_path):

@@ -300,6 +300,16 @@ def test_expression_parse_errors(bad):
         parse_fn_expr(bad)
 
 
+@pytest.mark.parametrize("text, col, found", [
+    ("1e400*t", 1, "1e400"), ("t + indicator(0, -1e400)", 19, "1e400"), ("2 * * t", 5, "*"),
+])
+def test_number_errors_point_at_the_literal(text, col, found):
+    # a literal that overflows to inf is rejected where it stands
+    with pytest.raises(DslSyntaxError) as exc:
+        parse_fn_expr(text)
+    assert (exc.value.line, exc.value.col, exc.value.found) == (1, col, found)
+
+
 @pytest.mark.parametrize("text, col", [
     ("indicator", 10), ("sqrt", 5), ("t +", 4), ("(t", 3), ("", 1),
 ])

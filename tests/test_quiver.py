@@ -39,9 +39,9 @@ from stepquiver import (
     vertex_hom_q,
     w_projection,
 )
-from stepquiver import quiver
-from stepquiver.integrate import integer_from_float, stieltjes_integrate
-from stepquiver.quiver import _log_unit, _stieltjes_length
+from stepquiver import integrate
+from stepquiver.integrate import stieltjes_integrate
+from stepquiver.quiver import _log_unit, _stieltjes_length, integer_from_float
 
 from conftest import (
     EXPECTED_GLDIM,
@@ -359,7 +359,8 @@ def test_stieltjes_route_integrates_once_whatever_the_lengths(monkeypatch):
         calls.append(args)
         return stieltjes_integrate(*args)
 
-    monkeypatch.setattr(quiver, "stieltjes_integrate", counted)
+    # the route imports stieltjes_integrate from stepquiver.integrate per call
+    monkeypatch.setattr(integrate, "stieltjes_integrate", counted)
     _log_unit.cache_clear()
     for n in (3, 40, 500):
         p = validate_gentle(chain(n), full_chain_relations(n))
