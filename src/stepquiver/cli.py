@@ -162,12 +162,11 @@ def _cmd_gldim(args) -> int:
 def _widen_to(step: StepFunction, lo: float, hi: float) -> StepFunction:
     """Grow a step literal's ambient so it covers [lo, hi] (it is 0 there)."""
     from .measure import box1
-    from .stepfn import StepFunction
+    from .stepfn import with_ambient
 
     amb = step.ambient.factors[0]
     if lo < amb.lo or hi > amb.hi:
-        wide = box1(min(lo, amb.lo), max(hi, amb.hi))
-        step = StepFunction(wide, step.pieces)
+        step = with_ambient(step, box1(min(lo, amb.lo), max(hi, amb.hi)))
     return step
 
 
@@ -257,7 +256,7 @@ def _cmd_iposet_add(args) -> int:
     from .dsl import parse_fn_expr, step_literal
     from .iposet import add_elements, classify_case, poset_element
     from .measure import box1, make_interval
-    from .stepfn import StepFunction
+    from .stepfn import with_ambient
 
     expr = parse_fn_expr(args.fn)
     step = step_literal(expr)
@@ -268,7 +267,7 @@ def _cmd_iposet_add(args) -> int:
         )
     if args.ambient is not None:
         lo, hi = args.ambient
-        step = StepFunction(box1(lo, hi), step.pieces)
+        step = with_ambient(step, box1(lo, hi))
     e1 = poset_element(step, make_interval(*args.first))
     e2 = poset_element(step, make_interval(*args.second))
     tag = classify_case(e1.interval, e2.interval)

@@ -34,7 +34,7 @@ from .errors import DomainAnnotationMissingError, DslSyntaxError
 from .integrate import _Evaluator, _monotone_runs
 from .measure import Interval, box1, make_interval
 from .qv import _TokenCursor
-from .stepfn import StepFunction, indicator, linear_combine, zero_function
+from .stepfn import StepFunction, _from_cells
 
 TRUNCATE_EPS = 1e-8
 
@@ -298,53 +298,56 @@ def parse_fn_expr(text: str) -> FnExpr:
 # static analysis of expressions
 # ---------------------------------------------------------------------------
 
-def _const_value(e: FnExpr) -> Optional[float]:
+def _const_value(e: FnExpr, memo: dict) -> Optional[float]:
+    """The value of a constant subexpression, else None; ``memo`` keeps
+    each node's answer (by ``id``), so one decomposition is linear."""
+    if id(e) in memo:
+        return memo[id(e)]
+    v = None
     if isinstance(e, FnConst):
-        return e.value
-    if isinstance(e, FnNeg):
-        v = _const_value(e.arg)
-        return None if v is None else -v
-    if isinstance(e, FnBin):
-        a, b = _const_value(e.left), _const_value(e.right)
-        if a is None or b is None:
-            return None
-        if e.op == "/" and b == 0.0:
-            return None
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / (b or 1.0)}[e.op]
-    return None
+        v = e.value
+    elif isinstance(e, FnNeg):
+        a = _const_value(e.arg, memo)
+        v = None if a is None else -a
+    elif isinstance(e, FnBin):
+        a, b = _const_value(e.left, memo), _const_value(e.right, memo)
+        if a is not None and b is not None and not (e.op == "/" and b == 0.0):
+            v = {"+": a + b, "-": a - b, "*": a * b, "/": a / (b or 1.0)}[e.op]
+    memo[id(e)] = v
+    return v
 
 
-def _linear_terms(e: FnExpr) -> Optional[list]:
+def _linear_terms(e: FnExpr, memo: dict) -> Optional[list]:
     """Decompose into [(coef, Interval-or-None)] terms, or None if not a
     constant linear combination of indicators."""
     if isinstance(e, FnIndicator):
         return [(1.0, make_interval(e.lo, e.hi))]
-    c = _const_value(e)
+    c = _const_value(e, memo)
     if c is not None:
         return [(c, None)]
     if isinstance(e, FnNeg):
-        sub = _linear_terms(e.arg)
+        sub = _linear_terms(e.arg, memo)
         return None if sub is None else [(-k, iv) for k, iv in sub]
     if isinstance(e, FnBin):
         if e.op in ("+", "-"):
-            left, right = _linear_terms(e.left), _linear_terms(e.right)
+            left, right = _linear_terms(e.left, memo), _linear_terms(e.right, memo)
             if left is None or right is None:
                 return None
             sign = 1.0 if e.op == "+" else -1.0
             return left + [(sign * k, iv) for k, iv in right]
         if e.op == "*":
             for const_side, other in ((e.left, e.right), (e.right, e.left)):
-                c = _const_value(const_side)
+                c = _const_value(const_side, memo)
                 if c is not None:
-                    sub = _linear_terms(other)
+                    sub = _linear_terms(other, memo)
                     if sub is not None:
                         return [(c * k, iv) for k, iv in sub]
             return None
         if e.op == "/":
-            c = _const_value(e.right)
+            c = _const_value(e.right, memo)
             if c is None or c == 0.0:
                 return None
-            sub = _linear_terms(e.left)
+            sub = _linear_terms(e.left, memo)
             return None if sub is None else [(k / c, iv) for k, iv in sub]
     return None
 
@@ -355,19 +358,22 @@ def step_literal(e: FnExpr) -> Optional[StepFunction]:
     Recognizes constant linear combinations of ``indicator(a,b)`` terms;
     anything else (including nonzero bare constants, which have no finite
     ambient) returns None and callers fall back to numeric evaluation.
+    The function is built in one cut on the terms' endpoints, each cell
+    summing the coefficients of the terms that cover it in term order.
     """
-    terms = _linear_terms(e)
+    terms = _linear_terms(e, {})
     if terms is None:
         return None
     intervals = [iv for _, iv in terms if iv is not None]
     if not intervals or any(k != 0.0 and iv is None for k, iv in terms):
         return None
     ambient = box1(min(iv.lo for iv in intervals), max(iv.hi for iv in intervals))
-    f = zero_function(ambient)
+    xs = np.unique([x for iv in intervals for x in (iv.lo, iv.hi)])
+    ys = np.zeros(len(xs) - 1)
     for k, iv in terms:
         if iv is not None:      # overlapping terms add up
-            f = linear_combine(1.0, f, k, indicator(iv, ambient))
-    return f
+            ys[np.searchsorted(xs, iv.lo):np.searchsorted(xs, iv.hi)] += k
+    return _from_cells(ambient, xs, ys)
 
 
 def _finite_at(e: FnExpr, x: float) -> bool:

@@ -69,7 +69,7 @@ from .errors import (
     ToleranceUnreachedError,
 )
 from .measure import Interval, StieltjesMeasure, make_interval
-from .stepfn import Region, StepFunction, region_boxes
+from .stepfn import Region, StepFunction, _clip, region_boxes
 
 CELL_BUDGET = 1 << 24
 # uniform sub-cells of the grid a cell rule lays inside every cell
@@ -142,7 +142,8 @@ class Enclosure:
 
 def integrate_step(f: StepFunction, region: Optional[Region] = None) -> float:
     """``Σ_i k_i * μ(X_i ∩ region)``, exact arithmetic; default region is
-    the full ambient box."""
+    the full ambient box.  The terms are added left to right, piece by
+    piece and, within a piece, region box by region box."""
     if region is None:
         boxes = (f.ambient,)
     else:
@@ -152,6 +153,15 @@ def integrate_step(f: StepFunction, region: Optional[Region] = None) -> float:
                 raise AmbientMismatchError(
                     f"region {rb.to_json()} escapes ambient {f.ambient.to_json()}"
                 )
+    if f.xs is not None:
+        # the region's boxes are sorted and almost disjoint, so their clips
+        # end to end list the terms in that order (gaps add 0.0)
+        terms = []
+        for rb in boxes:
+            if not rb.is_degenerate():
+                xs, ys = _clip(f, rb.factors[0].lo, rb.factors[0].hi)
+                terms.append(ys * np.diff(xs))
+        return float(_running_sum(terms)[-1])
     total = 0.0
     for b, k in f.pieces:
         for rb in boxes:
@@ -159,6 +169,12 @@ def integrate_step(f: StepFunction, region: Optional[Region] = None) -> float:
             if cap is not None:
                 total += k * cap.measure
     return total
+
+
+def _running_sum(terms: list) -> np.ndarray:
+    """``0.0`` and the partial sums of the concatenated ``terms``, added one
+    at a time as a Python loop would (not numpy's pairwise ``np.sum``)."""
+    return np.cumsum(np.concatenate(([0.0], *terms)))
 
 
 def _is_empty_region(region) -> bool:
@@ -514,28 +530,22 @@ def var_upper_integral(f: StepFunction, c: float) -> VarIntegralFn:
     amb = f.ambient.factors[0]
     if float(c) != amb.lo:
         raise AmbientMismatchError(f"base {c} is not the ambient lower endpoint {amb.lo}")
-    xs, ys = [amb.lo], [0.0]
-    for _, x1, k in _step_cells(f, amb.lo, amb.hi):
-        ys.append(ys[-1] + k * (x1 - xs[-1]))
-        xs.append(x1)
+    xs = f.xs.tolist()
+    xs[0], xs[-1] = amb.lo, amb.hi      # an ambient built from ints keeps its ints
+    ys = _running_sum([f.ys * np.diff(f.xs)]).tolist()
     return VarIntegralFn(base=amb.lo, xs=tuple(xs), ys=tuple(ys))
 
 
-def _step_cells(f: StepFunction, lo, hi):
-    """``(a, b, k)`` left to right for the canonical pieces of a 1-D ``f``
-    clipped to ``[lo, hi]``, gaps as ``k = 0.0``.  Ties keep ``lo``/``hi``
-    themselves, so an ambient built from ints keeps its int endpoints."""
-    at = lo
-    for b, k in f.pieces:
-        a, z = max(lo, b.factors[0].lo), min(hi, b.factors[0].hi)
-        if a >= z:
-            continue
-        if at < a:
-            yield at, a, 0.0
-        yield a, z, k
-        at = z
-    if at < hi:
-        yield at, hi, 0.0
+def _nonzero_cells(f: StepFunction, lo, hi) -> list:
+    """``(a, b, k)`` left to right for the nonzero cells of a 1-D ``f``
+    clipped to ``[lo, hi]``.  Ties keep ``lo``/``hi`` themselves."""
+    lo, hi = max(lo, float(f.xs[0])), min(hi, float(f.xs[-1]))
+    if not lo < hi:
+        return []
+    xs, ys = _clip(f, lo, hi)
+    xs = xs.tolist()
+    xs[0], xs[-1] = lo, hi
+    return [(a, b, k) for a, b, k in zip(xs, xs[1:], ys.tolist()) if k != 0.0]
 
 
 def eta(F: VarIntegralFn, G: VarIntegralFn, domain) -> VarIntegralFn:
@@ -646,9 +656,8 @@ def _monotone_runs(ev: _Evaluator, iv: Interval):
 
 def _stieltjes_exact_step(f: StepFunction, phi: StieltjesMeasure, domain: Interval) -> float:
     total = 0.0
-    for a, z, k in _step_cells(f, domain.lo, domain.hi):
-        if k != 0.0:
-            total += k * (float(phi.phi(z)) - float(phi.phi(a)))
+    for a, z, k in _nonzero_cells(f, domain.lo, domain.hi):
+        total += k * (float(phi.phi(z)) - float(phi.phi(a)))
     return total
 
 
@@ -663,7 +672,7 @@ def _density_enclosure(f, fp, domain: Interval, tol: float) -> Optional[Enclosur
     """
     if isinstance(f, StepFunction):
         ev = _Evaluator(fp)
-        cells = [(a, b, k) for a, b, k in _step_cells(f, domain.lo, domain.hi) if k != 0.0]
+        cells = _nonzero_cells(f, domain.lo, domain.hi)
     else:
         ev_f, ev_fp = _Evaluator(f), _Evaluator(fp)
 

@@ -14,20 +14,21 @@ types here.  Two design points worth knowing:
   ``(a, b) -> a*x + b`` whose coefficients are dyadic rationals, so up to
   depth 40 every endpoint is an exact binary64 value and tilings telescope
   with ``==`` rather than tolerance.
-* Finite unions of boxes get their canonical form from one pair:
-  :func:`grid_cells` cuts the non-degenerate boxes on their common endpoint
-  grid into cells named by index tuples, and :func:`merge_cells` merges
-  equal-valued runs axis by axis and builds boxes only for the result.  Two
-  non-degenerate boxes overlap with positive measure exactly when they
-  share a cell; degenerate boxes are exempt, so they may touch or repeat.
+* Finite unions of boxes, and step functions of two or more dimensions,
+  get their canonical form from one pair: :func:`grid_cells` cuts the
+  non-degenerate boxes on their common endpoint grid into cells named by
+  index tuples, and :func:`merge_cells` merges equal-valued runs axis by
+  axis and builds boxes only for the result.  Two non-degenerate boxes
+  overlap with positive measure exactly when they share a cell; degenerate
+  boxes are exempt, so they may touch or repeat.
 * numpy is imported only by the Lebesgue–Stieltjes helpers at the end
   (:meth:`StieltjesMeasure.check_monotone`, :func:`log_power_measure`,
-  :func:`identity_measure`); the box and step-function layers load
-  without it.
+  :func:`identity_measure`); the box layer loads without it.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -279,15 +280,51 @@ def normalize_set(boxes: Iterable[Box]) -> MeasurableSet:
     contains it.  They are checked in the order of the per-axis key
     ``(lo, -hi)``, which puts each box after every box containing it, so the
     result depends only on the boxes given, not their order, and is idempotent.
+
+    Each check looks up a few grid cells rather than every kept box: a
+    merged box containing a degenerate box ``d`` owns the cell just above
+    ``d``'s lower corner on every axis where ``d`` has length, and one of
+    the two cells beside it on every other axis.  A kept degenerate box
+    ``e`` can contain ``d`` only if ``d`` is degenerate on each axis ``e``
+    is, at the same coordinate, so kept degenerate boxes are filed by those
+    axes and coordinates.
     """
     raw = list(boxes)
     solid = [(b, True) for b in raw if not b.is_degenerate()]
-    keep = [b for b, _ in merge_cells(*grid_cells(solid, lambda old, new: old))]
-    flat = [b for b in raw if b.is_degenerate()]
-    for d in sorted(flat, key=lambda b: [(iv.lo, -iv.hi) for iv in b.factors]):
-        if not any(k.contains_box(d) for k in keep):
-            keep.append(d)
+    grids, cells = grid_cells(solid, lambda old, new: old)
+    keep = [b for b, _ in merge_cells(grids, cells)]
+    flat = sorted((b for b in raw if b.is_degenerate()),
+                  key=lambda b: [(iv.lo, -iv.hi) for iv in b.factors])
+    if not flat:
+        return MeasurableSet(tuple(keep))
+    owner = {}
+    where = [{x: i for i, x in enumerate(g)} for g in grids]
+    for k in keep:
+        spans = [range(w[f.lo], w[f.hi]) for f, w in zip(k.factors, where)]
+        owner.update(dict.fromkeys(itertools.product(*spans), k))
+    filed: dict = {}
+    for d in flat:
+        thin = [ax for ax, f in enumerate(d.factors) if f.is_degenerate()]
+        near = [_cells_beside(g, f) for g, f in zip(grids, d.factors)]
+        if any(k is not None and k.contains_box(d)
+               for k in map(owner.get, itertools.product(*near))):
+            continue
+        flats = [(axes, tuple(d.factors[ax].lo for ax in axes))
+                 for r in range(1, len(thin) + 1) for axes in itertools.combinations(thin, r)]
+        if any(e.contains_box(d) for key in flats for e in filed.get(key, ())):
+            continue
+        keep.append(d)
+        filed.setdefault(flats[-1], []).append(d)
     return MeasurableSet(tuple(keep))
+
+
+def _cells_beside(grid: list, iv: Interval) -> list:
+    """Indices of the grid cells a box containing ``iv`` must own one of:
+    the cell just above ``iv.lo`` when ``iv`` has length; otherwise the
+    cell holding the point, or the two cells beside it on a grid line."""
+    i = bisect.bisect_right(grid, iv.lo)
+    near = [i - 1] if iv.lo < iv.hi or grid[i - 1] != iv.lo else [i - 2, i - 1]
+    return [j for j in near if 0 <= j < len(grid) - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,17 @@ def test_iposet_add_agrees_with_the_library(capsys):
     assert payload["case"] == "OverlapLeft"
 
 
+def test_iposet_add_moves_the_literal_onto_the_given_ambient(capsys):
+    fn = "2*indicator(1,2) - indicator(1.5,3)"
+    rc, out, err = run_cli(capsys, "iposet-add", "--fn", fn, "--first", "0", "2",
+                           "--second", "1", "4", "--ambient", "0", "5")
+    assert (rc, out, err) == (0, "case = OverlapLeft\nvalue = 2.0\nset = [0.0, 4.0]\n", "")
+    rc, out, err = run_cli(capsys, "iposet-add", "--fn", fn, "--first", "1", "2",
+                           "--second", "1", "2.5", "--ambient", "1", "2.5")
+    assert (rc, out) == (1, "")
+    assert err == "error: piece [[2.0, 3.0]] escapes ambient [[1.0, 2.5]]\n"
+
+
 def test_iposet_add_requires_step_literals(capsys):
     rc, out, err = run_cli(capsys, "iposet-add", "--fn", "t",
                            "--first", "0", "1", "--second", "0", "1")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -22,12 +23,15 @@ from stepquiver import (
     doc_from_presentation,
     emit_dsl,
     ensure_proper,
+    indicator,
     integrate_step,
+    linear_combine,
     monotone_pieces,
     parse_fn_expr,
     parse_quiver_dsl,
     step_literal,
     validate_gentle,
+    zero_function,
 )
 
 from stepquiver.dsl import FnBin, FnConst, FnNeg, FnPow, FnSqrt, FnVar
@@ -406,6 +410,22 @@ def test_step_literal_sums_overlapping_indicators(text, pieces, total):
     got = [(b.factors[0].lo, b.factors[0].hi, k) for b, k in f.pieces]
     assert got == pieces
     assert integrate_step(f) == total
+
+
+def test_step_literal_sums_many_terms_in_one_cut_like_the_fold():
+    # decimal coefficients: each cell must add its terms in term order,
+    # as folding the terms through linear_combine one by one does
+    rng = random.Random(900)
+    terms = [(round(rng.uniform(-9, 9), 3), a, a + rng.randint(1, 50) / 16)
+             for a in (rng.randint(0, 200) / 16 for _ in range(900))]
+    e = parse_fn_expr(" + ".join(f"{k}*indicator({a},{b})" for k, a, b in terms))
+    start = time.perf_counter()
+    f = step_literal(e)
+    assert time.perf_counter() - start < 1.0
+    fold = zero_function(f.ambient)
+    for k, a, b in terms:
+        fold = linear_combine(1.0, fold, k, indicator(Interval(a, b), f.ambient))
+    assert f.pieces == fold.pieces and f == fold
 
 
 def test_step_literal_ambient_is_the_indicator_hull():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +134,47 @@ def test_normalize_is_order_independent_and_idempotent(spans, rnd):
     rnd.shuffle(boxes)
     assert normalize_set(boxes) == once, f"normalize depends on order of {boxes}"
     assert normalize_set(once.boxes) == once, f"normalize not idempotent on {boxes}"
+
+
+def test_normalize_set_of_thousands_of_intervals_and_points_is_near_linear():
+    # each degenerate box is looked up on the merged grid, not checked
+    # against every kept box (quadratic: minutes at this size)
+    n, grid = 5000, 1 << 20
+    rng = random.Random(n)
+    spans = [(lo, lo + rng.randrange(1, 64)) for lo in (rng.randrange(grid - 64) for _ in range(n))]
+    points = [rng.randrange(grid) for _ in range(n)]
+    boxes = [box1(lo / grid, hi / grid) for lo, hi in spans] + [box1(p / grid, p / grid) for p in points]
+    rng.shuffle(boxes)
+    start = time.perf_counter()
+    s = normalize_set(boxes)
+    assert time.perf_counter() - start < 20.0
+    covered = set()
+    union = []
+    for lo, hi in sorted(spans):
+        covered.update(range(lo, hi + 1))
+        if union and lo <= union[-1][1]:
+            union[-1][1] = max(union[-1][1], hi)
+        else:
+            union.append([lo, hi])
+    loose = sorted({p for p in points if p not in covered})
+    want = sorted([box1(lo / grid, hi / grid) for lo, hi in union]
+                  + [box1(p / grid, p / grid) for p in loose], key=Box.sort_key)
+    assert s.boxes == tuple(want)
+
+
+def test_normalize_set_of_thousands_of_points_in_the_plane():
+    # a solid square from a 30 x 30 lattice, 2000 points on its top edge
+    # (dropped) and 2000 on a line above it (kept once each)
+    k, n = 30, 2000
+    cells = [box(make_interval(i / k, (i + 1) / k), make_interval(j / k, (j + 1) / k))
+             for i in range(k) for j in range(k)]
+    edge = [box(make_interval(x, x), make_interval(1.0, 1.0)) for x in np.linspace(0, 1, n)]
+    above = [box(make_interval(x, x), make_interval(2.0, 2.0)) for x in np.linspace(0, 1, n)]
+    start = time.perf_counter()
+    s = normalize_set(above + cells + edge + above)
+    assert time.perf_counter() - start < 20.0
+    unit = box(make_interval(0.0, 1.0), make_interval(0.0, 1.0))
+    assert s.boxes == tuple(sorted([unit, *above], key=Box.sort_key))
 
 
 # ---------------------------------------------------------------------------

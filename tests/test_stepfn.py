@@ -39,6 +39,7 @@ from stepquiver import (
     var_upper_integral,
     zero_function,
 )
+from stepquiver.stepfn import with_ambient
 
 from conftest import brute_overlap, random_step
 
@@ -546,3 +547,157 @@ def test_twenty_thousand_pieces_in_one_dimension():
     for lo, hi, v in f_cells:
         running.append(running[-1] + v * (hi - lo))
     assert [Fraction(y) for y in F.ys] == running
+
+
+# ---------------------------------------------------------------------------
+# 1-D breakpoint/value arrays against exact oracles on dyadic tilings
+# ---------------------------------------------------------------------------
+
+CELLS = 64     # breakpoints on the 1/64 grid of [0, 1]
+
+
+@st.composite
+def dyadic_tilings(draw):
+    """A tiling of [0, 1] by cells on the 1/64 grid with small integer
+    values, zero and equal neighbours allowed: all sums are exact."""
+    cuts = draw(st.lists(st.integers(1, CELLS - 1), unique=True, max_size=12))
+    pts = [0] + sorted(cuts) + [CELLS]
+    vals = draw(st.lists(st.integers(-3, 3), min_size=len(pts) - 1, max_size=len(pts) - 1))
+    return list(zip(pts, pts[1:], vals))
+
+
+def _function(cells):
+    return StepFunction(UNIT, tuple((box1(a / CELLS, b / CELLS), float(v)) for a, b, v in cells))
+
+
+def _unit_values(cells):
+    """The value on each of the 64 unit cells, as a Fraction."""
+    return [Fraction(v) for a, b, v in cells for _ in range(a, b)]
+
+
+def _pieces_of(unit_values):
+    """Exact canonical pieces of unit-cell values: zeros dropped, equal
+    neighbours merged."""
+    return _reference_pieces([(Fraction(i, CELLS), Fraction(i + 1, CELLS), v)
+                              for i, v in enumerate(unit_values)])
+
+
+def _all_floats(*values):
+    return all(type(v) is float for v in values)
+
+
+@given(dyadic_tilings(), dyadic_tilings(), st.integers(-3, 3), st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_linear_combine_matches_the_exact_oracle(cf, cg, a, b):
+    f, g = _function(cf), _function(cg)
+    h = linear_combine(float(a), f, float(b), g)
+    want = [a * u + b * v for u, v in zip(_unit_values(cf), _unit_values(cg))]
+    assert _exact_pieces(h) == _pieces_of(want)
+    assert _all_floats(*(x for bx, k in h.pieces for x in (bx.factors[0].lo, bx.factors[0].hi, k)))
+    assert h.is_zero() == (not any(want))
+
+
+@given(dyadic_tilings(), st.lists(st.tuples(st.integers(0, CELLS), st.integers(0, CELLS)),
+                                  max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_restrict_and_integrate_step_match_the_exact_oracle(cells, spans):
+    f = _function(cells)
+    values = _unit_values(cells)
+    region = normalize_set([box1(min(s) / CELLS, max(s) / CELLS) for s in spans])
+    inside = [any(bx.factors[0].lo * CELLS <= i and i + 1 <= bx.factors[0].hi * CELLS
+                  for bx in region.boxes) for i in range(CELLS)]
+    kept = [v if ok else Fraction(0) for v, ok in zip(values, inside)]
+    assert _exact_pieces(restrict(f, region)) == _pieces_of(kept)
+    total = integrate_step(f, region)
+    assert type(total) is float and total == sum(kept) / CELLS
+    for s in spans:
+        lo, hi = min(s), max(s)
+        window = Interval(lo / CELLS, hi / CELLS)
+        clipped = [v if lo <= i < hi else Fraction(0) for i, v in enumerate(values)]
+        assert _exact_pieces(restrict(f, window)) == _pieces_of(clipped)
+        assert integrate_step(f, window) == sum(values[lo:hi]) / CELLS
+    assert integrate_step(f) == sum(values) / CELLS
+
+
+@given(dyadic_tilings())
+@settings(max_examples=200, deadline=None)
+def test_var_upper_integral_nodes_are_the_exact_running_integral(cells):
+    f = _function(cells)
+    F = var_upper_integral(f, 0.0)
+    # the nodes are the canonical breakpoints, gaps included
+    values = _unit_values(cells)
+    nodes = [Fraction(0)] + [Fraction(i, CELLS) for i in range(1, CELLS)
+                             if values[i - 1] != values[i]] + [Fraction(1)]
+    assert [Fraction(x) for x in F.xs] == nodes
+    assert [Fraction(y) for y in F.ys] == [sum(values[:int(x * CELLS)]) / CELLS for x in nodes]
+    assert _all_floats(*F.xs, *F.ys)
+
+
+@given(dyadic_tilings())
+@settings(max_examples=200, deadline=None)
+def test_locate_matches_the_exact_oracle_inside_cells_and_on_breakpoints(cells):
+    f = _function(cells)
+    values = _unit_values(cells)
+    for i, v in enumerate(values):        # the midpoint of every unit cell
+        assert locate(f, (2 * i + 1) / (2 * CELLS)) == (float(v), False)
+    for j in range(CELLS + 1):            # every grid line, breakpoint or not
+        sides = [values[i] for i in (j - 1, j) if 0 <= i < CELLS]
+        if len(sides) == 2 and sides[0] == sides[1]:
+            want = (float(sides[0]), False)
+        else:
+            touching = [s for s in sides if s]
+            want = (float(max(touching)), True) if touching else (0.0, False)
+        got = locate(f, j / CELLS)
+        assert got == want and _all_floats(got[0])
+    assert _all_floats(eval_step(f, 0.3), p_norm(f, 2), p_norm(f, 1.5))
+
+
+@given(dyadic_tilings(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_split_and_shuffled_constructions_are_equal_and_hash_equal(cells, rnd):
+    f = _function(cells)
+    pieces = []
+    for a, b, v in cells:
+        cut = rnd.randint(a, b)           # a cut at an end splits nothing
+        pieces += [(box1(a / CELLS, cut / CELLS), float(v)),
+                   (box1(cut / CELLS, b / CELLS), float(v))]
+    pieces.append((box1(0.5, 0.5), 7.0))  # degenerate pieces carry no mass
+    rnd.shuffle(pieces)
+    g = StepFunction(UNIT, tuple(pieces))
+    assert g == f and hash(g) == hash(f)
+    assert g.pieces == f.pieces
+    assert ae_equal(f, g)
+
+
+def test_integrals_add_left_to_right_like_the_piece_loop():
+    # arbitrary floats: a reordered or pairwise sum would differ in the last bits
+    rng = random.Random(11)
+    amb = box1(0.0, 1.0)
+    for _ in range(20):
+        cuts = sorted(rng.random() for _ in range(600))
+        f = StepFunction(amb, tuple((box1(a, b), rng.uniform(-5.0, 5.0))
+                                    for a, b in zip([0.0] + cuts, cuts + [1.0])))
+        region = normalize_set([box1(*sorted((rng.random(), rng.random()))) for _ in range(5)])
+        total = 0.0
+        for b, k in f.pieces:
+            for rb in region.boxes:
+                cap = b.intersect(rb)
+                if cap is not None:
+                    total += k * cap.measure
+        assert integrate_step(f, region).hex() == total.hex()
+        ys = [0.0]
+        for b, k in f.pieces:
+            ys.append(ys[-1] + k * b.measure)
+        assert var_upper_integral(f, 0.0).ys == tuple(ys)
+
+
+def test_with_ambient_rewraps_the_arrays():
+    f = StepFunction(box1(0.0, 2.0), ((box1(0.5, 1.0), 3.0), (box1(1.0, 1.5), -1.0)))
+    wide = with_ambient(f, box1(-1.0, 4.0))
+    assert wide.ambient == box1(-1.0, 4.0) and wide.pieces == f.pieces
+    assert wide == StepFunction(box1(-1.0, 4.0), f.pieces)
+    narrow = with_ambient(f, make_interval(0.5, 1.5))
+    assert narrow == StepFunction(box1(0.5, 1.5), f.pieces)
+    assert with_ambient(zero_function(box1(0.0, 1.0)), box1(5.0, 6.0)).is_zero()
+    with pytest.raises(AmbientMismatchError, match=r"piece \[\[1.0, 1.5\]\] escapes"):
+        with_ambient(f, box1(0.0, 1.25))

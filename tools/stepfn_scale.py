@@ -18,15 +18,23 @@ and the operations, each timed ``REPEAT`` times with ``time.perf_counter``:
 
     build           StepFunction(ambient, pieces of f)
     linear_combine  linear_combine(1.0, f, -2.0, g)
+    linear_combine+pieces
+                    the same, then reading the result's ``pieces``: a 1-D
+                    function builds its boxes only on that first read
     restrict        restrict(f, [0.25, 0.75]^dim)
+    locate          locate(f, x) at ``LOCATE_POINTS`` seeded points, one call
+                    timed as a whole
+    integrate_step  integrate_step(f, [0.25, 0.75]^dim)
+    add_elements    add_elements of f on [0.1, 0.6] and g on [0.3, 0.8] (1d
+                    only: integral posets are one-dimensional)
     normalize_set   normalize_set(every other box of f and of g)
     measurable_set  measurable_set(the boxes of f)
 
 A row whose interpreter runs past ``LIMIT_S`` seconds is killed and kept
 with ``"dropped": "over 60 s"`` in place of its times.  OUT.json is a JSON
 list of rows ``{checkout, shape, size, op, median_s, min_s, runs, pieces_in,
-pieces_out, dropped}``; ``pieces_out`` is the size of the result, which
-must agree across checkouts.
+pieces_out, dropped}``; ``pieces_out`` is the size of a function or set
+result (None for a number), which must agree across checkouts.
 """
 
 import json
@@ -39,7 +47,10 @@ from pathlib import Path
 
 SIZES_1D = (1000, 10_000, 20_000, 100_000)
 SIZES_2D = (32, 100, 200)
-OPS = ("build", "linear_combine", "restrict", "normalize_set", "measurable_set")
+OPS = ("build", "linear_combine", "linear_combine+pieces", "restrict", "locate",
+       "integrate_step", "add_elements", "normalize_set", "measurable_set")
+ONLY_1D = ("add_elements",)
+LOCATE_POINTS = 1000
 REPEAT = 3
 LIMIT_S = 60
 
@@ -75,11 +86,21 @@ def child(checkout: str, shape: str, size: int, op: str) -> dict:
     amb, pf, f, g = inputs(sq, shape, size)
     window = sq.Box((sq.make_interval(0.25, 0.75),) * amb.dim)
     every_other = [b for b, _ in f.pieces[::2]] + [b for b, _ in g.pieces[1::2]]
+    rng = random.Random(f"{shape}-{size}-points")
+    points = [tuple(rng.random() for _ in range(amb.dim)) for _ in range(LOCATE_POINTS)]
+    if op == "add_elements":
+        e1 = sq.poset_element(f, sq.make_interval(0.1, 0.6))
+        e2 = sq.poset_element(g, sq.make_interval(0.3, 0.8))
     calls = {  # op: (number of input pieces or boxes, the call)
         "build": (len(pf), lambda: sq.StepFunction(amb, pf)),
         "linear_combine": (len(f.pieces) + len(g.pieces),
                            lambda: sq.linear_combine(1.0, f, -2.0, g)),
+        "linear_combine+pieces": (len(f.pieces) + len(g.pieces),
+                                  lambda: sq.linear_combine(1.0, f, -2.0, g).pieces),
         "restrict": (len(f.pieces), lambda: sq.restrict(f, window)),
+        "locate": (len(f.pieces), lambda: [sq.locate(f, x) for x in points]),
+        "integrate_step": (len(f.pieces), lambda: sq.integrate_step(f, window)),
+        "add_elements": (len(f.pieces) + len(g.pieces), lambda: sq.add_elements(e1, e2)),
         "normalize_set": (len(every_other), lambda: sq.normalize_set(every_other)),
         "measurable_set": (len(f.pieces), lambda: sq.measurable_set([b for b, _ in f.pieces])),
     }
@@ -89,9 +110,10 @@ def child(checkout: str, shape: str, size: int, op: str) -> dict:
         t0 = time.perf_counter()
         out = call()
         times.append(time.perf_counter() - t0)
-    result = out.pieces if hasattr(out, "pieces") else out.boxes
+    result = getattr(out, "pieces", getattr(out, "boxes", out))
     return {"median_s": round(statistics.median(times), 6), "min_s": round(min(times), 6),
-            "runs": REPEAT, "pieces_in": pieces_in, "pieces_out": len(result), "dropped": None}
+            "runs": REPEAT, "pieces_in": pieces_in,
+            "pieces_out": len(result) if isinstance(result, tuple) else None, "dropped": None}
 
 
 def main():
@@ -104,7 +126,8 @@ def main():
     out_path, checkouts = sys.argv[1], sys.argv[2:]
     rows = []
     ladder = [("1d", n) for n in SIZES_1D] + [("2d", k) for k in SIZES_2D]
-    for i, (shape, size, op) in enumerate((s, n, op) for s, n in ladder for op in OPS):
+    rows_to_run = [(s, n, op) for s, n in ladder for op in OPS if s == "1d" or op not in ONLY_1D]
+    for i, (shape, size, op) in enumerate(rows_to_run):
         for checkout in checkouts if i % 2 == 0 else checkouts[::-1]:
             cmd = [sys.executable, __file__, "--child", checkout, shape, str(size), op]
             try:
