@@ -4,7 +4,7 @@ Grammar over the variable ``t``::
 
     expr   := term (("+" | "-") term)*
     term   := unary (("*" | "/") unary)*
-    unary  := "-" unary | power
+    unary  := "-"* power
     power  := atom ["^" exponent]
     exponent := ["-"] INT | "(" ["-"] INT "/" INT ")"
     atom   := NUMBER | "t" | "(" expr ")" | "sqrt" "(" expr ")"
@@ -13,8 +13,18 @@ Grammar over the variable ``t``::
 There are deliberately no transcendental primitives: logarithms and the
 circular functions are outputs of the integrator, never inputs.  A number
 literal must be a finite float: ``1e400`` is a ``DslSyntaxError`` at its
-position.  Evaluation is numpy-aware; invalid points (division by zero,
-negative radicands) yield non-finite values rather than exceptions.
+position.  So must an exponent's ``num / den``: ``t^`` followed by 400
+digits is a ``DslSyntaxError`` at the exponent.  ``(`` and ``sqrt(`` nest
+at most ``MAX_NESTING`` = 100 deep; the opening token past that is a
+``DslSyntaxError`` at its own position.
+
+An expression compiles to one postorder tape (a Wengert list): the parser
+emits each instruction as it finishes reading it, ``FnExpr.__call__`` runs
+the tape in one loop over a value stack, and :func:`step_literal` and
+:func:`monotone_pieces` read it in one forward pass.  Nothing walks a tree,
+so no expression, however long, raises ``RecursionError``.  Evaluation is
+numpy-aware; invalid points (division by zero, negative radicands) yield
+non-finite values rather than exceptions.
 
 The ``.qv`` quiver format lives in :mod:`stepquiver.qv`, which loads no
 numpy; the expression parser reuses its token cursor.
@@ -23,6 +33,7 @@ numpy; the expression parser reuses its token cursor.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import string
 from dataclasses import dataclass
@@ -37,101 +48,71 @@ from .qv import _TokenCursor
 from .stepfn import StepFunction, _from_cells
 
 TRUNCATE_EPS = 1e-8
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
 # integrand expressions
 # ---------------------------------------------------------------------------
 
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_BINARY = {**_FOLD, "/": np.true_divide}
+
+
+@dataclass(frozen=True)
 class FnExpr:
-    """Base of the expression AST; subclasses implement ``__call__``."""
+    """A parsed expression: a postorder tape of ``(opcode, argument)`` pairs.
 
+    The opcodes are ``"num"`` (a float), ``"t"``, ``"ind"`` (the bounds
+    ``(lo, hi)``), the binary ``"+" "-" "*" "/"``, ``"neg"``, ``"sqrt"``,
+    ``"^"`` (an integer ``k`` in 1 … 4) and ``"pow"`` (a float exponent).
+    """
 
-@dataclass(frozen=True)
-class FnConst(FnExpr):
-    value: float
-
-    def __call__(self, t):
-        return np.full(np.shape(t), self.value, dtype=float)
-
-
-@dataclass(frozen=True)
-class FnVar(FnExpr):
-    def __call__(self, t):
-        return np.asarray(t, dtype=float)
-
-
-@dataclass(frozen=True)
-class FnNeg(FnExpr):
-    arg: FnExpr
+    tape: tuple
 
     def __call__(self, t):
-        return -self.arg(t)
+        """The value at ``t``, a float or an ndarray of points.
 
-
-@dataclass(frozen=True)
-class FnBin(FnExpr):
-    """``left op right``.  When exactly one operand is an :class:`FnConst`
-    it enters as its float, not as an ``np.full`` array: numpy applies the
-    same IEEE operation to each point, so the values are bit for bit the
-    same, without building and reading the array."""
-
-    op: str
-    left: FnExpr
-    right: FnExpr
-
-    def __call__(self, t):
-        a, b = self.left, self.right
-        if isinstance(a, FnConst) != isinstance(b, FnConst):
-            a = a.value if isinstance(a, FnConst) else a(t)
-            b = b.value if isinstance(b, FnConst) else b(t)
-        else:
-            a, b = a(t), b(t)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return np.true_divide(a, b)
-
-
-@dataclass(frozen=True)
-class FnPow(FnExpr):
-    """``base ^ (num / den)``.  The integer powers ``t^1`` … ``t^4`` are
-    ``num - 1`` multiplications, within 2 ulps of ``np.power`` at a third
-    of its cost; every other exponent goes to ``np.power``."""
-
-    base: FnExpr
-    num: int
-    den: int
-
-    def __call__(self, t):
-        b = self.base(t)
-        if self.den != 1 or not 1 <= self.num <= 4:
-            return np.power(b, self.num / self.den)
-        out = b
-        for _ in range(self.num - 1):
-            out = out * b
-        return out
-
-
-@dataclass(frozen=True)
-class FnSqrt(FnExpr):
-    arg: FnExpr
-
-    def __call__(self, t):
-        return np.sqrt(self.arg(t))
-
-
-@dataclass(frozen=True)
-class FnIndicator(FnExpr):
-    lo: float
-    hi: float
-
-    def __call__(self, t):
+        A number is pushed as its float.  A binary op whose other operand
+        is not a number takes it as that float: numpy applies the same IEEE
+        operation to each point, so the values are bit for bit those of an
+        ``np.full`` array, without building and reading it.  Everywhere else
+        a number becomes an ``np.full`` array first.  ``t^1`` … ``t^4`` are
+        ``k - 1`` multiplications, within 2 ulps of ``np.power`` at a third
+        of its cost; every other exponent goes to ``np.power``.
+        """
         x = np.asarray(t, dtype=float)
-        return ((x >= self.lo) & (x <= self.hi)).astype(float)
+        stack = []
+        for op, arg in self.tape:
+            if op == "num":
+                stack.append(arg)
+            elif op == "t":
+                stack.append(x)
+            elif op in _BINARY:
+                b = stack.pop()
+                a = stack[-1]
+                if type(a) is float and type(b) is float:
+                    a, b = np.full(x.shape, a), np.full(x.shape, b)
+                stack[-1] = _BINARY[op](a, b)
+            elif op == "ind":
+                stack.append(((x >= arg[0]) & (x <= arg[1])).astype(float))
+            else:
+                a = stack[-1]
+                if type(a) is float:
+                    a = np.full(x.shape, a)
+                if op == "sqrt":
+                    a = np.sqrt(a)
+                elif op == "neg":
+                    a = -a
+                elif op == "pow":
+                    a = np.power(a, arg)
+                else:
+                    b = a
+                    for _ in range(arg - 1):
+                        a = a * b
+                stack[-1] = a
+        top = stack[0]
+        return np.full(x.shape, top) if type(top) is float else top
 
 
 _FN_TOKEN = re.compile(
@@ -163,11 +144,14 @@ def _tokenize_fn(text: str) -> tuple[list[str], list[int]]:
 
 
 class _FnParser(_TokenCursor):
-    """Expressions are one line: a position is the offset plus one."""
+    """Expressions are one line: a position is the offset plus one.  Each
+    method appends the instructions of what it reads to ``tape``."""
 
     def __init__(self, text: str):
         toks, self.starts = _tokenize_fn(text)
         super().__init__(toks)
+        self.tape = []
+        self.depth = 0
 
     def _start(self, i: int) -> int:
         return self.starts[i]
@@ -184,60 +168,73 @@ class _FnParser(_TokenCursor):
         return t
 
     def parse(self) -> FnExpr:
-        e = self.expr()
+        self.expr()
         if self.pos != len(self.toks):
             self._err("end of input")
-        return e
+        return FnExpr(tuple(self.tape))
 
-    def expr(self) -> FnExpr:
-        e = self.term()
+    def expr(self) -> None:
+        self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
-            e = FnBin(op, e, self.term())
-        return e
+            self.term()
+            self.tape.append((op, None))
 
-    def term(self) -> FnExpr:
-        e = self.unary()
+    def term(self) -> None:
+        self.unary()
         while self.peek() in ("*", "/"):
             op = self.take()
-            e = FnBin(op, e, self.unary())
-        return e
+            self.unary()
+            self.tape.append((op, None))
 
-    def unary(self) -> FnExpr:
-        if self.peek() == "-":
-            self.take()
-            return FnNeg(self.unary())
-        return self.power()
+    def unary(self) -> None:
+        negations = 0
+        while self.peek() == "-":
+            self.pos += 1
+            negations += 1
+        self.power()
+        self.tape.extend([("neg", None)] * negations)
 
-    def power(self) -> FnExpr:
-        base = self.atom()
+    def power(self) -> None:
+        self.atom()
         if self.peek() == "^":
             self.take()
-            num, den = self.exponent()
-            return FnPow(base, num, den)
-        return base
+            self.tape.append(self.exponent())
 
-    def _int(self, what: str) -> int:
-        sign = 1
+    def _int(self, what: str) -> str:
+        """The signed digits at the cursor, read as an int by the caller."""
+        sign = ""
         if self.peek() == "-":
-            self.take()
-            sign = -1
+            sign = self.take()
         tok = self.peek()
         if tok is None or not tok.isdecimal():  # the digits \d matches
             self._err(what)
-        return sign * int(self.take())
+        return sign + self.take()
 
-    def exponent(self) -> tuple[int, int]:
+    def exponent(self) -> tuple:
+        """The instruction for the exponent at the cursor; its ``num / den``
+        must be a finite float, or it is an error at its first token."""
+        first = self.pos
+        den = "1"
         if self.peek() == "(":
             self.take()
             num = self._int("integer numerator")
             self.take("/")
             den = self._int("integer denominator")
             self.take(")")
-            if den == 0:
-                raise DslSyntaxError(1, 1, "nonzero denominator", "0")
-            return num, den
-        return self._int("integer exponent"), 1
+        else:
+            num = self._int("integer exponent")
+        try:
+            num, den = int(num), int(den)  # ValueError past Python's digit limit
+            if den == 1 and 1 <= num <= 4:
+                return ("^", num)
+            return ("pow", num / den)
+        except ZeroDivisionError:
+            what = "nonzero denominator"
+        except (ValueError, OverflowError):
+            what = "a finite exponent"
+        raise DslSyntaxError(1, self.starts[first] + 1, what,
+                             "".join(self.toks[first:self.pos]))
 
     def _number(self, what: str) -> float:
         """The number literal at the cursor; one that overflows to ``inf``
@@ -258,35 +255,37 @@ class _FnParser(_TokenCursor):
             sign = -1.0
         return sign * self._number(what)
 
-    def atom(self) -> FnExpr:
+    def atom(self) -> None:
         tok = self.peek()
         if tok is None:
             self._err("expression")
-        if tok == "(":
+        if tok in ("(", "sqrt"):
+            if self.depth == MAX_NESTING:
+                self._err(f"at most {MAX_NESTING} nested parentheses")
+            self.depth += 1
             self.take()
-            e = self.expr()
+            if tok == "sqrt":
+                self.take("(")
+            self.expr()
             self.take(")")
-            return e
-        if tok == "t":
+            self.depth -= 1
+            if tok == "sqrt":
+                self.tape.append(("sqrt", None))
+        elif tok == "t":
             self.take()
-            return FnVar()
-        if tok == "sqrt":
-            self.take()
-            self.take("(")
-            e = self.expr()
-            self.take(")")
-            return FnSqrt(e)
-        if tok == "indicator":
+            self.tape.append(("t", None))
+        elif tok == "indicator":
             self.take()
             self.take("(")
             lo = self._signed_number("lower bound")
             self.take(",")
             hi = self._signed_number("upper bound")
             self.take(")")
-            return FnIndicator(lo, hi)
-        if tok[0] in _FN_NAME_START:
+            self.tape.append(("ind", (lo, hi)))
+        elif tok[0] in _FN_NAME_START:
             self._err("t, sqrt, indicator, or a number")
-        return FnConst(self._number("number"))
+        else:
+            self.tape.append(("num", self._number("number")))
 
 
 def parse_fn_expr(text: str) -> FnExpr:
@@ -298,58 +297,36 @@ def parse_fn_expr(text: str) -> FnExpr:
 # static analysis of expressions
 # ---------------------------------------------------------------------------
 
-def _const_value(e: FnExpr, memo: dict) -> Optional[float]:
-    """The value of a constant subexpression, else None; ``memo`` keeps
-    each node's answer (by ``id``), so one decomposition is linear."""
-    if id(e) in memo:
-        return memo[id(e)]
-    v = None
-    if isinstance(e, FnConst):
-        v = e.value
-    elif isinstance(e, FnNeg):
-        a = _const_value(e.arg, memo)
-        v = None if a is None else -a
-    elif isinstance(e, FnBin):
-        a, b = _const_value(e.left, memo), _const_value(e.right, memo)
-        if a is not None and b is not None and not (e.op == "/" and b == 0.0):
-            v = {"+": a + b, "-": a - b, "*": a * b, "/": a / (b or 1.0)}[e.op]
-    memo[id(e)] = v
-    return v
+def _first_reversed(v) -> tuple:
+    """The first reversed indicator ``(lo, hi)`` a reading reaches, or ()."""
+    if type(v) is list:
+        return next((iv for _, iv in v if iv is not None and iv[0] > iv[1]), ())
+    return v if type(v) is tuple else ()
 
 
-def _linear_terms(e: FnExpr, memo: dict) -> Optional[list]:
-    """Decompose into [(coef, Interval-or-None)] terms, or None if not a
-    constant linear combination of indicators."""
-    if isinstance(e, FnIndicator):
-        return [(1.0, make_interval(e.lo, e.hi))]
-    c = _const_value(e, memo)
-    if c is not None:
-        return [(c, None)]
-    if isinstance(e, FnNeg):
-        sub = _linear_terms(e.arg, memo)
-        return None if sub is None else [(-k, iv) for k, iv in sub]
-    if isinstance(e, FnBin):
-        if e.op in ("+", "-"):
-            left, right = _linear_terms(e.left, memo), _linear_terms(e.right, memo)
-            if left is None or right is None:
-                return None
-            sign = 1.0 if e.op == "+" else -1.0
-            return left + [(sign * k, iv) for k, iv in right]
-        if e.op == "*":
-            for const_side, other in ((e.left, e.right), (e.right, e.left)):
-                c = _const_value(const_side, memo)
-                if c is not None:
-                    sub = _linear_terms(other, memo)
-                    if sub is not None:
-                        return [(c * k, iv) for k, iv in sub]
-            return None
-        if e.op == "/":
-            c = _const_value(e.right, memo)
-            if c is None or c == 0.0:
-                return None
-            sub = _linear_terms(e.left, memo)
-            return None if sub is None else [(k / c, iv) for k, iv in sub]
-    return None
+def _terms(v) -> list:
+    return v if type(v) is list else [(v, None)]
+
+
+def _combine(op: str, a, b):
+    """The reading of ``a op b``.  A reading is a constant (a float), a
+    list of ``(coef, (lo, hi) or None)`` terms, or, for neither, a tuple:
+    the first reversed indicator that it passes on, or ()."""
+    if type(a) is float and type(b) is float and not (op == "/" and b == 0.0):
+        return _FOLD[op](a, b)
+    if op in ("+", "-"):
+        if type(a) is tuple or type(b) is tuple:
+            return _first_reversed(a) or _first_reversed(b)
+        sign = 1.0 if op == "+" else -1.0
+        out = _terms(a)    # the left reading is consumed, so it may grow in place
+        out.extend((sign * k, iv) for k, iv in _terms(b))
+        return out
+    if op == "*" and float in (type(a), type(b)):
+        c, other = (a, b) if type(a) is float else (b, a)
+        return other if type(other) is tuple else [(c * k, iv) for k, iv in other]
+    if op == "/" and type(b) is float and b != 0.0:
+        return a if type(a) is tuple else [(k / b, iv) for k, iv in a]
+    return ()
 
 
 def step_literal(e: FnExpr) -> Optional[StepFunction]:
@@ -358,12 +335,36 @@ def step_literal(e: FnExpr) -> Optional[StepFunction]:
     Recognizes constant linear combinations of ``indicator(a,b)`` terms;
     anything else (including nonzero bare constants, which have no finite
     ambient) returns None and callers fall back to numeric evaluation.
-    The function is built in one cut on the terms' endpoints, each cell
-    summing the coefficients of the terms that cover it in term order.
+    One forward pass over the tape reads each stack entry as a constant, a
+    list of linear terms in term order, or neither (see :func:`_combine`);
+    a reversed indicator that a linear reading reaches is an error.  The
+    function is built in one cut on the terms' endpoints, each cell summing
+    the coefficients of the terms that cover it in term order.
     """
-    terms = _linear_terms(e, {})
-    if terms is None:
+    stack = []
+    for op, arg in e.tape:
+        if op == "num":
+            stack.append(arg)
+        elif op == "ind":
+            stack.append([(1.0, arg)])
+        elif op in _BINARY:
+            b = stack.pop()
+            stack.append(_combine(op, stack.pop(), b))
+        elif op == "neg":
+            a = stack.pop()
+            if type(a) is list:
+                a = [(-k, iv) for k, iv in a]
+            stack.append(-a if type(a) is float else a)
+        else:
+            if op != "t":
+                stack.pop()
+            stack.append(())
+    top = stack[0]
+    if type(top) is not list:
+        if type(top) is tuple and top:
+            make_interval(*top)  # raises OrderViolationError
         return None
+    terms = [(k, None if iv is None else make_interval(*iv)) for k, iv in top]
     intervals = [iv for _, iv in terms if iv is not None]
     if not intervals or any(k != 0.0 and iv is None for k, iv in terms):
         return None
@@ -432,22 +433,8 @@ def monotone_pieces(e: FnExpr, domain) -> Optional[list]:
     """
     iv = make_interval(*((domain.lo, domain.hi) if isinstance(domain, Interval)
                          else tuple(domain)))
-    cuts = set()
-
-    def collect(node: FnExpr) -> None:
-        if isinstance(node, FnIndicator):
-            for b in (node.lo, node.hi):
-                if iv.lo < b < iv.hi:
-                    cuts.add(float(b))
-        elif isinstance(node, FnNeg):
-            collect(node.arg)
-        elif isinstance(node, FnBin):
-            collect(node.left)
-            collect(node.right)
-        elif isinstance(node, (FnSqrt, FnPow)):
-            collect(node.arg if isinstance(node, FnSqrt) else node.base)
-
-    collect(e)
+    cuts = {float(b) for op, arg in e.tape if op == "ind"
+            for b in arg if iv.lo < b < iv.hi}
     pts = [iv.lo] + sorted(cuts) + [iv.hi]
     ev = _Evaluator(e)
     pieces = []

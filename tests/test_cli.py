@@ -309,6 +309,36 @@ def test_iposet_add_requires_step_literals(capsys):
     assert rc == 1 and "step-function literal" in err
 
 
+_INDICATOR_SUM = " + ".join(f"indicator({i / 16},{i / 16 + 1})" for i in range(1200))
+_NESTED = "(" * 10 ** 4 + "t" + ")" * 10 ** 4
+_TOO_DEEP = "error: syntax error at line 1, column 101: expected at most 100 nested parentheses, found '('\n"
+
+
+@pytest.mark.parametrize("argv, out, err", [
+    (("integrate", "--fn", _INDICATOR_SUM, "--domain", "0", "76"),
+     "enclosure = [1200.0, 1200.0]  width = 0.0  converged = true\n", ""),
+    (("stieltjes", "--fn", _INDICATOR_SUM, "--domain", "0", "76"), "value = 1200.0\n", ""),
+    (("iposet-add", "--fn", _INDICATOR_SUM, "--first", "0", "2", "--second", "1", "3"),
+     "case = OverlapLeft\nvalue = 56.5\nset = [0.0, 3.0]\n", ""),
+    (("integrate", "--fn", _NESTED, "--domain", "1", "2"), "", _TOO_DEEP),
+    (("stieltjes", "--fn", _NESTED, "--domain", "1", "2"), "", _TOO_DEEP),
+    (("iposet-add", "--fn", _NESTED, "--first", "0", "2", "--second", "1", "3"), "", _TOO_DEEP),
+], ids=[f"{cmd}-{fn}" for fn in ("indicators", "nested") for cmd in ("integrate", "stieltjes", "iposet")])
+def test_deep_expressions_give_a_result_or_one_error_line(argv, out, err):
+    # a fresh process, so no test harness frames sit under the parser
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "stepquiver.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1 if err else 0, out, err)
+
+
+def test_integrate_rejects_an_exponent_that_overflows(capsys):
+    # it used to be reported as a non-finite integrand at the lower endpoint
+    rc, out, err = run_cli(capsys, "integrate", "--fn", "t^" + "9" * 400, "--domain", "1", "2")
+    assert (rc, out) == (1, "")
+    assert err == f"error: syntax error at line 1, column 3: expected a finite exponent, found '{'9' * 400}'\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes and determinism
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from stepquiver import (
     DomainAnnotationMissingError,
     DslSyntaxError,
     DuplicateArrowError,
+    FnExpr,
     Interval,
     NonQuadraticRelationError,
     QuiverDoc,
@@ -33,8 +37,6 @@ from stepquiver import (
     validate_gentle,
     zero_function,
 )
-
-from stepquiver.dsl import FnBin, FnConst, FnNeg, FnPow, FnSqrt, FnVar
 
 from conftest import (
     CORPUS_DIR,
@@ -314,6 +316,27 @@ def test_number_errors_point_at_the_literal(text, col, found):
     assert (exc.value.line, exc.value.col, exc.value.found) == (1, col, found)
 
 
+@pytest.mark.parametrize("exponent, expected", [
+    ("9" * 5000, "a finite exponent"),     # past Python's limit on reading an int
+    ("9" * 400, "a finite exponent"),
+    ("-" + "9" * 400, "a finite exponent"),
+    ("(1" + "0" * 400 + "/3)", "a finite exponent"),
+    ("(1/0)", "nonzero denominator"),
+])
+def test_exponent_errors_point_at_the_exponent(exponent, expected):
+    # num / den must be a finite float, the rule number literals follow
+    with pytest.raises(DslSyntaxError) as exc:
+        parse_fn_expr(f"t^{exponent} + 1")
+    assert (exc.value.col, exc.value.expected, exc.value.found) == (3, expected, exponent)
+
+
+def test_exponents_of_long_integers_with_a_finite_ratio_still_parse():
+    xs = np.linspace(0.25, 4.0, 101)
+    big = "1" + "0" * 400
+    assert np.array_equal(parse_fn_expr(f"t^({big}/{big})")(xs), np.power(xs, 1.0))
+    assert np.array_equal(parse_fn_expr(f"t^(1/{big})")(xs), np.ones_like(xs))
+
+
 @pytest.mark.parametrize("text, col", [
     ("indicator", 10), ("sqrt", 5), ("t +", 4), ("(t", 3), ("", 1),
 ])
@@ -331,18 +354,23 @@ def test_unary_minus_binds_looser_than_power():
 
 def _walk_with_full_constants(e, t):
     """``e(t)`` with every constant an ``np.full`` array, as a reference."""
-    if isinstance(e, FnConst):
-        return np.full(np.shape(t), e.value, dtype=float)
-    if isinstance(e, FnBin):
-        op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}[e.op]
-        return op(_walk_with_full_constants(e.left, t), _walk_with_full_constants(e.right, t))
-    if isinstance(e, FnPow):  # the package's own power, applied to the walked base
-        return FnPow(FnVar(), e.num, e.den)(_walk_with_full_constants(e.base, t))
-    if isinstance(e, FnNeg):
-        return -_walk_with_full_constants(e.arg, t)
-    if isinstance(e, FnSqrt):
-        return np.sqrt(_walk_with_full_constants(e.arg, t))
-    return e(t)
+    binary = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}
+    stack = []
+    for op, arg in e.tape:
+        if op == "num":
+            stack.append(np.full(np.shape(t), arg, dtype=float))
+        elif op in binary:
+            b, a = stack.pop(), stack.pop()
+            stack.append(binary[op](a, b))
+        elif op in ("^", "pow"):  # the package's own power, applied to the walked base
+            stack.append(FnExpr((("t", None), (op, arg)))(stack.pop()))
+        elif op == "neg":
+            stack.append(-stack.pop())
+        elif op == "sqrt":
+            stack.append(np.sqrt(stack.pop()))
+        else:
+            stack.append(FnExpr(((op, arg),))(t))
+    return stack[0]
 
 
 @pytest.mark.parametrize("text", [
@@ -383,6 +411,61 @@ def test_rational_arithmetic_matches_python(a, b, c):
     e = parse_fn_expr(f"({a}) + ({b}) * t / {c}")
     for t in (-1.0, 0.0, 0.5, 2.0):
         assert float(e(t)) == pytest.approx(a + b * t / c, rel=1e-15)
+
+
+DEEP = 10 ** 4
+GRID = np.linspace(0.5, 2.0, 129)   # dyadic points: sums of 10^4 of them are exact
+
+
+def _deep_indicator_terms():
+    """10^4 ``(coef, a, b)`` on the 1/16 grid, the first with a = 0: every
+    sum and the step integral are exact floats."""
+    rng = random.Random(16)
+    starts = [0.0] + [rng.randint(0, 512) / 16 for _ in range(DEEP - 1)]
+    return [(rng.randint(-32, 32) / 4, a, a + rng.randint(1, 64) / 16) for a in starts]
+
+
+def _deep_case(kind):
+    """(text, values on GRID, monotone domain, its expected pieces)."""
+    if kind == "t_sum":
+        return " + ".join(["t"] * DEEP), DEEP * GRID, (0.5, 2.0), [Interval(0.5, 2.0)]
+    if kind == "negations":
+        return "-" * DEEP + "t", GRID, (0.5, 2.0), [Interval(0.5, 2.0)]
+    if kind == "product":
+        want = functools.reduce(operator.mul, [GRID] * 1000)
+        return "*".join(["t"] * 1000), want, (0.5, 2.0), [Interval(0.5, 2.0)]
+    terms = _deep_indicator_terms()
+    text = " + ".join(f"{k}*indicator({a},{b})" for k, a, b in terms)
+    want = functools.reduce(operator.add, [k * ((GRID >= a) & (GRID <= b)) for k, a, b in terms])
+    # the cut at 0 is read off the tape; this window keeps the sampling to
+    # two chunks, as the cost of sampling grows with the cuts in the domain
+    return text, want, (-1.0, 0.03), [Interval(-1.0, 0.0), Interval(0.0, 0.03)]
+
+
+@pytest.mark.parametrize("kind", ["t_sum", "indicator_sum", "negations", "product"])
+def test_deep_expressions_parse_evaluate_and_analyse(kind):
+    # 10^4 terms or negations, 10^3 factors: the tape has no recursion
+    text, want, domain, pieces = _deep_case(kind)
+    e = parse_fn_expr(text)
+    got = e(GRID)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert float(e(float(GRID[64]))) == float(want[64])    # a scalar point
+    assert monotone_pieces(e, domain) == pieces
+    step = step_literal(e)
+    if kind != "indicator_sum":
+        assert step is None
+        return
+    exact = sum(Fraction(k) * (Fraction(b) - Fraction(a)) for k, a, b in _deep_indicator_terms())
+    assert integrate_step(step) == exact
+
+
+def test_nesting_past_the_cap_points_at_the_opening_token():
+    for opening, col in (("(", 101), ("sqrt(", 501)):
+        for depth in (101, DEEP):
+            with pytest.raises(DslSyntaxError) as exc:
+                parse_fn_expr(opening * depth + "t" + ")" * depth)
+            assert (exc.value.col, exc.value.found) == (col, opening[:-1] or "(")
+        assert float(parse_fn_expr(opening * 100 + "t" + ")" * 100)(1.0)) == 1.0
 
 
 # ---------------------------------------------------------------------------
