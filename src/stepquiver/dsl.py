@@ -45,7 +45,7 @@ from .errors import DomainAnnotationMissingError, DslSyntaxError
 from .integrate import _Evaluator, _monotone_runs
 from .measure import Interval, box1, make_interval
 from .qv import _TokenCursor
-from .stepfn import StepFunction, _from_cells
+from .stepfn import StepFunction, _summed
 
 TRUNCATE_EPS = 1e-8
 MAX_NESTING = 100
@@ -369,12 +369,11 @@ def step_literal(e: FnExpr) -> Optional[StepFunction]:
     if not intervals or any(k != 0.0 and iv is None for k, iv in terms):
         return None
     ambient = box1(min(iv.lo for iv in intervals), max(iv.hi for iv in intervals))
-    xs = np.unique([x for iv in intervals for x in (iv.lo, iv.hi)])
-    ys = np.zeros(len(xs) - 1)
-    for k, iv in terms:
-        if iv is not None:      # overlapping terms add up
-            ys[np.searchsorted(xs, iv.lo):np.searchsorted(xs, iv.hi)] += k
-    return _from_cells(ambient, xs, ys)
+    ends = np.array([(iv.lo, iv.hi) for iv in intervals])
+    # a non-finite cell is reported by _summed, not warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _summed(ambient, ends[:, :1], ends[:, 1:],
+                       np.array([k for k, iv in terms if iv is not None], dtype=float))
 
 
 def _finite_at(e: FnExpr, x: float) -> bool:

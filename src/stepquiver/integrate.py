@@ -1,8 +1,8 @@
-"""Integration: exact step-function integrals and certified enclosures.
+"""Integration: step-function integrals and certified enclosures.
 
-The exact layer (:func:`integrate_step`) is plain arithmetic.  The numeric
-layer brackets integrals of ordinary evaluators between a lower and an
-upper sum:
+The step layer (:func:`integrate_step`) is plain binary64 arithmetic.
+The numeric layer brackets integrals of ordinary evaluators between a
+lower and an upper sum:
 
 * :func:`integrate_enclosure` — Darboux min/max sums on declared monotone
   pieces.
@@ -68,8 +68,8 @@ from .errors import (
     OutOfDomainError,
     ToleranceUnreachedError,
 )
-from .measure import Interval, StieltjesMeasure, make_interval
-from .stepfn import Region, StepFunction, _clip, region_boxes
+from .measure import Box, Interval, StieltjesMeasure, make_interval
+from .stepfn import Region, StepFunction, _clipped, _measures, region_boxes
 
 CELL_BUDGET = 1 << 24
 # uniform sub-cells of the grid a cell rule lays inside every cell
@@ -137,50 +137,40 @@ class Enclosure:
 
 
 # ---------------------------------------------------------------------------
-# exact integration of step functions
+# integration of step functions
 # ---------------------------------------------------------------------------
 
 def integrate_step(f: StepFunction, region: Optional[Region] = None) -> float:
-    """``Σ_i k_i * μ(X_i ∩ region)``, exact arithmetic; default region is
-    the full ambient box.  The terms are added left to right, piece by
-    piece and, within a piece, region box by region box."""
+    """``Σ_i k_i * μ(X_i ∩ region)``; default region is the full ambient
+    box.  The terms are added left to right in binary64, piece by piece
+    and, within a piece, region box by region box: exact whenever every
+    product and partial sum is representable, as on dyadic data.  A sum
+    that overflows raises :class:`NonFiniteError`."""
     if region is None:
         boxes = (f.ambient,)
     else:
-        boxes = region_boxes(region, f.dim) if not _is_empty_region(region) else ()
+        boxes = region_boxes(region, f.dim)
         for rb in boxes:
             if not f.ambient.contains_box(rb):
                 raise AmbientMismatchError(
                     f"region {rb.to_json()} escapes ambient {f.ambient.to_json()}"
                 )
-    if f.xs is not None:
-        # the region's boxes are sorted and almost disjoint, so their clips
-        # end to end list the terms in that order (gaps add 0.0)
-        terms = []
-        for rb in boxes:
-            if not rb.is_degenerate():
-                xs, ys = _clip(f, rb.factors[0].lo, rb.factors[0].hi)
-                terms.append(ys * np.diff(xs))
-        return float(_running_sum(terms)[-1])
-    total = 0.0
-    for b, k in f.pieces:
-        for rb in boxes:
-            cap = b.intersect(rb)
-            if cap is not None:
-                total += k * cap.measure
-    return total
+    i, lo, hi = _clipped(f, boxes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_running_sum([f.k[i] * _measures(lo, hi)])[-1:], "integral")[0]
+
+
+def _finite(values: np.ndarray, what: str) -> list:
+    """``values`` as Python floats, once none has overflowed."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"the step-function {what} overflows binary64")
+    return values.tolist()
 
 
 def _running_sum(terms: list) -> np.ndarray:
     """``0.0`` and the partial sums of the concatenated ``terms``, added one
     at a time as a Python loop would (not numpy's pairwise ``np.sum``)."""
     return np.cumsum(np.concatenate(([0.0], *terms)))
-
-
-def _is_empty_region(region) -> bool:
-    from .measure import MeasurableSet
-
-    return isinstance(region, MeasurableSet) and not region.boxes
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +477,12 @@ def convex_primitive(f: Callable, base) -> Primitive:
 
 @dataclass(frozen=True)
 class VarIntegralFn:
-    """``x ↦ ∫_base^x f dμ`` stored as breakpoints and exact node values.
+    """``x ↦ ∫_base^x f dμ`` stored as breakpoints and node values.
 
-    Piecewise linear and continuous; node values are exact sums of the
-    step-function increments, so evaluation at any breakpoint is exact.
+    Piecewise linear and continuous.  The node values are left-to-right
+    binary64 sums of the step-function increments, exact whenever every
+    product and partial sum is representable (as on dyadic data), and
+    evaluation at a breakpoint returns its node value.
     """
 
     base: float
@@ -524,28 +516,35 @@ class VarIntegralFn:
 
 
 def var_upper_integral(f: StepFunction, c: float) -> VarIntegralFn:
-    """The continuous function ``x ↦ ∫_c^x f`` for a 1-dimensional ``f``."""
+    """The continuous function ``x ↦ ∫_c^x f`` for a 1-dimensional ``f``.
+
+    Its nodes are the breakpoints of ``f`` (ambient ends and gaps
+    included), and its node values the left-to-right binary64 sums of the
+    cells' ``k · (b − a)``; a node that overflows raises
+    :class:`NonFiniteError`."""
     if f.dim != 1:
         raise DimensionMismatchError("variable-upper-limit integrals are one-dimensional")
     amb = f.ambient.factors[0]
     if float(c) != amb.lo:
         raise AmbientMismatchError(f"base {c} is not the ambient lower endpoint {amb.lo}")
-    xs = f.xs.tolist()
+    # the cells between the ambient ends and the piece ends, empty ones dropped
+    pts = np.concatenate(([amb.lo], np.stack((f.lo[:, 0], f.hi[:, 0]), axis=1).ravel(),
+                          [amb.hi])) + 0.0
+    vals = np.zeros(len(pts) - 1)
+    vals[1::2] = f.k
+    full = pts[1:] > pts[:-1]
+    xs = np.append(pts[:-1][full], pts[-1]).tolist()
     xs[0], xs[-1] = amb.lo, amb.hi      # an ambient built from ints keeps its ints
-    ys = _running_sum([f.ys * np.diff(f.xs)]).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = _finite(_running_sum([vals[full] * np.diff(pts)[full]]), "integral node")
     return VarIntegralFn(base=amb.lo, xs=tuple(xs), ys=tuple(ys))
 
 
 def _nonzero_cells(f: StepFunction, lo, hi) -> list:
-    """``(a, b, k)`` left to right for the nonzero cells of a 1-D ``f``
-    clipped to ``[lo, hi]``.  Ties keep ``lo``/``hi`` themselves."""
-    lo, hi = max(lo, float(f.xs[0])), min(hi, float(f.xs[-1]))
-    if not lo < hi:
-        return []
-    xs, ys = _clip(f, lo, hi)
-    xs = xs.tolist()
-    xs[0], xs[-1] = lo, hi
-    return [(a, b, k) for a, b, k in zip(xs, xs[1:], ys.tolist()) if k != 0.0]
+    """``(a, b, k)`` left to right for the pieces of a 1-D ``f`` clipped to
+    ``[lo, hi]``, where the clip has positive length."""
+    i, a, b = _clipped(f, (Box((Interval(lo, hi),)),))
+    return list(zip(a[:, 0].tolist(), b[:, 0].tolist(), f.k[i].tolist()))
 
 
 def eta(F: VarIntegralFn, G: VarIntegralFn, domain) -> VarIntegralFn:

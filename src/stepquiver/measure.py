@@ -14,25 +14,23 @@ types here.  Two design points worth knowing:
   ``(a, b) -> a*x + b`` whose coefficients are dyadic rationals, so up to
   depth 40 every endpoint is an exact binary64 value and tilings telescope
   with ``==`` rather than tolerance.
-* Finite unions of boxes, and step functions of two or more dimensions,
-  get their canonical form from one pair: :func:`grid_cells` cuts the
-  non-degenerate boxes on their common endpoint grid into cells named by
-  index tuples, and :func:`merge_cells` merges equal-valued runs axis by
-  axis and builds boxes only for the result.  Two non-degenerate boxes
-  overlap with positive measure exactly when they share a cell; degenerate
-  boxes are exempt, so they may touch or repeat.
-* numpy is imported only by the Lebesgue–Stieltjes helpers at the end
-  (:meth:`StieltjesMeasure.check_monotone`, :func:`log_power_measure`,
-  :func:`identity_measure`); the box layer loads without it.
+* Step functions, in every dimension, are stored as corner arrays: row
+  ``i`` of the (m, n) arrays ``lo`` and ``hi`` is one piece.  Finite unions
+  of boxes pass through the same arrays, and one canonicaliser serves both.  :func:`cut` cuts the
+  non-degenerate boxes on their common per-axis endpoint grid into cells
+  numbered by integer keys, and :func:`merge` merges equal-valued runs axis
+  by axis with one lexsort per axis.  Two non-degenerate boxes overlap with
+  positive measure exactly when they share a cell; degenerate boxes are
+  exempt, so they may touch or repeat.  No ``Box`` is built on the way.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DepthTooLargeError,
@@ -183,16 +181,16 @@ class MeasurableSet:
     boxes: tuple[Box, ...]
 
     def __post_init__(self):
-        bs = tuple(sorted(self.boxes, key=Box.sort_key))
-        object.__setattr__(self, "boxes", bs)
-        if bs:
-            d = bs[0].dim
-            for b in bs[1:]:
-                if b.dim != d:
-                    raise DimensionMismatchError("mixed box dimensions in one set")
-            grid_cells([(b, None) for b in bs if not b.is_degenerate()],
-                       overlap_error("boxes overlap with positive measure; "
-                                     "normalize_set them first"))
+        boxes = tuple(self.boxes)
+        if len({len(b.factors) for b in boxes}) > 1:
+            raise DimensionMismatchError("mixed box dimensions in one set")
+        lo, hi = box_arrays(boxes, boxes[0].dim if boxes else 1)
+        # the order of Box.sort_key, stable as sorted() is
+        order = np.lexsort([c for a, b in zip(lo.T[::-1], hi.T[::-1]) for c in (b, a)])
+        object.__setattr__(self, "boxes", tuple(boxes[i] for i in order.tolist()))
+        solid = (lo < hi).all(axis=1)
+        cut(lo[solid], hi[solid], np.ones(solid.sum()),
+            "boxes overlap with positive measure; normalize_set them first")
 
     @property
     def dim(self) -> int:
@@ -210,121 +208,158 @@ def measurable_set(boxes: Iterable[Box]) -> MeasurableSet:
     return MeasurableSet(tuple(boxes))
 
 
-def overlap_error(message: str) -> Callable:
-    """A ``repeat`` for :func:`grid_cells` that rejects every shared cell."""
-    def repeat(old, new):
-        raise OrderViolationError(message)
-    return repeat
+def box_arrays(boxes: Sequence[Box], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of boxes of dimension ``dim``, one row each."""
+    ivs = [iv for b in boxes for iv in b.factors]
+    return (np.array([iv.lo for iv in ivs], dtype=float).reshape(-1, dim),
+            np.array([iv.hi for iv in ivs], dtype=float).reshape(-1, dim))
 
 
-def grid_cells(items: Sequence[tuple[Box, object]], repeat: Callable):
-    """Cut non-degenerate ``(box, value)`` items on their common endpoint grid.
+def boxes_of(lo: np.ndarray, hi: np.ndarray) -> list[Box]:
+    """The boxes with corners ``lo[i]`` and ``hi[i]``, as Python floats."""
+    return [Box(tuple(map(Interval, a, b))) for a, b in zip(lo.tolist(), hi.tolist())]
 
-    Returns ``(grids, cells)``.  ``grids[ax]`` holds the sorted distinct
-    endpoints on axis ``ax``, stored as ``x + 0.0`` so no grid point is
-    ``-0.0``.  ``cells`` maps the index tuple of every grid cell a box
-    covers (index ``i`` spans ``grids[ax][i]`` to ``grids[ax][i + 1]``) to
-    its value, in the order the items cover them; a cell covered again gets
-    ``repeat(old, new)``.  No ``Interval`` or ``Box`` is built.
+
+def spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``start[t], ..., start[t] + count[t] - 1`` for every ``t``, concatenated."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+CUT_CHUNK = 1 << 20     # cells expanded per round: heavily overlapping inputs stay small
+
+
+def cut(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, repeat: str):
+    """Cut non-degenerate boxes, corners ``lo[i]`` and ``hi[i]`` and value
+    ``vals[i]``, on their common endpoint grid.
+
+    Returns ``(grids, cells, values)``.  ``grids[ax]`` holds the sorted
+    distinct endpoints on axis ``ax``, stored as ``x + 0.0`` so no grid point
+    is ``-0.0``.  ``cells`` holds the index tuple of every grid cell a box
+    covers (index ``i`` spans ``grids[ax][i]`` to ``grids[ax][i + 1]``), one
+    row each in lexicographic order, and ``values`` their values.  A cell
+    covered again gets, by ``repeat``: ``"sum"``, the values added in box
+    order; ``"first"``, the first box's value; any other string, an
+    :class:`OrderViolationError` with that message.
+
+    Each box's cells are numbered in mixed radix, so the cells are integer
+    keys and one stable sort finds the repeats.  Boxes that cover more
+    cells than the grid has must overlap, which rejects them uncut.
     """
-    if not items:
-        return [], {}
-    dim = items[0][0].dim
-    if any(b.dim != dim for b, _ in items):
-        raise DimensionMismatchError("mixed box dimensions")
-    grids = [sorted({x + 0.0 for b, _ in items for x in (b.factors[ax].lo, b.factors[ax].hi)})
-             for ax in range(dim)]
-    where = [{x: i for i, x in enumerate(g)} for g in grids]
-    cells: dict = {}
-    for b, v in items:
-        spans = [range(w[f.lo], w[f.hi]) for f, w in zip(b.factors, where)]
-        for key in itertools.product(*spans):
-            cells[key] = repeat(cells[key], v) if key in cells else v
-    return grids, cells
+    m, n = lo.shape
+    grids = [np.unique(np.concatenate((lo[:, ax], hi[:, ax])) + 0.0) for ax in range(n)]
+    if not m:
+        return grids, np.zeros((0, n), dtype=np.int64), vals
+    first = np.stack([g.searchsorted(lo[:, ax]) for ax, g in enumerate(grids)], axis=1)
+    width = np.stack([g.searchsorted(hi[:, ax]) for ax, g in enumerate(grids)], axis=1) - first
+    sides = [len(g) - 1 for g in grids]
+    stride = np.cumprod([1] + sides[:0:-1])[::-1]
+    count = width.prod(axis=1)
+    total = int(count.sum())
+    if repeat not in ("sum", "first") and total > math.prod(sides):
+        raise OrderViolationError(repeat)
+    keys, values = np.zeros(0, dtype=np.int64), vals[:0]
+    step = max(1, m * CUT_CHUNK // total)      # boxes per chunk
+    for a in range(0, m, step):
+        part = count[a:a + step]
+        box = np.repeat(np.arange(a, a + len(part)), part)
+        r = spans(np.zeros(len(part), dtype=np.int64), part)
+        key = np.zeros(len(box), dtype=np.int64)
+        for ax in reversed(range(n)):
+            key += (first[box, ax] + r % width[box, ax]) * stride[ax]
+            r //= width[box, ax]
+        keys, head, where = np.unique(np.concatenate((keys, key)), return_index=True,
+                                      return_inverse=True)
+        values = np.concatenate((values, vals[box]))
+        if repeat == "sum":     # bincount adds each cell's values in box order
+            values = np.bincount(where, weights=values, minlength=len(keys))
+        elif len(keys) == len(values) or repeat == "first":
+            values = values[head]
+        else:
+            raise OrderViolationError(repeat)
+    return grids, keys[:, None] // stride % sides, values
 
 
-def merge_cells(grids: list, cells: dict) -> list:
-    """Merge the :func:`grid_cells` of equal value along axis 0, then axis 1,
+def merge(grids: list, cells: np.ndarray, vals: np.ndarray):
+    """Merge the :func:`cut` cells of equal value along axis 0, then axis 1,
     and on: two runs merge when their values compare equal, they meet on
     that axis and their spans on every other axis coincide.
 
-    Runs are per-axis index spans; ``Interval`` and ``Box`` objects are
-    built only for the merged pieces, returned as ``(Box, value)``.  The
-    sort for the last axis orders the runs by their spans, so the pieces
-    come out sorted by :meth:`Box.sort_key`.
+    Returns the merged boxes as corner arrays ``lo``, ``hi`` and their
+    values.  The sort for the last axis orders the runs by their spans, so
+    the boxes come out sorted by :meth:`Box.sort_key`.
     """
-    runs = [(tuple((i, i + 1) for i in key), v) for key, v in cells.items()]
-    for ax in range(len(grids)):
-        runs.sort(key=lambda r: (r[0][:ax] + r[0][ax + 1:], r[0][ax]))
-        out: list = []
-        for spans, v in runs:
-            if out:
-                last, lv = out[-1]
-                if (lv == v and last[ax][1] == spans[ax][0]
-                        and last[:ax] == spans[:ax] and last[ax + 1:] == spans[ax + 1:]):
-                    out[-1] = (last[:ax] + ((last[ax][0], spans[ax][1]),) + last[ax + 1:], v)
-                    continue
-            out.append((spans, v))
-        runs = out
-    return [(Box(tuple(Interval(g[lo], g[hi]) for g, (lo, hi) in zip(grids, spans))), v)
-            for spans, v in runs]
+    n = cells.shape[1]
+    if not len(vals):
+        return np.zeros((0, n)), np.zeros((0, n)), vals
+    lo, hi = cells, cells + 1
+    for ax in range(n):
+        others = [j for j in range(n) if j != ax]
+        order = np.lexsort([lo[:, ax]] + [c for j in others[::-1] for c in (hi[:, j], lo[:, j])])
+        lo, hi, vals = lo[order], hi[order], vals[order]
+        joins = (vals[1:] == vals[:-1]) & (hi[:-1, ax] == lo[1:, ax])
+        for j in others:
+            joins &= (lo[1:, j] == lo[:-1, j]) & (hi[1:, j] == hi[:-1, j])
+        start = np.flatnonzero(np.concatenate(([True], ~joins)))
+        end = hi[np.append(start[1:], len(vals)) - 1, ax]
+        lo, hi, vals = lo[start], hi[start], vals[start]
+        hi[:, ax] = end
+    return (np.stack([g[lo[:, ax]] for ax, g in enumerate(grids)], axis=1),
+            np.stack([g[hi[:, ax]] for ax, g in enumerate(grids)], axis=1), vals)
 
 
 def normalize_set(boxes: Iterable[Box]) -> MeasurableSet:
     """Canonical form of a finite union of boxes (union semantics).
 
-    The non-degenerate boxes are cut on their common endpoint grid, each
-    covered cell counted once, and merged along axis 0, then axis 1, and so
-    on.  The result is measure-preserving and sorted, e.g. ``{[0,2], [1,3]}
-    -> {[0,3]}``.  A degenerate box is kept unless a box kept before it
-    contains it.  They are checked in the order of the per-axis key
-    ``(lo, -hi)``, which puts each box after every box containing it, so the
-    result depends only on the boxes given, not their order, and is idempotent.
+    The non-degenerate boxes are :func:`cut` on their common endpoint grid,
+    each covered cell counted once, and merged along axis 0, then axis 1,
+    and so on.  The result is measure-preserving and sorted, e.g. ``{[0,2],
+    [1,3]} -> {[0,3]}``.  A degenerate box is kept unless one of the merged
+    boxes or another degenerate box contains it; of equal degenerate boxes
+    the first given is kept.  So the result depends only on the boxes
+    given, not their order, and is idempotent.
 
-    Each check looks up a few grid cells rather than every kept box: a
-    merged box containing a degenerate box ``d`` owns the cell just above
-    ``d``'s lower corner on every axis where ``d`` has length, and one of
-    the two cells beside it on every other axis.  A kept degenerate box
-    ``e`` can contain ``d`` only if ``d`` is degenerate on each axis ``e``
-    is, at the same coordinate, so kept degenerate boxes are filed by those
-    axes and coordinates.
+    Each containment test looks only at the boxes whose axis-0 spans meet
+    the degenerate box's (:func:`meeting_pairs`), not at every box.
     """
     raw = list(boxes)
-    solid = [(b, True) for b in raw if not b.is_degenerate()]
-    grids, cells = grid_cells(solid, lambda old, new: old)
-    keep = [b for b, _ in merge_cells(grids, cells)]
-    flat = sorted((b for b in raw if b.is_degenerate()),
-                  key=lambda b: [(iv.lo, -iv.hi) for iv in b.factors])
-    if not flat:
-        return MeasurableSet(tuple(keep))
-    owner = {}
-    where = [{x: i for i, x in enumerate(g)} for g in grids]
-    for k in keep:
-        spans = [range(w[f.lo], w[f.hi]) for f, w in zip(k.factors, where)]
-        owner.update(dict.fromkeys(itertools.product(*spans), k))
-    filed: dict = {}
-    for d in flat:
-        thin = [ax for ax, f in enumerate(d.factors) if f.is_degenerate()]
-        near = [_cells_beside(g, f) for g, f in zip(grids, d.factors)]
-        if any(k is not None and k.contains_box(d)
-               for k in map(owner.get, itertools.product(*near))):
-            continue
-        flats = [(axes, tuple(d.factors[ax].lo for ax in axes))
-                 for r in range(1, len(thin) + 1) for axes in itertools.combinations(thin, r)]
-        if any(e.contains_box(d) for key in flats for e in filed.get(key, ())):
-            continue
-        keep.append(d)
-        filed.setdefault(flats[-1], []).append(d)
-    return MeasurableSet(tuple(keep))
+    if len({b.dim for b in raw}) > 1:
+        mixed = len({b.dim for b in raw if not b.is_degenerate()}) > 1
+        raise DimensionMismatchError("mixed box dimensions" + ("" if mixed else " in one set"))
+    lo, hi = box_arrays(raw, raw[0].dim if raw else 1)
+    solid = (lo < hi).all(axis=1)
+    flat = np.flatnonzero(~solid)
+    merged_lo, merged_hi, _ = merge(*cut(lo[solid], hi[solid], np.ones(solid.sum()), "first"))
+    _, first = np.unique(np.concatenate((lo[flat], hi[flat]), axis=1) + 0.0, axis=0,
+                         return_index=True)
+    flat = flat[first]      # each degenerate box once, sorted by lower corner
+    flo, fhi = lo[flat], hi[flat]
+    dropped = np.zeros(len(flat), dtype=bool)
+    for big_lo, big_hi, same in ((merged_lo, merged_hi, False), (flo, fhi, True)):
+        i, j = meeting_pairs(big_lo, big_hi, flo, fhi, strict=False)
+        holds = (big_lo[i] <= flo[j]).all(axis=1) & (fhi[j] <= big_hi[i]).all(axis=1)
+        dropped[j[holds & (i != j) if same else holds]] = True
+    return MeasurableSet(tuple(boxes_of(merged_lo, merged_hi)
+                               + [raw[t] for t in flat[~dropped].tolist()]))
 
 
-def _cells_beside(grid: list, iv: Interval) -> list:
-    """Indices of the grid cells a box containing ``iv`` must own one of:
-    the cell just above ``iv.lo`` when ``iv`` has length; otherwise the
-    cell holding the point, or the two cells beside it on a grid line."""
-    i = bisect.bisect_right(grid, iv.lo)
-    near = [i - 1] if iv.lo < iv.hi or grid[i - 1] != iv.lo else [i - 2, i - 1]
-    return [j for j in near if 0 <= j < len(grid) - 1]
+def meeting_pairs(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray, qhi: np.ndarray,
+                  strict: bool, reach: Optional[np.ndarray] = None):
+    """Candidate index pairs ``(i, j)``, query by query, of boxes
+    ``lo[i] .. hi[i]`` (sorted by lower corner) and query boxes
+    ``qlo[j] .. qhi[j]``: every pair whose axis-0 spans meet (with positive
+    length when ``strict``) is among them, and callers test every axis.
+
+    Two binary searches bound each query's window: the boxes starting
+    before its upper end, less those before the first whose running
+    maximum upper end ``reach`` (computed when not given) passes its lower
+    end.  For disjoint intervals the window holds exactly those meeting it.
+    """
+    if reach is None:
+        reach = np.maximum.accumulate(hi[:, 0])
+    before, after = ("right", "left") if strict else ("left", "right")
+    start = np.searchsorted(reach, qlo[:, 0], before)
+    count = np.maximum(np.searchsorted(lo[:, 0], qhi[:, 0], after) - start, 0)
+    return spans(start, count), np.repeat(np.arange(len(count)), count)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +481,6 @@ class StieltjesMeasure:
     def check_monotone(self, iv: Interval) -> None:
         if iv.is_degenerate():
             return
-        import numpy as np
-
         xs = np.linspace(iv.lo, iv.hi, MONOTONE_SAMPLES)
         # a non-finite sample raises NonFiniteError just below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -470,8 +503,6 @@ def log_power_measure(l: float) -> StieltjesMeasure:
     cross-checked against a certified enclosure.  Both accept a float or an
     ndarray, so quadrature evaluates them a whole grid at a time.
     """
-    import numpy as np
-
     return StieltjesMeasure(
         phi=lambda x: l * np.log(x),
         phi_prime=lambda x: l / x,
@@ -481,8 +512,6 @@ def log_power_measure(l: float) -> StieltjesMeasure:
 
 def identity_measure() -> StieltjesMeasure:
     """``phi(t) = t``: plain Lebesgue integration as a Stieltjes measure."""
-    import numpy as np
-
     return StieltjesMeasure(phi=lambda x: x,
                             phi_prime=lambda x: np.ones_like(x, dtype=float),
                             label="t")

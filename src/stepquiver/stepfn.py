@@ -6,34 +6,30 @@ measure-zero concern: every operation here is an almost-everywhere notion,
 and :func:`eval_step` only fixes a deterministic diagnostic rule for
 boundary points (never used by integration).
 
-Canonical form in one dimension: two numpy arrays, ``xs``, the sorted
-breakpoints from the ambient's lower endpoint to its upper one, and ``ys``,
-the value on each cell ``[xs[i], xs[i + 1]]``, with gaps stored as ``0.0``
-and no two neighbouring cells of equal value.  Construction sorts the
-pieces and sweeps them once (two pieces that overlap with positive measure
-are rejected); :func:`linear_combine` merges both breakpoint arrays and sums
-both operands on each cell; :func:`restrict`, :func:`locate` and the exact
-integrals of :mod:`stepquiver.integrate` find their cells by binary search.
+Canonical form, in every dimension: the nonzero pieces as three read-only
+numpy arrays, corners ``lo`` and ``hi`` of shape (m, n) and values ``k``,
+sorted by :meth:`Box.sort_key`.  Zero coefficients and degenerate boxes are
+dropped, the rest are cut on the common per-axis endpoint grid (two pieces
+sharing a grid cell overlap and are rejected), and adjacent cells of equal
+value are merged axis by axis, all by :func:`~stepquiver.measure.cut` and
+:func:`~stepquiver.measure.merge`.  :func:`linear_combine` sums both
+operands in one cut, :func:`restrict` and the exact integrals of
+:mod:`stepquiver.integrate` clip the piece arrays to each region box, and
+:func:`juxtapose` maps each entry's arrays affinely.  The pieces are sorted
+by lower corner, so the running maximum of their upper ends on axis 0
+bounds by binary search the pieces a point or box can meet (exactly, in one
+dimension).
 
-Functions of two or more dimensions keep the box path: zero coefficients
-and degenerate boxes are dropped, the rest are cut on the common
-per-coordinate endpoint grid (two pieces sharing a grid cell overlap and
-are rejected), and adjacent cells with equal coefficients are merged axis
-by axis, all by the canonicaliser of :mod:`stepquiver.measure`;
-:func:`linear_combine` sums both operands in one cut.
-
-In every dimension, two step functions equal almost everywhere have
-identical canonical forms, which makes ``==`` (and hashing) meaningful, and
-``f.pieces`` is the tuple of nonzero ``(Box, coeff)`` pieces sorted by
-:meth:`Box.sort_key`, with Python floats.  A one-dimensional function builds
-it from its arrays on first read and keeps it, so a chain of operations
-that never reads it builds no boxes.
+Two step functions equal almost everywhere have identical arrays, which
+makes ``==`` (and hashing) meaningful.  ``f.pieces`` is the tuple of
+nonzero ``(Box, coeff)`` pieces in that order, with Python floats, built on
+first read and kept, so a chain of operations that never reads it builds
+no boxes.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence, Union
 
@@ -52,9 +48,11 @@ from .measure import (
     DyadicScheme,
     Interval,
     MeasurableSet,
-    grid_cells,
-    merge_cells,
-    overlap_error,
+    box_arrays,
+    boxes_of,
+    cut,
+    meeting_pairs,
+    merge,
 )
 
 Point = Union[float, Sequence[float]]
@@ -84,7 +82,7 @@ def region_boxes(region: Region, dim: int) -> tuple[Box, ...]:
     raise TypeError(f"unsupported region type: {type(region).__name__}")
 
 
-_OVERLAP = overlap_error("pieces overlap with positive measure; combine them via linear_combine")
+_OVERLAP = "pieces overlap with positive measure; combine them via linear_combine"
 
 
 def _check_coeff(k: float) -> None:
@@ -95,23 +93,14 @@ def _check_coeff(k: float) -> None:
 class StepFunction:
     """``Σ k_i * 1_{X_i}`` with disjoint piece boxes inside ``ambient``.
 
-    Immutable.  A one-dimensional function keeps its canonical form in the
-    read-only arrays ``xs`` (breakpoints) and ``ys`` (cell values); both are
-    None in higher dimensions, where ``pieces`` is the canonical form.
+    Immutable.  The canonical form is the read-only arrays ``lo`` and ``hi``
+    (piece corners, one row per piece) and ``k`` (piece values).
     """
 
     def __init__(self, ambient: Box, pieces: Sequence[tuple[Box, float]] = ()):
         if isinstance(ambient, Interval):
             ambient = Box((ambient,))
-        if ambient.dim == 1:
-            _init(self, ambient, *_sweep(ambient, tuple(pieces)), None)
-            return
-        cleaned = []
-        for b, k in pieces:
-            k = _checked(ambient, b, k)
-            if k != 0.0 and not b.is_degenerate():
-                cleaned.append((b, k))
-        _init(self, ambient, None, None, tuple(merge_cells(*grid_cells(cleaned, _OVERLAP))))
+        _build(self, ambient, *_piece_arrays(ambient, tuple(pieces)), _OVERLAP)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -122,9 +111,8 @@ class StepFunction:
     @property
     def pieces(self) -> tuple[tuple[Box, float], ...]:
         if self._pieces is None:
-            xs, ys = self.xs.tolist(), self.ys.tolist()
-            object.__setattr__(self, "_pieces", tuple(
-                (Box((Interval(a, b),)), k) for a, b, k in zip(xs, xs[1:], ys) if k != 0.0))
+            object.__setattr__(self, "_pieces",
+                               tuple(zip(boxes_of(self.lo, self.hi), self.k.tolist())))
         return self._pieces
 
     @property
@@ -132,21 +120,16 @@ class StepFunction:
         return self.ambient.dim
 
     def is_zero(self) -> bool:
-        return not self.pieces if self.xs is None else not self.ys.any()
+        return not len(self.k)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.ambient != other.ambient:
-            return False
-        if self.xs is None:
-            return self.pieces == other.pieces
-        return np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
+        return (self.ambient == other.ambient and np.array_equal(self.lo, other.lo)
+                and np.array_equal(self.hi, other.hi) and np.array_equal(self.k, other.k))
 
     def __hash__(self):
-        if self.xs is None:
-            return hash((self.ambient, self.pieces))
-        return hash((self.ambient, self.xs.tobytes(), self.ys.tobytes()))
+        return hash((self.ambient, self.lo.tobytes(), self.hi.tobytes(), self.k.tobytes()))
 
     def __repr__(self):
         return f"StepFunction(ambient={self.ambient!r}, pieces={self.pieces!r})"
@@ -160,93 +143,78 @@ class StepFunction:
     def to_json(self) -> dict:
         return {
             "ambient": self.ambient.to_json(),
-            "pieces": [{"box": b.to_json(), "coeff": k} for b, k in self.pieces],
+            "pieces": [{"box": [list(iv) for iv in zip(a, b)], "coeff": k}
+                       for a, b, k in zip(self.lo.tolist(), self.hi.tolist(), self.k.tolist())],
         }
 
 
-def _init(f: StepFunction, ambient: Box, xs, ys, pieces) -> StepFunction:
-    for arr in (xs, ys):
-        if arr is not None:
-            arr.flags.writeable = False
-    for name, value in (("ambient", ambient), ("xs", xs), ("ys", ys), ("_pieces", pieces)):
+def _build(f: StepFunction, ambient: Box, lo, hi, k, repeat: str) -> StepFunction:
+    """Store in ``f`` the canonical form of the pieces with corners ``lo``,
+    ``hi`` and values ``k``: zero and degenerate pieces dropped, the rest
+    :func:`cut` (``repeat`` as there), checked finite, and merged."""
+    keep = (k != 0.0) & (lo < hi).all(axis=1)
+    grids, cells, k = cut(lo[keep], hi[keep], k[keep], repeat)
+    bad = ~np.isfinite(k)
+    if bad.any():
+        _check_coeff(float(k[bad][0]))
+    nonzero = k != 0.0
+    lo, hi, k = merge(grids, cells[nonzero], k[nonzero])
+    for arr in (lo, hi, k):
+        arr.flags.writeable = False
+    for name, value in (("ambient", ambient), ("lo", lo), ("hi", hi), ("k", k),
+                        ("_reach", np.maximum.accumulate(hi[:, 0])), ("_pieces", None)):
         object.__setattr__(f, name, value)
     return f
 
 
-def _canonical(pts: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical ``(xs, ys)`` of the cells ``[pts[i], pts[i + 1]]`` valued
-    ``vals[i]``, for non-decreasing ``pts``: empty cells dropped, no ``-0.0``
-    left, neighbours of equal value merged."""
-    pts = pts + 0.0
-    full = pts[1:] > pts[:-1]
-    left, vals = pts[:-1][full], vals[full] + 0.0
-    if not len(vals):
-        return pts[:1], vals
-    cut = np.flatnonzero(vals[1:] != vals[:-1]) + 1
-    return (np.concatenate((left[:1], left[cut], pts[-1:])),
-            vals[np.concatenate(([0], cut))])
+def _summed(ambient: Box, lo, hi, k) -> StepFunction:
+    """``Σ k_i * 1_{[lo_i, hi_i]}`` for pieces inside ``ambient`` that may
+    overlap: where they do, their values add in piece order."""
+    return _build(object.__new__(StepFunction), ambient, lo, hi, k, "sum")
 
 
-_ZERO = np.zeros(1)
-_ZERO.flags.writeable = False
-
-
-def _checked(ambient: Box, b: Box, k) -> float:
-    """The coefficient of piece ``(b, k)`` as a float, once the piece is
-    finite, of the ambient's dimension and inside it."""
-    k = float(k)
-    _check_coeff(k)
-    if b.dim != ambient.dim:
-        raise DimensionMismatchError(f"piece dim {b.dim} inside ambient dim {ambient.dim}")
-    if not ambient.contains_box(b):
-        raise AmbientMismatchError(f"piece {b.to_json()} escapes ambient {ambient.to_json()}")
-    return k
-
-
-def _sweep(ambient: Box, pieces: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical arrays of 1-D pieces: check them all at once, sort the
-    nonzero, non-degenerate ones by their lower endpoints, reject overlaps,
-    and fill the gaps with ``0.0``."""
-    amb = ambient.factors[0]
+def _piece_arrays(ambient: Box, pieces: tuple):
+    """Corners and values of ``(box, coeff)`` pieces, all checked at once:
+    each finite, of the ambient's dimension and inside it."""
+    n = ambient.dim
     try:
-        dims, los, his, ks = np.array([(b.dim, b.factors[0].lo, b.factors[0].hi, float(k))
-                                       for b, k in pieces], dtype=float).reshape(-1, 4).T
+        k = np.array([float(k) for _, k in pieces], dtype=float)
+        boxes = [b for b, _ in pieces]
+        ok = all(len(b.factors) == n for b in boxes)
+        lo, hi = box_arrays(boxes, n) if ok else (None, None)
     except (AttributeError, OverflowError, TypeError, ValueError):
-        dims = None     # a piece that fails to convert fails _checked as well
-    if dims is None or not ((dims == 1) & np.isfinite(ks)
-                            & (los >= amb.lo) & (his <= amb.hi)).all():
-        for b, k in pieces:     # raises the first piece's error
-            _checked(ambient, b, k)
-    keep = (ks != 0.0) & (los < his)
-    order = np.argsort(los[keep], kind="stable")
-    los, his, ks = los[keep][order], his[keep][order], ks[keep][order]
-    if (los[1:] < his[:-1]).any():
-        _OVERLAP(None, None)
-    pts = np.empty(2 * len(ks) + 2)
-    pts[0], pts[-1] = amb.lo, amb.hi
-    pts[1:-1:2], pts[2:-1:2] = los, his
-    vals = np.zeros(2 * len(ks) + 1)
-    vals[1::2] = ks
-    return _canonical(pts, vals)
+        ok = False      # a piece that fails to convert fails a check below as well
+    amb_lo, amb_hi = box_arrays((ambient,), n)
+    if not (ok and np.isfinite(k).all() and (lo >= amb_lo).all() and (hi <= amb_hi).all()):
+        for b, k in pieces:     # raises the first bad piece's error
+            _check_coeff(float(k))
+            if b.dim != n:
+                raise DimensionMismatchError(f"piece dim {b.dim} inside ambient dim {n}")
+            if not ambient.contains_box(b):
+                raise AmbientMismatchError(
+                    f"piece {b.to_json()} escapes ambient {ambient.to_json()}")
+    return lo, hi, k
 
 
-def _clip(f: StepFunction, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints and values of a 1-D ``f`` on ``[lo, hi]``, for
-    ``lo < hi`` inside the ambient: two binary searches and a slice."""
-    i = int(np.searchsorted(f.xs, lo, "right")) - 1
-    j = int(np.searchsorted(f.xs, hi, "left"))
-    xs = f.xs[i:j + 1].copy()
-    xs[0], xs[-1] = lo, hi
-    return xs, f.ys[i:j]
+def _clipped(f: StepFunction, boxes: Sequence[Box]):
+    """The pieces of ``f`` clipped to each of ``boxes`` where the clip has
+    positive measure: piece indices and clipped corners, piece by piece and,
+    within a piece, box by box."""
+    qlo, qhi = box_arrays(boxes, f.dim)
+    i, j = meeting_pairs(f.lo, f.hi, qlo, qhi, strict=True, reach=f._reach)
+    lo, hi = np.maximum(f.lo[i], qlo[j]), np.minimum(f.hi[i], qhi[j])
+    full = (lo < hi).all(axis=1)
+    order = np.lexsort((j[full], i[full]))
+    return i[full][order], lo[full][order], hi[full][order]
 
 
-def _from_cells(ambient: Box, xs: np.ndarray, ys: np.ndarray) -> StepFunction:
-    """The 1-D function worth ``ys[i]`` on ``[xs[i], xs[i + 1]]``; ``xs``
-    runs non-decreasing from the ambient's lower endpoint to its upper one."""
-    bad = ~np.isfinite(ys)
-    if bad.any():
-        _check_coeff(float(ys[bad][0]))
-    return _init(object.__new__(StepFunction), ambient, *_canonical(xs, ys), None)
+def _measures(lo, hi) -> np.ndarray:
+    """Box measures, factor lengths multiplied left to right as
+    :attr:`Box.measure` does."""
+    m = hi[:, 0] - lo[:, 0]
+    for ax in range(1, lo.shape[1]):
+        m = m * (hi[:, ax] - lo[:, ax])
+    return m
 
 
 def with_ambient(f: StepFunction, ambient) -> StepFunction:
@@ -255,14 +223,10 @@ def with_ambient(f: StepFunction, ambient) -> StepFunction:
         ambient = Box((ambient,))
     if f.dim != 1 or ambient.dim != 1:
         raise DimensionMismatchError("with_ambient is one-dimensional")
-    lo, hi = ambient.factors[0].lo, ambient.factors[0].hi
-    nz = np.flatnonzero(f.ys)
-    if len(nz) and (f.xs[nz[0]] < lo or f.xs[nz[-1] + 1] > hi):
-        b = next(b for b, _ in f.pieces if not ambient.contains_box(b))
-        raise AmbientMismatchError(f"piece {b.to_json()} escapes ambient {ambient.to_json()}")
-    # cells beyond the new ambient are zero: clipping empties them
-    pts = np.concatenate(([lo], np.clip(f.xs, lo, hi), [hi]))
-    return _from_cells(ambient, pts, np.concatenate((_ZERO, f.ys, _ZERO)))
+    lo, hi = box_arrays((ambient,), 1)
+    if ((f.lo < lo) | (f.hi > hi)).any():
+        StepFunction(ambient, f.pieces)     # raises the first escaping piece's error
+    return _build(object.__new__(StepFunction), ambient, f.lo, f.hi, f.k, _OVERLAP)
 
 
 def zero_function(ambient: Box) -> StepFunction:
@@ -289,22 +253,18 @@ def locate(f: StepFunction, x: Point) -> tuple[float, bool]:
     pt = _as_point(x, f.dim)
     if not f.ambient.contains_point(pt):
         raise OutOfDomainError(f"{pt} outside ambient {f.ambient.to_json()}")
-    if f.xs is not None:
-        # x lies in cell c = [xs[c], xs[c + 1]) (c = len(ys) at the upper end)
-        c = int(np.searchsorted(f.xs, pt[0], "right")) - 1
-        if c < len(f.ys) and f.xs[c] < pt[0]:
-            return float(f.ys[c]), False
-        touching = [float(f.ys[j]) for j in (c - 1, c) if 0 <= j < len(f.ys) and f.ys[j]]
-        return (max(touching), True) if touching else (0.0, False)
-    touching: list[float] = []
-    for b, k in f.pieces:
-        if b.contains_point(pt):
-            if all(iv.lo < xi < iv.hi for iv, xi in zip(b.factors, pt)):
-                return k, False
-            touching.append(k)
-    if touching:
-        return max(touching), True
-    return 0.0, False
+    # only the pieces from the first reaching x[0] to the last starting by it
+    start = f._reach.searchsorted(pt[0], "left")
+    stop = f.lo[:, 0].searchsorted(pt[0], "right")
+    x = np.array(pt)
+    # how far inside each piece x lies: > 0 inside, 0 on its boundary
+    depth = np.minimum(x - f.lo[start:stop], f.hi[start:stop] - x).min(axis=1)
+    i = int(depth.argmax()) if len(depth) else 0
+    if not len(depth) or depth[i] < 0.0:
+        return 0.0, False
+    if depth[i] > 0.0:
+        return float(f.k[start + i]), False
+    return float(f.k[start:stop][depth == 0.0].max()), True
 
 
 def eval_step(f: StepFunction, x: Point) -> float:
@@ -315,22 +275,10 @@ def linear_combine(a: float, f: StepFunction, b: float, g: StepFunction) -> Step
     """Canonical representative of ``a*f + b*g`` on the common refinement."""
     if f.ambient != g.ambient:
         raise AmbientMismatchError("linear_combine needs a common ambient")
-    if f.xs is not None:
-        xs = np.union1d(f.xs, g.xs)
-        fy = f.ys[np.searchsorted(f.xs, xs[:-1], "right") - 1]
-        gy = g.ys[np.searchsorted(g.xs, xs[:-1], "right") - 1]
-        # a gap adds nothing, even when a or b is not finite; a non-finite
-        # sum is reported by _from_cells, not warned about here
-        with np.errstate(over="ignore", invalid="ignore"):
-            ys = np.where(fy != 0.0, a * fy, 0.0) + np.where(gy != 0.0, b * gy, 0.0)
-        return _from_cells(f.ambient, xs, ys)
-    grids, cells = grid_cells([(bx, a * k) for bx, k in f.pieces]
-                              + [(bx, b * k) for bx, k in g.pieces], operator.add)
-    for k in cells.values():
-        _check_coeff(k)
-    # the cells are disjoint, checked and summed: merge them without a second cut
-    return _init(object.__new__(StepFunction), f.ambient, None, None, tuple(merge_cells(
-        grids, {key: k for key, k in cells.items() if k != 0.0})))
+    # a non-finite sum is reported by _build, not warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _summed(f.ambient, np.concatenate((f.lo, g.lo)), np.concatenate((f.hi, g.hi)),
+                       np.concatenate((a * f.k, b * g.k)))
 
 
 def restrict(f: StepFunction, region: Region) -> StepFunction:
@@ -339,40 +287,54 @@ def restrict(f: StepFunction, region: Region) -> StepFunction:
     for rb in boxes:
         if not f.ambient.contains_box(rb):
             raise AmbientMismatchError(f"region {rb.to_json()} escapes ambient")
-    if f.xs is not None:
-        # the region's boxes are sorted and almost disjoint: lay their clips
-        # end to end, with zero cells between them
-        pts, vals = [f.xs[:1]], [_ZERO]
-        for rb in boxes:
-            if not rb.is_degenerate():
-                xs, ys = _clip(f, rb.factors[0].lo, rb.factors[0].hi)
-                pts.append(xs)
-                vals += [ys, _ZERO]
-        pts.append(f.xs[-1:])
-        return _from_cells(f.ambient, np.concatenate(pts), np.concatenate(vals))
-    out = []
-    for rb in boxes:
-        for b, k in f.pieces:
-            cap = b.intersect(rb)
-            if cap is not None and not cap.is_degenerate():
-                out.append((cap, k))
-    return StepFunction(f.ambient, tuple(out))
+    i, lo, hi = _clipped(f, boxes)
+    return _build(object.__new__(StepFunction), f.ambient, lo, hi, f.k[i], _OVERLAP)
 
 
 def p_norm(f: StepFunction, p: float) -> float:
     """``(Σ |k_i|^p * μ(X_i)^p)^(1/p)`` — note the measure is also raised
-    to the p-th power, which differs from the classical L^p integrand."""
+    to the p-th power, which differs from the classical L^p integrand.
+
+    The terms are added left to right.  When that overflows, or gives 0.0
+    for a nonzero ``f``, the norm is taken from each ``|k_i|·μ(X_i)`` split
+    by :func:`math.frexp` (:func:`_scaled_root`).
+    """
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1):
         raise BadExponentError(f"norm exponent must be a finite real >= 1, got {p!r}")
     p = float(p)
-    if f.xs is not None:
-        pieces = [(k, m) for k, m in zip(f.ys.tolist(), np.diff(f.xs).tolist()) if k != 0.0]
-    else:
-        pieces = [(k, b.measure) for b, k in f.pieces]
+    with np.errstate(over="ignore"):
+        measures = _measures(f.lo, f.hi).tolist()
     total = 0.0
-    for k, m in pieces:     # left to right, whatever the Python version's sum() does
-        total += (abs(k) ** p) * (m ** p)
-    return total ** (1.0 / p)
+    try:
+        for k, m in zip(f.k.tolist(), measures):   # left to right, whatever sum() does
+            total += (abs(k) ** p) * (m ** p)
+        norm = total ** (1.0 / p)
+    except OverflowError:
+        norm = math.inf
+    if 0.0 < norm < math.inf or f.is_zero():
+        return norm
+    parts = []
+    for k, lo, hi in zip(f.k.tolist(), f.lo.tolist(), f.hi.tolist()):
+        mant, exp = math.frexp(abs(k))
+        for a, b in zip(lo, hi):
+            half = b - a == math.inf      # the length overflows: halve both ends first
+            x, e = math.frexp(b * 0.5 - a * 0.5 if half else b - a)
+            mant, exp = mant * x, exp + e + half
+        parts.append((mant, exp))
+    return _scaled_root(parts, p)
+
+
+def _scaled_root(parts: list, p: float) -> float:
+    """``(Σ (x·2^e)^p)^(1/p)`` over ``(x, e)`` pairs, not all ``x`` zero,
+    with the largest exponent, then the largest term, taken out so that no
+    power overflows; a result beyond binary64 raises NonFiniteError."""
+    top = max(e for x, e in parts if x)
+    xs = [math.ldexp(x, e - top) for x, e in parts]
+    big = max(xs)
+    try:
+        return math.ldexp(big * sum((x / big) ** p for x in xs) ** (1.0 / p), top)
+    except OverflowError:
+        raise NonFiniteError("the norm overflows binary64") from None
 
 
 def ae_equal(f: StepFunction, g: StepFunction) -> bool:
@@ -434,16 +396,17 @@ def juxtapose(schemes, tup: FunctionTuple) -> StepFunction:
                 f"scheme {i} halves {sch.ambient.to_json()}, ambient factor is "
                 f"{amb.factors[i].to_json()}"
             )
-    if len(tup.entries) != 2 ** n:
-        raise ArityMismatchError(f"expected {2 ** n} entries")
-    pieces: list[tuple[Box, float]] = []
+    lo, hi = [], []
     for s, entry in enumerate(tup.entries):
         word = [(s >> (n - 1 - i)) & 1 for i in range(n)]
         maps = [schemes[i].word_map((word[i],)) for i in range(n)]
-        for b, k in entry.pieces:
-            factors = tuple(maps[i].image(b.factors[i]) for i in range(n))
-            pieces.append((Box(factors), k))
-    return StepFunction(amb, tuple(pieces))
+        a, b = np.array([m.a for m in maps]), np.array([m.b for m in maps])
+        # each coordinate as AffineMap.image maps it
+        u, v = a * entry.lo + b, a * entry.hi + b
+        lo.append(np.minimum(u, v))
+        hi.append(np.maximum(u, v))
+    return _build(object.__new__(StepFunction), amb, np.concatenate(lo), np.concatenate(hi),
+                  np.concatenate([e.k for e in tup.entries]), _OVERLAP)
 
 
 def direct_sum_norm(tup: FunctionTuple, p: float) -> float:
@@ -465,5 +428,14 @@ def direct_sum_norm(tup: FunctionTuple, p: float) -> float:
     mu_i = lengths.pop()
     mu_lam = amb.measure
     factor = (mu_i / mu_lam) ** tup.n if mu_lam != 0 else 0.0
-    total = sum(p_norm(e, p) ** p for e in tup.entries)
-    return (factor * total) ** (1.0 / p)
+    norms = [p_norm(e, p) for e in tup.entries]
+    try:
+        norm = (factor * sum(x ** p for x in norms)) ** (1.0 / p)
+    except OverflowError:
+        norm = math.inf
+    if 0.0 < norm < math.inf or not any(norms):
+        return norm
+    norm = factor ** (1.0 / p) * _scaled_root(list(map(math.frexp, norms)), p)
+    if not math.isfinite(norm):
+        raise NonFiniteError("the norm overflows binary64")
+    return norm

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib.resources import files
 
 import jsonschema
@@ -362,6 +363,14 @@ def test_repeated_invocations_are_byte_identical(capsys):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second, f"nondeterministic output for {argv}"
+
+def test_a_step_integral_beyond_binary64_is_a_typed_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no numpy RuntimeWarning either
+        rc, out, err = run_cli(capsys, "integrate", "--fn", "1e300*indicator(0,1e10)",
+                               "--domain", "0", "1e10")
+    assert (rc, out) == (1, "") and "overflows binary64" in err
+
 
 
 # Runs the CLI module as ``python -m stepquiver.cli`` does (or only imports

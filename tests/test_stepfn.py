@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from stepquiver import (
     DyadicScheme,
     FunctionTuple,
     Interval,
+    NonFiniteError,
     OrderViolationError,
     StepFunction,
     ae_equal,
@@ -447,6 +450,39 @@ def test_canonical_form_matches_the_cell_centre_oracle(drawn, data):
     assert all(any(k.contains_box(d) for k in s.boxes) for d in boxes if d.is_degenerate())
     assert normalize_set(kept).boxes == tuple(kept)
 
+    # locate at the centres, the integral over the region box, and the
+    # p-norms: all exact, as every value and measure is dyadic
+    assert [locate(h, c) for c in centres] == [(oracle(c), False) for c in centres]
+    cell = Fraction(1, 8 ** dim)
+    assert Fraction(integrate_step(h, region)) == cell * sum(
+        Fraction(oracle(c)) for c in centres if region.contains_point(c))
+    assert Fraction(p_norm(h, 1)) == cell * sum(abs(Fraction(oracle(c))) for c in centres)
+    square = sum(Fraction(k) ** 2 * Fraction(b.measure) ** 2 for b, k in h.pieces)
+    norm = p_norm(h, 2)
+    assert Fraction(math.nextafter(norm, 0.0)) ** 2 <= square <= Fraction(
+        math.nextafter(norm, math.inf)) ** 2 and (norm == 0.0) == (square == 0)
+
+    # juxtapose entries from the same family: at the centre c of a cell of
+    # side 1/16, the entry of word (c_i > 1/2 for each i) holds the value
+    # at 2c - word, the centre of a cell of side 1/8
+    families = [list(zip(solid, coeffs))[s::2 ** dim] for s in range(2 ** dim)]
+    entries = []
+    for family in families:
+        e = zero_function(amb)
+        for b, k in family:
+            e = linear_combine(1.0, e, k, indicator(b, amb))
+        entries.append(e)
+    out = juxtapose((DyadicScheme(Interval(0.0, 1.0)),) * dim, FunctionTuple(tuple(entries)))
+    _assert_canonical(out)
+    for idx in data.draw(st.lists(st.tuples(*[st.integers(0, 15)] * dim), max_size=24)):
+        c = tuple((2 * i + 1) / 32 for i in idx)
+        word = [int(x > 0.5) for x in c]
+        inner = tuple(2 * x - w for x, w in zip(c, word))
+        family = families[int("".join(map(str, word)), 2)]
+        want = sum(k for b, k in family if b.contains_point(inner))
+        assert _value(out.pieces, c) == want
+        assert locate(out, c) == (want, False)
+
 
 def test_no_canonical_endpoint_is_negative_zero():
     amb = box(make_interval(-1.0, 1.0), make_interval(-1.0, 1.0))
@@ -464,6 +500,50 @@ def test_no_canonical_endpoint_is_negative_zero():
             for x in (iv.lo, iv.hi)]
     assert 0.0 in ends
     assert all(math.copysign(1.0, x) == 1.0 for x in ends if x == 0.0)
+
+
+@given(dyadic_boxes(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_to_json_writes_the_pieces_view_from_the_arrays(drawn, data):
+    dim, boxes = drawn
+    amb = Box((Interval(0.0, 1.0),) * dim)
+    h = zero_function(amb)
+    for b in boxes:
+        h = linear_combine(1.0, h, data.draw(st.sampled_from([1.0, -0.5, 3.0, 0.1])),
+                           indicator(b, amb))
+    written = json.dumps(h.to_json())
+    assert h._pieces is None        # no boxes built on the way
+    assert written == json.dumps({"ambient": amb.to_json(), "pieces": [
+        {"box": b.to_json(), "coeff": k} for b, k in h.pieces]})
+
+
+# ---------------------------------------------------------------------------
+# results beyond binary64: scaled norms, typed errors, no numpy warnings
+# ---------------------------------------------------------------------------
+
+WIDE = box1(0.0, 1e10)
+
+
+def test_norms_that_overflow_or_underflow_on_the_way_are_rescaled():
+    half = indicator(box1(0.0, 0.5), UNIT, 10.0)
+    assert p_norm(half, 1000) == 5.0                    # 10.0 ** 1000 overflows
+    assert p_norm(indicator(box1(0.0, 0.5), UNIT, 1e-200), 2) == 0.5e-200  # 1e-400 underflows
+    assert direct_sum_norm(FunctionTuple((half, half)), 1000) == pytest.approx(
+        5.0 * 2.0 ** (1 / 1000), rel=1e-15)
+
+
+def test_results_beyond_binary64_raise_without_a_warning():
+    huge = indicator(WIDE, WIDE, 1e300)
+    square = box(make_interval(0.0, 1e10), make_interval(0.0, 1e10))
+    calls = [lambda: integrate_step(huge),
+             lambda: integrate_step(indicator(square, square, 1e300)),
+             lambda: var_upper_integral(huge, 0.0), lambda: p_norm(huge, 1),
+             lambda: p_norm(huge, 3), lambda: direct_sum_norm(FunctionTuple((huge, huge)), 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NonFiniteError, match="overflows binary64"):
+                call()
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@
         --pairs enclosures=1301-1310 --pairs cli_corpus=1311-1313 \\
         [--trace enclosures=1321] [--seconds 15] [--label "what changed"]
 
-Each ``--pairs WORKLOAD=FIRST-LAST`` runs ``perfbench/run.py`` once per seed
-on each side, one run at a time, the parent first on even pair indices and
-the change first on odd ones.  Per side and end-to-end metric the file
+Each checkout is first copied into a fresh temporary directory (without
+``.git`` and caches), and every run uses that copy, so a long-lived
+checkout's warm files cannot favour one side; the copies are removed at the
+end.  Each ``--pairs WORKLOAD=FIRST-LAST`` runs ``perfbench/run.py`` once
+per seed on each side, one run at a time, the parent first on even pair
+indices and the change first on odd ones.  Giving the same checkout twice
+is an A/A control.  Per side and end-to-end metric the file
 holds the median, the quartiles (numpy linear percentiles 25 / 75),
 ``spread_frac = (q3 - q1) / median`` and the raw runs, with failed, wrong
 and unconverged counts; ``change_wins`` counts pairs where the change read
@@ -17,8 +21,11 @@ import argparse
 import json
 import platform
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -61,12 +68,24 @@ def main():
     ap.add_argument("--seconds", type=float, default=15)
     ap.add_argument("--label", default="")
     args = ap.parse_args()
-    roots = {"parent": args.parent, "change": args.change}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        roots = {}
+        for side in ("parent", "change"):
+            roots[side] = Path(tmp) / side
+            shutil.copytree(getattr(args, side), roots[side], ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
+        doc = bench(args, roots)
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def bench(args, roots) -> dict:
     doc = {"change": args.label,
            "host": f"{platform.machine()}, Python {platform.python_version()}, numpy {np.__version__}",
-           "method": "tools/bench_pairs.py: perfbench/run.py from the root of each checkout, "
-                     f"--seconds {args.seconds:g} --trace 0, one run at a time; the parent runs "
-                     "first on even pair indices",
+           "method": "tools/bench_pairs.py: perfbench/run.py from the root of a fresh copy "
+                     f"of each checkout, --seconds {args.seconds:g} --trace 0, one run at a "
+                     "time; the parent runs first on even pair indices",
            "workloads": {}, "trace": {}}
     for spec in args.pairs:
         workload, span = spec.split("=")
@@ -93,9 +112,7 @@ def main():
                            "failed": r["failed"], "wrong": r["wrong"],
                            **{k: v["value"] for k, v in r["metrics"].items()}}
         doc["trace"][workload] = entry
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    return doc
 
 
 if __name__ == "__main__":
