@@ -45,7 +45,7 @@ from .errors import DomainAnnotationMissingError, DslSyntaxError
 from .integrate import _Evaluator, _monotone_runs
 from .measure import Interval, box1, make_interval
 from .qv import _TokenCursor
-from .stepfn import StepFunction, _summed
+from .stepfn import StepFunction, _build
 
 TRUNCATE_EPS = 1e-8
 MAX_NESTING = 100
@@ -370,10 +370,10 @@ def step_literal(e: FnExpr) -> Optional[StepFunction]:
         return None
     ambient = box1(min(iv.lo for iv in intervals), max(iv.hi for iv in intervals))
     ends = np.array([(iv.lo, iv.hi) for iv in intervals])
-    # a non-finite cell is reported by _summed, not warned about here
+    # a non-finite cell is reported by _build, not warned about here
     with np.errstate(over="ignore", invalid="ignore"):
-        return _summed(ambient, ends[:, :1], ends[:, 1:],
-                       np.array([k for k, iv in terms if iv is not None], dtype=float))
+        return _build(ambient, ends[:, :1], ends[:, 1:],
+                      np.array([k for k, iv in terms if iv is not None], dtype=float), "sum")
 
 
 def _finite_at(e: FnExpr, x: float) -> bool:

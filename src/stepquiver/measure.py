@@ -16,10 +16,11 @@ types here.  Two design points worth knowing:
   with ``==`` rather than tolerance.
 * Step functions, in every dimension, are stored as corner arrays: row
   ``i`` of the (m, n) arrays ``lo`` and ``hi`` is one piece.  Finite unions
-  of boxes pass through the same arrays, and one canonicaliser serves both.  :func:`cut` cuts the
-  non-degenerate boxes on their common per-axis endpoint grid into cells
-  numbered by integer keys, and :func:`merge` merges equal-valued runs axis
-  by axis with one lexsort per axis.  Two non-degenerate boxes overlap with
+  of boxes pass through the same arrays, and one canonicaliser serves
+  both.  :func:`cut` cuts the non-degenerate boxes on their common per-axis
+  endpoint grid into cells, rows of grid indices found repeated by one
+  lexsort, and :func:`merge` merges equal-valued runs axis by axis with
+  one lexsort per axis.  Two non-degenerate boxes overlap with
   positive measure exactly when they share a cell; degenerate boxes are
   exempt, so they may touch or repeat.  No ``Box`` is built on the way.
 """
@@ -236,66 +237,69 @@ def cut(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, repeat: str):
     distinct endpoints on axis ``ax``, stored as ``x + 0.0`` so no grid point
     is ``-0.0``.  ``cells`` holds the index tuple of every grid cell a box
     covers (index ``i`` spans ``grids[ax][i]`` to ``grids[ax][i + 1]``), one
-    row each in lexicographic order, and ``values`` their values.  A cell
-    covered again gets, by ``repeat``: ``"sum"``, the values added in box
-    order; ``"first"``, the first box's value; any other string, an
+    row each, sorted by axis 1, 2, ... and then axis 0 as :func:`merge`
+    first needs them, and ``values`` their values.  A cell covered again
+    gets, by ``repeat``: ``"sum"``, the values added in box order;
+    ``"first"``, the first box's value; any other string, an
     :class:`OrderViolationError` with that message.
 
-    Each box's cells are numbered in mixed radix, so the cells are integer
-    keys and one stable sort finds the repeats.  Boxes that cover more
-    cells than the grid has must overlap, which rejects them uncut.
+    A stable lexsort of the cells' index rows finds repeats on any grid.
+    Boxes covering more cells than the grid has overlap, and are rejected
+    uncut; 2**53 cells or more are a MemoryError before any is expanded.
     """
     m, n = lo.shape
-    grids = [np.unique(np.concatenate((lo[:, ax], hi[:, ax])) + 0.0) for ax in range(n)]
-    if not m:
-        return grids, np.zeros((0, n), dtype=np.int64), vals
-    first = np.stack([g.searchsorted(lo[:, ax]) for ax, g in enumerate(grids)], axis=1)
-    width = np.stack([g.searchsorted(hi[:, ax]) for ax, g in enumerate(grids)], axis=1) - first
-    sides = [len(g) - 1 for g in grids]
-    stride = np.cumprod([1] + sides[:0:-1])[::-1]
-    count = width.prod(axis=1)
-    total = int(count.sum())
-    if repeat not in ("sum", "first") and total > math.prod(sides):
+    grids, ends = zip(*(np.unique(np.concatenate((lo[:, ax], hi[:, ax])) + 0.0,
+                                  return_inverse=True) for ax in range(n)))
+    if m <= 1:      # a lone box is the one cell of its grid
+        return grids, np.zeros((m, n), dtype=np.int64), vals
+    ends = np.array(ends).T     # grid indices of the lower corners, then the upper
+    first, width = ends[:m], ends[m:] - ends[:m]
+    count = width.prod(axis=1, dtype=float)     # a float cannot wrap round to a small count
+    total = count.sum()
+    if repeat not in ("sum", "first") and total > math.prod(len(g) - 1 for g in grids):
         raise OrderViolationError(repeat)
-    keys, values = np.zeros(0, dtype=np.int64), vals[:0]
-    step = max(1, m * CUT_CHUNK // total)      # boxes per chunk
+    if total >= 2.0 ** 53:      # past exact float counts, and far past any memory
+        raise MemoryError(f"{total:.3g} grid cells to expand")
+    cells, values = np.zeros((0, n), dtype=np.int64), vals[:0]
+    step = max(1, int(m * CUT_CHUNK // total))      # boxes per round
     for a in range(0, m, step):
-        part = count[a:a + step]
+        part = count[a:a + step].astype(np.int64)
         box = np.repeat(np.arange(a, a + len(part)), part)
         r = spans(np.zeros(len(part), dtype=np.int64), part)
-        key = np.zeros(len(box), dtype=np.int64)
+        rows = np.concatenate((cells, np.empty((len(box), n), dtype=np.int64)))
         for ax in reversed(range(n)):
-            key += (first[box, ax] + r % width[box, ax]) * stride[ax]
+            rows[len(cells):, ax] = first[box, ax] + r % width[box, ax]
             r //= width[box, ax]
-        keys, head, where = np.unique(np.concatenate((keys, key)), return_index=True,
-                                      return_inverse=True)
-        values = np.concatenate((values, vals[box]))
-        if repeat == "sum":     # bincount adds each cell's values in box order
-            values = np.bincount(where, weights=values, minlength=len(keys))
-        elif len(keys) == len(values) or repeat == "first":
-            values = values[head]
-        else:
+        # merge's order for axis 0; stable, so a cell's repeats stay in box order
+        order = np.lexsort([rows[:, 0]] + [rows[:, j] for j in range(n - 1, 0, -1)])
+        rows, values = rows[order], np.concatenate((values, vals[box]))[order]
+        new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+        cells = rows[new]
+        if repeat not in ("sum", "first") and not new.all():
             raise OrderViolationError(repeat)
-    return grids, keys[:, None] // stride % sides, values
+        # bincount adds each cell's values in box order
+        values = (np.bincount(np.cumsum(new) - 1, weights=values, minlength=len(cells))
+                  if repeat == "sum" else values[new])
+    return grids, cells, values
 
 
-def merge(grids: list, cells: np.ndarray, vals: np.ndarray):
+def merge(grids: Sequence[np.ndarray], cells: np.ndarray, vals: np.ndarray):
     """Merge the :func:`cut` cells of equal value along axis 0, then axis 1,
     and on: two runs merge when their values compare equal, they meet on
     that axis and their spans on every other axis coincide.
 
     Returns the merged boxes as corner arrays ``lo``, ``hi`` and their
-    values.  The sort for the last axis orders the runs by their spans, so
+    values.  The order for the last axis sorts the runs by their spans, so
     the boxes come out sorted by :meth:`Box.sort_key`.
     """
     n = cells.shape[1]
-    if not len(vals):
-        return np.zeros((0, n)), np.zeros((0, n)), vals
     lo, hi = cells, cells + 1
-    for ax in range(n):
+    for ax in range(n if len(vals) > 1 else 0):     # one cell or none: nothing to merge
         others = [j for j in range(n) if j != ax]
-        order = np.lexsort([lo[:, ax]] + [c for j in others[::-1] for c in (hi[:, j], lo[:, j])])
-        lo, hi, vals = lo[order], hi[order], vals[order]
+        if ax:      # cut left the cells in this order for axis 0
+            keys = [c for j in others[::-1] for c in (hi[:, j], lo[:, j])]
+            order = np.lexsort([lo[:, ax]] + keys)
+            lo, hi, vals = lo[order], hi[order], vals[order]
         joins = (vals[1:] == vals[:-1]) & (hi[:-1, ax] == lo[1:, ax])
         for j in others:
             joins &= (lo[1:, j] == lo[:-1, j]) & (hi[1:, j] == hi[:-1, j])
@@ -303,8 +307,8 @@ def merge(grids: list, cells: np.ndarray, vals: np.ndarray):
         end = hi[np.append(start[1:], len(vals)) - 1, ax]
         lo, hi, vals = lo[start], hi[start], vals[start]
         hi[:, ax] = end
-    return (np.stack([g[lo[:, ax]] for ax, g in enumerate(grids)], axis=1),
-            np.stack([g[hi[:, ax]] for ax, g in enumerate(grids)], axis=1), vals)
+    return (np.array([g[lo[:, ax]] for ax, g in enumerate(grids)]).T,
+            np.array([g[hi[:, ax]] for ax, g in enumerate(grids)]).T, vals)
 
 
 def normalize_set(boxes: Iterable[Box]) -> MeasurableSet:
@@ -323,8 +327,7 @@ def normalize_set(boxes: Iterable[Box]) -> MeasurableSet:
     """
     raw = list(boxes)
     if len({b.dim for b in raw}) > 1:
-        mixed = len({b.dim for b in raw if not b.is_degenerate()}) > 1
-        raise DimensionMismatchError("mixed box dimensions" + ("" if mixed else " in one set"))
+        raise DimensionMismatchError("mixed box dimensions")
     lo, hi = box_arrays(raw, raw[0].dim if raw else 1)
     solid = (lo < hi).all(axis=1)
     flat = np.flatnonzero(~solid)

@@ -100,7 +100,7 @@ class StepFunction:
     def __init__(self, ambient: Box, pieces: Sequence[tuple[Box, float]] = ()):
         if isinstance(ambient, Interval):
             ambient = Box((ambient,))
-        _build(self, ambient, *_piece_arrays(ambient, tuple(pieces)), _OVERLAP)
+        _build(ambient, *_piece_arrays(ambient, tuple(pieces)), _OVERLAP, self)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -148,15 +148,17 @@ class StepFunction:
         }
 
 
-def _build(f: StepFunction, ambient: Box, lo, hi, k, repeat: str) -> StepFunction:
-    """Store in ``f`` the canonical form of the pieces with corners ``lo``,
-    ``hi`` and values ``k``: zero and degenerate pieces dropped, the rest
-    :func:`cut` (``repeat`` as there), checked finite, and merged."""
+def _build(ambient: Box, lo, hi, k, repeat: str, f=None) -> StepFunction:
+    """Canonical form of the pieces with corners ``lo``, ``hi`` and values
+    ``k``, stored in ``f`` (a new function by default): zero and degenerate
+    pieces dropped, the rest :func:`cut` (``repeat`` as there: ``"sum"``
+    adds overlaps in piece order), checked finite, and merged."""
+    f = object.__new__(StepFunction) if f is None else f
     keep = (k != 0.0) & (lo < hi).all(axis=1)
     grids, cells, k = cut(lo[keep], hi[keep], k[keep], repeat)
     bad = ~np.isfinite(k)
-    if bad.any():
-        _check_coeff(float(k[bad][0]))
+    if bad.any():       # the first non-finite cell in lexicographic order
+        _check_coeff(float(k[bad][np.lexsort(cells[bad].T[::-1])[0]]))
     nonzero = k != 0.0
     lo, hi, k = merge(grids, cells[nonzero], k[nonzero])
     for arr in (lo, hi, k):
@@ -165,12 +167,6 @@ def _build(f: StepFunction, ambient: Box, lo, hi, k, repeat: str) -> StepFunctio
                         ("_reach", np.maximum.accumulate(hi[:, 0])), ("_pieces", None)):
         object.__setattr__(f, name, value)
     return f
-
-
-def _summed(ambient: Box, lo, hi, k) -> StepFunction:
-    """``Σ k_i * 1_{[lo_i, hi_i]}`` for pieces inside ``ambient`` that may
-    overlap: where they do, their values add in piece order."""
-    return _build(object.__new__(StepFunction), ambient, lo, hi, k, "sum")
 
 
 def _piece_arrays(ambient: Box, pieces: tuple):
@@ -226,7 +222,7 @@ def with_ambient(f: StepFunction, ambient) -> StepFunction:
     lo, hi = box_arrays((ambient,), 1)
     if ((f.lo < lo) | (f.hi > hi)).any():
         StepFunction(ambient, f.pieces)     # raises the first escaping piece's error
-    return _build(object.__new__(StepFunction), ambient, f.lo, f.hi, f.k, _OVERLAP)
+    return _build(ambient, f.lo, f.hi, f.k, _OVERLAP)
 
 
 def zero_function(ambient: Box) -> StepFunction:
@@ -277,8 +273,8 @@ def linear_combine(a: float, f: StepFunction, b: float, g: StepFunction) -> Step
         raise AmbientMismatchError("linear_combine needs a common ambient")
     # a non-finite sum is reported by _build, not warned about here
     with np.errstate(over="ignore", invalid="ignore"):
-        return _summed(f.ambient, np.concatenate((f.lo, g.lo)), np.concatenate((f.hi, g.hi)),
-                       np.concatenate((a * f.k, b * g.k)))
+        return _build(f.ambient, np.concatenate((f.lo, g.lo)), np.concatenate((f.hi, g.hi)),
+                      np.concatenate((a * f.k, b * g.k)), "sum")
 
 
 def restrict(f: StepFunction, region: Region) -> StepFunction:
@@ -288,7 +284,7 @@ def restrict(f: StepFunction, region: Region) -> StepFunction:
         if not f.ambient.contains_box(rb):
             raise AmbientMismatchError(f"region {rb.to_json()} escapes ambient")
     i, lo, hi = _clipped(f, boxes)
-    return _build(object.__new__(StepFunction), f.ambient, lo, hi, f.k[i], _OVERLAP)
+    return _build(f.ambient, lo, hi, f.k[i], _OVERLAP)
 
 
 def p_norm(f: StepFunction, p: float) -> float:
@@ -324,15 +320,17 @@ def p_norm(f: StepFunction, p: float) -> float:
     return _scaled_root(parts, p)
 
 
-def _scaled_root(parts: list, p: float) -> float:
-    """``(Σ (x·2^e)^p)^(1/p)`` over ``(x, e)`` pairs, not all ``x`` zero,
-    with the largest exponent, then the largest term, taken out so that no
-    power overflows; a result beyond binary64 raises NonFiniteError."""
+def _scaled_root(parts: list, p: float, scale: float = 1.0) -> float:
+    """``scale · (Σ (x·2^e)^p)^(1/p)`` over ``(x, e)`` pairs, not all ``x``
+    zero, with the largest exponent, then the largest term, taken out so
+    that no power overflows, and ``scale``'s exponent added last; only a
+    result beyond binary64 raises NonFiniteError."""
     top = max(e for x, e in parts if x)
     xs = [math.ldexp(x, e - top) for x, e in parts]
     big = max(xs)
+    mant, exp = math.frexp(scale)
     try:
-        return math.ldexp(big * sum((x / big) ** p for x in xs) ** (1.0 / p), top)
+        return math.ldexp(mant * big * sum((x / big) ** p for x in xs) ** (1.0 / p), top + exp)
     except OverflowError:
         raise NonFiniteError("the norm overflows binary64") from None
 
@@ -405,7 +403,7 @@ def juxtapose(schemes, tup: FunctionTuple) -> StepFunction:
         u, v = a * entry.lo + b, a * entry.hi + b
         lo.append(np.minimum(u, v))
         hi.append(np.maximum(u, v))
-    return _build(object.__new__(StepFunction), amb, np.concatenate(lo), np.concatenate(hi),
+    return _build(amb, np.concatenate(lo), np.concatenate(hi),
                   np.concatenate([e.k for e in tup.entries]), _OVERLAP)
 
 
@@ -435,7 +433,4 @@ def direct_sum_norm(tup: FunctionTuple, p: float) -> float:
         norm = math.inf
     if 0.0 < norm < math.inf or not any(norms):
         return norm
-    norm = factor ** (1.0 / p) * _scaled_root(list(map(math.frexp, norms)), p)
-    if not math.isfinite(norm):
-        raise NonFiniteError("the norm overflows binary64")
-    return norm
+    return _scaled_root(list(map(math.frexp, norms)), p, factor ** (1.0 / p))

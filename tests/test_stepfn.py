@@ -42,6 +42,7 @@ from stepquiver import (
     var_upper_integral,
     zero_function,
 )
+from stepquiver import measure
 from stepquiver.stepfn import with_ambient
 
 from conftest import brute_overlap, random_step
@@ -517,6 +518,67 @@ def test_to_json_writes_the_pieces_view_from_the_arrays(drawn, data):
         {"box": b.to_json(), "coeff": k} for b, k in h.pieces]})
 
 
+def _diagonal_cubes(count, dim):
+    """``[i/count, (i+1)/count]^dim``: a grid of ``count**dim`` cells."""
+    return [box(*[make_interval(i / count, (i + 1) / count)] * dim) for i in range(count)]
+
+
+def test_eight_dimensional_diagonal_cubes_keep_their_pieces():
+    cubes = _diagonal_cubes(300, 8)     # 300**8 grid cells, past any int64 cell number
+    amb = box(*[make_interval(0.0, 1.0)] * 8)
+    pieces = tuple((c, float(i + 1)) for i, c in enumerate(cubes))
+    f = StepFunction(amb, pieces[::-1])
+    assert f.pieces == pieces
+    assert measurable_set(cubes[::-1]).boxes == tuple(cubes)
+    assert normalize_set(cubes[::-1]).boxes == tuple(cubes)
+    assert linear_combine(2.0, f, -1.0, f).pieces == pieces
+    with pytest.raises(OrderViolationError):
+        StepFunction(amb, pieces + ((cubes[7], 1.0),))
+    with pytest.raises(MemoryError):    # 300**8 cells in the one box: none is expanded
+        normalize_set(cubes + [amb])
+    few = _diagonal_cubes(4, 8)
+    cover = indicator(amb, amb, 0.5)
+    h = linear_combine(1.0, cover, 1.0, StepFunction(amb, [(c, 1.0) for c in few]))
+    assert normalize_set(few + [amb]).boxes == (amb,)
+    assert [h((i / 4 + 0.125,) * 8) for i in range(4)] == [1.5] * 4
+    assert h((0.125,) * 7 + (0.375,)) == 0.5
+    assert integrate_step(h) == 0.5 + 4 * 0.25 ** 8
+
+
+def _overlapping_boxes(rng, dim, count):
+    def iv():
+        a, b = sorted(rng.sample(range(9), 2))
+        return make_interval(a / 8, b / 8)
+    return [box(*(iv() for _ in range(dim))) for _ in range(count)]
+
+
+def test_cut_in_many_rounds_gives_the_one_round_result(monkeypatch):
+    """A CUT_CHUNK of 3 cells expands about one box a round, so repeats,
+    sums and overlaps are found across rounds."""
+    rng = random.Random(5)
+    cases = [(dim, _overlapping_boxes(rng, dim, rng.randint(2, 12)))
+             for dim in (1, 2, 3) for _ in range(15)]
+
+    def outcomes():
+        out = []
+        for dim, boxes in cases:
+            amb = box(*[make_interval(0.0, 1.0)] * dim)
+            s = normalize_set(boxes)
+            f = StepFunction(amb, [(b, float(i + 1)) for i, b in enumerate(s.boxes)])
+            g = linear_combine(1.0, f, 0.5, indicator(boxes[0], amb, 3.0))
+            try:
+                verdict = measurable_set(boxes)
+            except OrderViolationError as e:
+                verdict = str(e)
+            out.append((s, measurable_set(s.boxes), f, g, linear_combine(0.1, g, 0.7, f), verdict))
+        return out
+
+    once = outcomes()
+    monkeypatch.setattr(measure, "CUT_CHUNK", 3)
+    assert outcomes() == once
+    assert sum(isinstance(v, str) for *_, v in once) > 10
+
+
 # ---------------------------------------------------------------------------
 # results beyond binary64: scaled norms, typed errors, no numpy warnings
 # ---------------------------------------------------------------------------
@@ -530,6 +592,10 @@ def test_norms_that_overflow_or_underflow_on_the_way_are_rescaled():
     assert p_norm(indicator(box1(0.0, 0.5), UNIT, 1e-200), 2) == 0.5e-200  # 1e-400 underflows
     assert direct_sum_norm(FunctionTuple((half, half)), 1000) == pytest.approx(
         5.0 * 2.0 ** (1 / 1000), rel=1e-15)
+    # Σ‖x_i‖ = 4e308 overflows, but the cube [0,4]^2 scales it by 1/16
+    side = make_interval(0.0, 4.0)
+    square = indicator(box(side, side), box(side, side), 6.25e306)     # p_norm 1e308
+    assert direct_sum_norm(FunctionTuple((square,) * 4), 1) == pytest.approx(2.5e307, rel=1e-15)
 
 
 def test_results_beyond_binary64_raise_without_a_warning():
