@@ -58,14 +58,14 @@ def _load_presentation(path: str, strict: bool = False):
     return doc, validate_gentle(doc.quiver(), doc.relations, strict=strict)
 
 
-def _require_presentation(path: str) -> GentlePresentation:
+def _require_presentation(path: str) -> tuple[QuiverDoc, GentlePresentation]:
     doc, result = _load_presentation(path)
     if isinstance(result, ValidationReport):
         raise StepQuiverError(
             f"{path}: not a gentle presentation "
             f"({len(result.violations)} violation(s); run `validate` for details)"
         )
-    return result
+    return doc, result
 
 
 def _print_enclosure(enc: Enclosure, as_json: bool, extra: Optional[dict] = None) -> None:
@@ -108,7 +108,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_threads(args) -> int:
-    p = _require_presentation(args.file)
+    _, p = _require_presentation(args.file)
     kinds = [FORBIDDEN, PERMITTED] if args.kind == "both" else [args.kind]
     found = {k: enumerate_threads(p, k) for k in kinds}
     if args.json:
@@ -123,11 +123,8 @@ def _cmd_threads(args) -> int:
 
 
 def _cmd_koszul(args) -> int:
-    doc = _load_doc(args.file)
-    result = validate_gentle(doc.quiver(), doc.relations)
-    if isinstance(result, ValidationReport):
-        raise StepQuiverError(f"{args.file}: not a gentle presentation")
-    dual = koszul_dual(result)
+    doc, p = _require_presentation(args.file)
+    dual = koszul_dual(p)
     out = doc_from_presentation(doc.name + "_dual", dual)
     if args.json:
         payload = dual.to_json()
@@ -139,7 +136,7 @@ def _cmd_koszul(args) -> int:
 
 
 def _cmd_gldim(args) -> int:
-    p = _require_presentation(args.file)
+    _, p = _require_presentation(args.file)
     if args.method == "all":
         report = gldim_report(p)
         if args.json:

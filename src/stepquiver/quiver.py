@@ -12,11 +12,23 @@ enforced by tests against a brute-force scanner.
 
 Gentle conditions (2)/(3) leave every arrow at most one successor and at
 most one predecessor under each predicate, so the threads of one kind are
-disjoint chains (Avella-Alaminos–Geiss, JPAA 2008).  Each quiver indexes
-its arrows by source and by target once, and threads and cycle witnesses
-come from iterative walks along a successor map.  Validation, threads and
-the Koszul dual are therefore linear in the number of arrows, with no
-recursion limit on the length of a chain.
+disjoint chains (Avella-Alaminos–Geiss, JPAA 2008).  The work is done on
+integers.  A quiver interns its names once, on first use: vertex and arrow
+ids are ranks in plain ``sorted`` name order, so every order read from the
+ids is name order.  It keeps each arrow's source and target id, and the
+arrows into and out of each vertex as flat lists grouped by vertex, in
+declaration order within a group.  A presentation keeps its relations as
+ints ``a·A + b`` (``A`` arrows) and, from one pass over the composable
+pairs, two successor arrays ``succ[True][a]`` (the arrow after ``a``
+inside the ideal) and ``succ[False][a]`` (outside it), −1 for none.
+Conditions (1)–(3) read the per-vertex groups; threads and cycle
+witnesses walk the arrays, and the chains of one kind come out end to end
+in one flat list; the integral route counts source multiplicities on
+vertex ids; the Koszul dual swaps sources and targets, takes its
+relations ``(b, a)`` from ``succ[False][a] = b`` and passes the same
+gentle check.  Names come back only in output: threads, witnesses and
+JSON.  Validation, threads and the dual are linear in the number of
+arrows, with no recursion limit on the length of a chain.
 
 Global dimension routes (must agree):
 
@@ -41,7 +53,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from itertools import accumulate, pairwise, repeat
+from operator import add, itemgetter, mul, ne
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import (
     BijectionFailureError,
@@ -53,11 +67,13 @@ from .errors import (
     NonComposableRelationError,
     NonFiniteError,
     NonIntegerResultError,
+    NonQuadraticRelationError,
     NotGentleError,
     NotPermittedError,
     OrderViolationError,
     OutOfDomainError,
     PathNotInPresentationError,
+    StepQuiverError,
     UnknownArrowError,
     UnknownVertexError,
 )
@@ -72,6 +88,131 @@ class Arrow(NamedTuple):
     target: str
 
 
+def _arrow(a) -> Arrow:
+    if type(a) is Arrow:
+        return a
+    if not isinstance(a, str):
+        try:
+            return Arrow(*a)
+        except TypeError:
+            pass
+    raise StepQuiverError(f"arrow {a!r} is not a (name, source, target) triple")
+
+
+def _relation(r) -> tuple[str, str]:
+    if type(r) is tuple and len(r) == 2 and type(r[0]) is str and type(r[1]) is str:
+        return r  # already a pair of names: kept, not copied
+    if not isinstance(r, str):
+        try:
+            a, b = r
+            return str(a), str(b)
+        except (TypeError, ValueError):
+            pass
+    raise NonQuadraticRelationError(f"relation {r!r} is not a pair of two arrow names")
+
+
+# ---------------------------------------------------------------------------
+# the integer form
+# ---------------------------------------------------------------------------
+
+def _grouped(ends: list[int], decl: list[int], nv: int) -> tuple[list[int], list[int]]:
+    """Arrow ids grouped by the vertex ``ends[a]``, in declaration order
+    within a group, and the offset where each vertex's group starts."""
+    at = [0] * (nv + 1)
+    for v in ends:
+        at[v + 1] += 1
+    return sorted(decl, key=ends.__getitem__), list(accumulate(at))
+
+
+class _Ints(NamedTuple):
+    """A quiver on integer ids, each id the rank of its name in sorted order.
+
+    The arrows into vertex ``v`` are ``ins[in_at[v]:in_at[v + 1]]`` and the
+    arrows out of it ``outs[out_at[v]:out_at[v + 1]]``, in declaration
+    order: flat lists, not one list per vertex."""
+
+    vertex_names: tuple[str, ...]
+    vertex_id: dict
+    arrow_names: tuple[str, ...]
+    arrow_id: dict
+    src: list[int]              # by arrow id
+    tgt: list[int]
+    decl: list[int]             # arrow ids in declaration order
+    ins: list[int]
+    in_at: list[int]
+    outs: list[int]
+    out_at: list[int]
+
+    def arrows_into(self, v: int) -> list[int]:
+        return self.ins[self.in_at[v]:self.in_at[v + 1]]
+
+    def arrows_from(self, v: int) -> list[int]:
+        return self.outs[self.out_at[v]:self.out_at[v + 1]]
+
+    def opposite(self) -> "_Ints":
+        return self._replace(src=self.tgt, tgt=self.src, ins=self.outs, in_at=self.out_at,
+                             outs=self.ins, out_at=self.in_at)
+
+
+class _Links(NamedTuple):
+    """A presentation on integer ids: its relations as ``a·A + b`` (``A``
+    arrows) and, by predicate, each arrow's successor (−1 for none),
+    whether some arrow precedes it, and the first pair that gave an arrow a
+    second successor or predecessor (``None`` while gentle)."""
+
+    ix: _Ints
+    rel: frozenset
+    succ: tuple[list[int], list[int]]           # [in_ideal][a]
+    has_pred: tuple[bytearray, bytearray]       # [in_ideal][b]
+    clash: tuple
+
+    def pair(self, key: int) -> tuple[str, str]:
+        names = self.ix.arrow_names
+        a, b = divmod(key, len(names))
+        return names[a], names[b]
+
+
+def _link(ix: _Ints, rel: frozenset) -> _Links:
+    """Both successor arrays from one pass over the composable pairs:
+    arrows in declaration order, each followed by the arrows out of its
+    target in declaration order, so a second link is reported as the first
+    pair met in declaration order."""
+    tgt, outs, out_at, n = ix.tgt, ix.outs, ix.out_at, len(ix.arrow_names)
+    succ = ([-1] * n, [-1] * n)
+    has_pred = (bytearray(n), bytearray(n))
+    clash = [None, None]
+    for a in ix.decl:
+        t = tgt[a]
+        for b in outs[out_at[t]:out_at[t + 1]]:
+            k = a * n + b in rel
+            if clash[k] is None:
+                if succ[k][a] >= 0 or has_pred[k][b]:
+                    clash[k] = (a, b)
+                else:
+                    succ[k][a] = b
+                    has_pred[k][b] = 1
+    return _Links(ix, rel, succ, has_pred, tuple(clash))
+
+
+def _raise_for_bad_relation(ix: _Ints, rels: frozenset) -> None:
+    """Raise for the first relation in name order that names an unknown
+    arrow or does not compose."""
+    aid, vn = ix.arrow_id, ix.vertex_names
+    a, b = min(r for r in rels if r[0] not in aid or r[1] not in aid
+               or ix.tgt[aid[r[0]]] != ix.src[aid[r[1]]])
+    if a not in aid or b not in aid:
+        missing = a if a not in aid else b
+        raise UnknownArrowError(f"relation {a}*{b} names unknown arrow {missing!r}")
+    raise NonComposableRelationError(
+        f"relation {a}*{b} is not composable: "
+        f"t({a}) = {vn[ix.tgt[aid[a]]]!r}, s({b}) = {vn[ix.src[aid[b]]]!r}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# quivers and presentations
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class Quiver:
     vertices: tuple[str, ...]
@@ -81,7 +222,7 @@ class Quiver:
         object.__setattr__(self, "vertices", tuple(dict.fromkeys(self.vertices)))
         names = set()
         vset = set(self.vertices)
-        arrows = tuple(Arrow(*a) for a in self.arrows)
+        arrows = tuple(map(_arrow, self.arrows))
         object.__setattr__(self, "arrows", arrows)
         for a in arrows:
             if a.name in names:
@@ -94,32 +235,53 @@ class Quiver:
                     )
 
     @cached_property
+    def _ints(self) -> _Ints:
+        """The integer form, interned on first use."""
+        vertex_names = tuple(sorted(self.vertices))
+        vid = dict(zip(vertex_names, range(len(vertex_names))))
+        arrow_names = tuple(sorted(a.name for a in self.arrows))
+        aid = dict(zip(arrow_names, range(len(arrow_names))))
+        decl = [aid[a.name] for a in self.arrows]
+        src, tgt = [0] * len(decl), [0] * len(decl)
+        for i, a in zip(decl, self.arrows):
+            src[i] = vid[a.source]
+            tgt[i] = vid[a.target]
+        nv = len(vertex_names)
+        return _Ints(vertex_names, vid, arrow_names, aid, src, tgt, decl,
+                     *_grouped(tgt, decl, nv), *_grouped(src, decl, nv))
+
+    def _opposite(self, ix: _Ints) -> "Quiver":
+        """Every arrow reversed, with ``ix`` (``self._ints.opposite()``) as
+        its integer form rather than names interned again."""
+        d = object.__new__(Quiver)
+        object.__setattr__(d, "vertices", self.vertices)
+        object.__setattr__(d, "arrows", tuple(Arrow(a.name, a.target, a.source)
+                                              for a in self.arrows))
+        d.__dict__["_ints"] = ix
+        return d
+
+    @cached_property
     def arrow_map(self) -> dict:
         return {a.name: a for a in self.arrows}
 
-    @cached_property
-    def _ends(self) -> tuple[dict, dict]:
-        """Arrows by source and by target, each list in declaration order."""
-        by_source: dict[str, list[Arrow]] = {}
-        by_target: dict[str, list[Arrow]] = {}
-        for a in self.arrows:
-            by_source.setdefault(a.source, []).append(a)
-            by_target.setdefault(a.target, []).append(a)
-        return by_source, by_target
+    def _arrows_at(self, v: str, ids_at) -> list[Arrow]:
+        ix = self._ints
+        i = ix.vertex_id.get(v)
+        return [] if i is None else [self.arrow_map[ix.arrow_names[a]] for a in ids_at(i)]
 
     def arrows_from(self, v: str) -> list[Arrow]:
-        return list(self._ends[0].get(v, ()))
+        return self._arrows_at(v, self._ints.arrows_from)
 
     def arrows_into(self, v: str) -> list[Arrow]:
-        return list(self._ends[1].get(v, ()))
+        return self._arrows_at(v, self._ints.arrows_into)
 
     def to_json(self) -> dict:
+        ix = self._ints
+        vn = ix.vertex_names
         return {
-            "vertices": sorted(self.vertices),
-            "arrows": [
-                {"name": a.name, "source": a.source, "target": a.target}
-                for a in sorted(self.arrows)
-            ],
+            "vertices": list(vn),
+            "arrows": [{"name": n, "source": vn[s], "target": vn[t]}
+                       for n, s, t in zip(ix.arrow_names, ix.src, ix.tgt)],
         }
 
 
@@ -130,27 +292,37 @@ class GentlePresentation:
     quiver: Quiver
     relations: frozenset[tuple[str, str]]
     validated: bool = True
+    _links: _Links = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "relations",
-                           frozenset((str(a), str(b)) for a, b in self.relations))
-        amap = self.quiver.arrow_map
-        for a, b in sorted(self.relations):
-            if a not in amap or b not in amap:
-                missing = a if a not in amap else b
-                raise UnknownArrowError(f"relation {a}*{b} names unknown arrow {missing!r}")
-            if amap[a].target != amap[b].source:
-                raise NonComposableRelationError(
-                    f"relation {a}*{b} is not composable: "
-                    f"t({a}) = {amap[a].target!r}, s({b}) = {amap[b].source!r}"
-                )
+        rels = frozenset(map(_relation, self.relations))
+        object.__setattr__(self, "relations", rels)
+        ix = self.quiver._ints
+        heads = list(map(ix.arrow_id.get, map(itemgetter(0), rels)))
+        tails = list(map(ix.arrow_id.get, map(itemgetter(1), rels)))
+        if None in heads or None in tails or any(
+                map(ne, map(ix.tgt.__getitem__, heads), map(ix.src.__getitem__, tails))):
+            _raise_for_bad_relation(ix, rels)
+        keys = frozenset(map(add, map(mul, heads, repeat(len(ix.arrow_names))), tails))
+        object.__setattr__(self, "_links", _link(ix, keys))
+
+    @classmethod
+    def _named(cls, quiver: Quiver, links: _Links) -> "GentlePresentation":
+        """The presentation whose integer form is ``links``, with the
+        relation names read off its keys rather than looked up."""
+        p = object.__new__(cls)
+        for name, value in (("quiver", quiver),
+                            ("relations", frozenset(map(links.pair, links.rel))),
+                            ("validated", True), ("_links", links)):
+            object.__setattr__(p, name, value)
+        return p
 
     def in_ideal(self, a: str, b: str) -> bool:
         return (a, b) in self.relations
 
     def to_json(self) -> dict:
         out = self.quiver.to_json()
-        out["relations"] = [[a, b] for a, b in sorted(self.relations)]
+        out["relations"] = [list(self._links.pair(k)) for k in sorted(self._links.rel)]
         return out
 
 
@@ -174,103 +346,133 @@ class ValidationReport:
         return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
 
 
-def _paper_condition_violations(q: Quiver, rels: frozenset) -> list[GentleViolation]:
+def _paper_condition_violations(lk: _Links) -> list[GentleViolation]:
+    ix, rels = lk.ix, lk.rel
+    names, n, in_at, out_at = ix.arrow_names, len(ix.arrow_names), ix.in_at, ix.out_at
     out: list[GentleViolation] = []
-    for v in sorted(q.vertices):
-        ins = sorted(a.name for a in q.arrows_into(v))
-        outs = sorted(a.name for a in q.arrows_from(v))
-        if len(ins) > 2:
+
+    def exactly_one(condition, x1, y1, x2, y2):
+        flags = (x1 * n + y1 in rels, x2 * n + y2 in rels)
+        if flags[0] == flags[1]:
+            kind = "both" if flags[0] else "neither"
             out.append(GentleViolation(
-                "1", f"vertex {v!r} has {len(ins)} incoming arrows: {ins}"))
-        if len(outs) > 2:
-            out.append(GentleViolation(
-                "1", f"vertex {v!r} has {len(outs)} outgoing arrows: {outs}"))
+                condition, f"{kind} of {names[x1]}*{names[y1]}, "
+                           f"{names[x2]}*{names[y2]} lie in the ideal"))
+
+    for i, v in enumerate(ix.vertex_names):
+        if in_at[i + 1] - in_at[i] < 2 and out_at[i + 1] - out_at[i] < 2:
+            continue
+        ins, outs = sorted(ix.arrows_into(i)), sorted(ix.arrows_from(i))
+        for ends, way in ((ins, "incoming"), (outs, "outgoing")):
+            if len(ends) > 2:
+                out.append(GentleViolation("1", f"vertex {v!r} has {len(ends)} {way} "
+                                                f"arrows: {[names[a] for a in ends]}"))
         if len(ins) == 2:
-            a1, a2 = ins
             for b in outs:
-                flags = ((a1, b) in rels, (a2, b) in rels)
-                if flags == (True, True) or flags == (False, False):
-                    kind = "both" if flags[0] else "neither"
-                    out.append(GentleViolation(
-                        "2", f"{kind} of {a1}*{b}, {a2}*{b} lie in the ideal"))
+                exactly_one("2", ins[0], b, ins[1], b)
         if len(outs) == 2:
-            b1, b2 = outs
             for a in ins:
-                flags = ((a, b1) in rels, (a, b2) in rels)
-                if flags == (True, True) or flags == (False, False):
-                    kind = "both" if flags[0] else "neither"
-                    out.append(GentleViolation(
-                        "3", f"{kind} of {a}*{b1}, {a}*{b2} lie in the ideal"))
+                exactly_one("3", a, outs[0], a, outs[1])
     # condition (4) — quadratic monomial generators — holds by data type;
     # composability of each generator is enforced by GentlePresentation.
     return out
 
 
-def _strict_condition_violations(q: Quiver, rels: frozenset) -> list[GentleViolation]:
+def _strict_condition_violations(lk: _Links) -> list[GentleViolation]:
+    ix, rels = lk.ix, lk.rel
+    names, n = ix.arrow_names, len(ix.arrow_names)
     out: list[GentleViolation] = []
-    for b in sorted(a.name for a in q.arrows):
-        arrow = q.arrow_map[b]
-        ins = [a.name for a in q.arrows_into(arrow.source)]
-        outs = [c.name for c in q.arrows_from(arrow.target)]
+    for b in range(n):
+        ins, outs = ix.arrows_into(ix.src[b]), ix.arrows_from(ix.tgt[b])
         groups = (
-            ("at-most-one-relation-into", [a for a in ins if (a, b) in rels]),
-            ("at-most-one-relation-out-of", [c for c in outs if (b, c) in rels]),
-            ("at-most-one-composition-into", [a for a in ins if (a, b) not in rels]),
-            ("at-most-one-composition-out-of", [c for c in outs if (b, c) not in rels]),
+            ("at-most-one-relation-into", [a for a in ins if a * n + b in rels]),
+            ("at-most-one-relation-out-of", [c for c in outs if b * n + c in rels]),
+            ("at-most-one-composition-into", [a for a in ins if a * n + b not in rels]),
+            ("at-most-one-composition-out-of", [c for c in outs if b * n + c not in rels]),
         )
         for label, items in groups:
             if len(items) > 1:
                 out.append(GentleViolation(
-                    label, f"arrow {b!r}: {sorted(items)}", rule_set="strict"))
+                    label, f"arrow {names[b]!r}: {[names[a] for a in sorted(items)]}",
+                    rule_set="strict"))
     return out
 
 
-def _next_arrow(p: GentlePresentation, in_ideal: bool) -> dict[str, str]:
-    """Each arrow's successor ``b`` with ``(a, b) in I`` equal to ``in_ideal``.
+class _Chains(NamedTuple):
+    """Disjoint arrow-id chains laid end to end: chain ``i`` is
+    ``order[cuts[i]:cuts[i + 1]]``.  One flat list, however many chains."""
 
-    Raises ``NotGentleError`` when an arrow would get a second successor or
-    a second predecessor: gentle conditions (2)/(3) rule both out.
-    """
-    nxt: dict[str, str] = {}
-    has_pred: set[str] = set()
-    for a in p.quiver.arrows:
-        for b in p.quiver.arrows_from(a.target):
-            if p.in_ideal(a.name, b.name) == in_ideal:
-                if a.name in nxt or b.name in has_pred:
-                    what = "relation" if in_ideal else "composition"
-                    raise NotGentleError(f"{a.name}*{b.name} is a second {what} "
-                                         f"out of {a.name!r} or into {b.name!r}")
-                nxt[a.name] = b.name
-                has_pred.add(b.name)
-    return nxt
+    order: list[int]
+    cuts: list[int]
+
+    def each(self) -> Iterator[list[int]]:
+        return (self.order[i:j] for i, j in pairwise(self.cuts))
+
+    def lengths(self) -> Iterator[int]:
+        return (j - i for i, j in pairwise(self.cuts))
 
 
-def _chains(nxt: dict[str, str], names: Iterable[str]
-            ) -> tuple[list[list[str]], Optional[list[str]]]:
-    """Walk ``nxt`` from every arrow without a predecessor, in name order.
+def _chains(lk: _Links, in_ideal: bool) -> tuple[_Chains, Optional[list[int]]]:
+    """Walk the successor array of ``in_ideal`` from every arrow without a
+    predecessor, in id (that is, name) order.
 
     Returns the maximal chains and, when some arrows lie on none of them
     (they then form cycles), the cycle through the least such arrow,
-    closed by repeating that arrow.
+    closed by repeating that arrow.  Raises ``NotGentleError`` when an
+    arrow has a second successor or a second predecessor: gentle
+    conditions (2)/(3) rule both out.
     """
-    names = sorted(names)
-    has_pred = set(nxt.values())
-    chains = []
-    for s in names:
-        if s in has_pred:
+    if lk.clash[in_ideal] is not None:
+        a, b = map(lk.ix.arrow_names.__getitem__, lk.clash[in_ideal])
+        what = "relation" if in_ideal else "composition"
+        raise NotGentleError(f"{a}*{b} is a second {what} out of {a!r} or into {b!r}")
+    succ, has_pred = lk.succ[in_ideal], lk.has_pred[in_ideal]
+    order, cuts = [], [0]
+    append = order.append
+    for s, pred in enumerate(has_pred):
+        if pred:
             continue
-        chain = [s]
-        while chain[-1] in nxt:
-            chain.append(nxt[chain[-1]])
-        chains.append(chain)
-    if sum(map(len, chains)) == len(names):
-        return chains, None
-    on_chain = {a for c in chains for a in c}
-    start = next(a for a in names if a not in on_chain)
-    cycle = [start, nxt[start]]
-    while cycle[-1] != start:
-        cycle.append(nxt[cycle[-1]])
-    return chains, cycle
+        append(s)
+        b = succ[s]
+        while b >= 0:
+            append(b)
+            b = succ[b]
+        cuts.append(len(order))
+    if len(order) == len(succ):
+        return _Chains(order, cuts), None
+    on_chain = bytearray(len(succ))
+    for a in order:
+        on_chain[a] = 1
+    start = on_chain.index(0)
+    cycle = [start]
+    b = succ[start]
+    while b != start:
+        cycle.append(b)
+        b = succ[b]
+    return _Chains(order, cuts), cycle + [start]
+
+
+def _cycle_text(lk: _Links, cycle: list[int]) -> str:
+    return " -> ".join(map(lk.ix.arrow_names.__getitem__, cycle))
+
+
+def _report(lk: _Links, strict: bool, allow_infinite_dimensional: bool
+            ) -> Optional[ValidationReport]:
+    """The gentle conditions on ``lk``: a report of what fails, ``None``
+    when all hold, or ``InfiniteDimensionalError``."""
+    violations = _paper_condition_violations(lk)
+    if strict:
+        violations = violations + _strict_condition_violations(lk)
+    if violations:
+        return ValidationReport(ok=False, violations=violations)
+    if not allow_infinite_dimensional:
+        _, cycle = _chains(lk, in_ideal=False)
+        if cycle is not None:
+            raise InfiniteDimensionalError(
+                f"non-relation compositions cycle through arrows {_cycle_text(lk, cycle)}; "
+                "the quotient algebra is infinite-dimensional"
+            )
+    return None
 
 
 def validate_gentle(q: Quiver, rels: Iterable, strict: bool = False,
@@ -291,21 +493,8 @@ def validate_gentle(q: Quiver, rels: Iterable, strict: bool = False,
     ``allow_infinite_dimensional`` is set (used for Koszul duals).
     """
     # built once: it leaves this function only after every check passed
-    pres = GentlePresentation(q, frozenset(tuple(r) for r in rels))
-    violations = _paper_condition_violations(q, pres.relations)
-    if strict:
-        violations = violations + _strict_condition_violations(q, pres.relations)
-    if violations:
-        return ValidationReport(ok=False, violations=violations)
-    if not allow_infinite_dimensional:
-        _, cycle = _chains(_next_arrow(pres, in_ideal=False),
-                           (a.name for a in q.arrows))
-        if cycle is not None:
-            raise InfiniteDimensionalError(
-                "non-relation compositions cycle through arrows "
-                f"{' -> '.join(cycle)}; the quotient algebra is infinite-dimensional"
-            )
-    return pres
+    pres = GentlePresentation(q, rels)
+    return _report(pres._links, strict, allow_infinite_dimensional) or pres
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +522,26 @@ class Thread:
         return {"arrows": list(self.arrows), "kind": self.kind, "length": self.length}
 
 
+def _threads(lk: _Links, kind: str) -> _Chains:
+    """The threads of ``kind`` as arrow-id chains, in name order."""
+    if kind not in (PERMITTED, FORBIDDEN):
+        raise NotPermittedError(f"unknown thread kind {kind!r}")
+    in_ideal = kind == FORBIDDEN
+    chains, cycle = _chains(lk, in_ideal)
+    if cycle is not None:
+        msg = f"{kind} compositions cycle through arrows {_cycle_text(lk, cycle)}"
+        if in_ideal:
+            raise InfiniteGlobalDimensionError(msg)
+        raise InfiniteDimensionalError(msg)
+    return chains
+
+
+def _named_threads(lk: _Links, chains: _Chains, kind: str) -> tuple[Thread, ...]:
+    name = lk.ix.arrow_names.__getitem__
+    # chains start at distinct arrows taken in name order, so they are sorted
+    return tuple(Thread(tuple(map(name, c)), kind) for c in chains.each())
+
+
 def enumerate_threads(p: GentlePresentation, kind: str) -> tuple[Thread, ...]:
     """All maximal chains for the pair-predicate of ``kind``, sorted.
 
@@ -342,41 +551,39 @@ def enumerate_threads(p: GentlePresentation, kind: str) -> tuple[Thread, ...]:
     ``InfiniteGlobalDimensionError``, permitted cycles
     ``InfiniteDimensionalError``.
     """
-    if kind not in (PERMITTED, FORBIDDEN):
-        raise NotPermittedError(f"unknown thread kind {kind!r}")
-    in_ideal = kind == FORBIDDEN
-    chains, cycle = _chains(_next_arrow(p, in_ideal), (a.name for a in p.quiver.arrows))
-    if cycle is not None:
-        msg = f"{kind} compositions cycle through arrows {' -> '.join(cycle)}"
-        if in_ideal:
-            raise InfiniteGlobalDimensionError(msg)
-        raise InfiniteDimensionalError(msg)
-    # chains start at distinct arrows taken in name order, so they are sorted
-    return tuple(Thread(tuple(c), kind) for c in chains)
+    return _named_threads(p._links, _threads(p._links, kind), kind)
 
 
 # ---------------------------------------------------------------------------
 # Koszul dual
 # ---------------------------------------------------------------------------
 
+def _dual(lk: _Links) -> _Links:
+    """The Koszul dual's integer form, checked by the gentle conditions:
+    sources and targets swap, and ``(b, a)`` is a relation for each
+    ``succ[False][a] = b``."""
+    n = len(lk.ix.arrow_names)
+    if lk.clash[False] is None:
+        keys = frozenset(b * n + a for a, b in enumerate(lk.succ[False]) if b >= 0)
+    else:  # not gentle: every pair outside the ideal, so the dual's report is whole
+        ix = lk.ix
+        keys = frozenset(b * n + a for a in ix.decl for b in ix.arrows_from(ix.tgt[a])
+                         if a * n + b not in lk.rel)
+    dual = _link(lk.ix.opposite(), keys)
+    report = _report(dual, strict=False, allow_infinite_dimensional=True)
+    if report is not None:
+        raise MethodDisagreementError(
+            f"Koszul dual failed gentle validation: {report.to_json()}"
+        )
+    return dual
+
+
 def koszul_dual(p: GentlePresentation) -> GentlePresentation:
     """Reverse every arrow; relations are the reversals of the composable
     pairs *not* in the ideal: ``I^! = { b^! a^! : ab composable, ab ∉ I }``.
     """
-    q = p.quiver
-    dual_arrows = tuple(Arrow(a.name, a.target, a.source) for a in q.arrows)
-    dual_q = Quiver(q.vertices, dual_arrows)
-    dual_rels = set()
-    for a in q.arrows:
-        for b in q.arrows_from(a.target):
-            if not p.in_ideal(a.name, b.name):
-                dual_rels.add((b.name, a.name))
-    result = validate_gentle(dual_q, dual_rels, allow_infinite_dimensional=True)
-    if isinstance(result, ValidationReport):
-        raise MethodDisagreementError(
-            f"Koszul dual failed gentle validation: {result.to_json()}"
-        )
-    return result
+    dual = _dual(p._links)
+    return GentlePresentation._named(p.quiver._opposite(dual.ix), dual)
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +701,21 @@ def multiple_integral_affine_unit_box(weights: Mapping, t: float) -> float:
 
 def integer_from_float(value: float, tol: float = 1e-9) -> int:
     """Round a float that must be an integer; reject misses beyond tol."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{value!r} is not a finite number")
     r = round(value)
     if abs(value - r) > tol:
         raise NonIntegerResultError(f"{value!r} is not within {tol} of an integer")
     return int(r)
 
 
+def _length_via_integral(weights: Mapping) -> int:
+    return integer_from_float(2.0 * multiple_integral_affine_unit_box(weights, 1.0), 1e-9)
+
+
 def path_length_via_integral(p: GentlePresentation, q) -> int:
     """Arrow count recovered as ``2 ∫`` of the source-weight sum at t = 1."""
-    weights = path_source_weights(p, q)
-    value = 2.0 * multiple_integral_affine_unit_box(weights, 1.0)
-    return integer_from_float(value, 1e-9)
+    return _length_via_integral(path_source_weights(p, q))
 
 
 def w_projection(p_dual: GentlePresentation, P, x: AlgebraElement) -> float:
@@ -537,27 +748,39 @@ def _stieltjes_length(l: int) -> float:
     return l * _log_unit()  # ∫_1^2 x d(l·ln x) is linear in the measure
 
 
-def _gldim_threads(forb: Sequence[Thread]) -> int:
-    return max((t.length for t in forb), default=0)
+def _gldim_threads(forb: _Chains) -> int:
+    return max(forb.lengths(), default=0)
 
 
-def _gldim_integral(forb: Sequence[Thread], p: GentlePresentation) -> int:
-    return max((path_length_via_integral(p, t) for t in forb), default=0)
+def _multiplicities(xs: Iterable) -> dict:
+    out = {}
+    for x in xs:
+        out[x] = out.get(x, 0) + 1
+    return out
 
 
-def _gldim_stieltjes(dual: GentlePresentation) -> int:
-    lengths = sorted({t.length for t in enumerate_threads(dual, PERMITTED)})
+def _gldim_integral(forb: _Chains, lk: _Links) -> int:
+    # The source multiplicities of each thread, counted on vertex ids.  The
+    # integral reads only the multiplicities, not which vertex has them, so
+    # each distinct multiset is integrated once, as the Stieltjes route
+    # integrates each distinct length once.
+    src = lk.ix.src.__getitem__
+    multisets = {tuple(sorted(_multiplicities(map(src, c)).values())) for c in forb.each()}
+    return max((_length_via_integral(dict(enumerate(u))) for u in multisets), default=0)
+
+
+def _gldim_stieltjes(dual: _Links) -> int:
+    lengths = sorted(set(_threads(dual, PERMITTED).lengths()))
     return max((integer_from_float(_stieltjes_length(l), 1e-9) for l in lengths),
                default=0)
 
 
-def _agreed_routes(p: GentlePresentation, forb: Sequence[Thread],
-                   dual: GentlePresentation) -> dict:
-    """All three routes from the forbidden threads and the Koszul dual;
-    raises ``MethodDisagreementError`` unless they agree."""
+def _agreed_routes(lk: _Links, forb: _Chains, dual: _Links) -> dict:
+    """All three routes from the forbidden threads (as arrow-id chains) and
+    the Koszul dual; raises ``MethodDisagreementError`` unless they agree."""
     values = {
         "threads": _gldim_threads(forb),
-        "integral": _gldim_integral(forb, p),
+        "integral": _gldim_integral(forb, lk),
         "stieltjes": _gldim_stieltjes(dual),
     }
     if len(set(values.values())) != 1:
@@ -572,29 +795,31 @@ def global_dimension(p: GentlePresentation, method: str = "threads") -> int:
     cycle (every route would diverge), and ``MethodDisagreementError`` if
     ``method='all'`` finds the routes disagreeing.
     """
-    forb = enumerate_threads(p, FORBIDDEN)  # also the infinite-gl.dim gate
+    lk = p._links
+    forb = _threads(lk, FORBIDDEN)  # also the infinite-gl.dim gate
     if method == "threads":
         return _gldim_threads(forb)
     if method == "integral":
-        return _gldim_integral(forb, p)
+        return _gldim_integral(forb, lk)
     if method == "stieltjes":
-        return _gldim_stieltjes(koszul_dual(p))
+        return _gldim_stieltjes(_dual(lk))
     if method == "all":
-        return _agreed_routes(p, forb, koszul_dual(p))["threads"]
+        return _agreed_routes(lk, forb, _dual(lk))["threads"]
     raise NotPermittedError(f"unknown method {method!r}")
 
 
 def gldim_report(p: GentlePresentation) -> dict:
     """JSON-ready report: value, per-route values, threads, and the dual."""
-    forb = enumerate_threads(p, FORBIDDEN)
+    lk = p._links
+    forb = _threads(lk, FORBIDDEN)
     perm = enumerate_threads(p, PERMITTED)
     dual = koszul_dual(p)
-    values = _agreed_routes(p, forb, dual)
+    values = _agreed_routes(lk, forb, dual._links)
     return {
         "gldim": values["threads"],
         "method_values": values,
         "threads": {
-            "forbidden": [t.to_json() for t in forb],
+            "forbidden": [t.to_json() for t in _named_threads(lk, forb, FORBIDDEN)],
             "permitted": [t.to_json() for t in perm],
         },
         "dual": dual.to_json(),

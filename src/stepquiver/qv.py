@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DslSyntaxError, NonQuadraticRelationError
-from .quiver import Arrow, GentlePresentation, Quiver
+from .quiver import Arrow, GentlePresentation, Quiver, _arrow, _relation
 
 RESERVED = ("quiver", "vertices", "arrows", "relations")
 
@@ -77,8 +77,8 @@ class QuiverDoc:
         # dict.fromkeys dedupes in input order, so input already in
         # canonical order (as emit_dsl writes it) sorts in linear time
         vertices = tuple(sorted(dict.fromkeys(self.vertices), key=_natural_key))
-        arrows = tuple(sorted(self.arrows, key=lambda a: _natural_key(a[0])))
-        rels = dict.fromkeys((str(a), str(b)) for a, b in self.relations)
+        arrows = tuple(sorted(map(_arrow, self.arrows), key=lambda a: _natural_key(a.name)))
+        rels = dict.fromkeys(map(_relation, self.relations))
         object.__setattr__(self, "relations", tuple(sorted(rels, key=_relation_key)))
         q = Quiver(vertices, arrows)
         object.__setattr__(self, "vertices", q.vertices)

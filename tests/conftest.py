@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -320,6 +321,45 @@ def brute_cycle_arrows(doc, kind: str) -> set[str]:
         if a in seen:
             out.add(a)
     return out
+
+
+def brute_second_link(doc, kind: str) -> bool:
+    """True when some arrow has two linked (``kind``) successors or two
+    linked predecessors, by a scan over all arrow pairs."""
+    rel = set(doc.relations)
+    arrows = doc_arrows(doc)
+    pairs = [(a, b) for a, _, ta in arrows for b, sb, _ in arrows
+             if ta == sb and ((a, b) in rel) == (kind == "forbidden")]
+    return any(n > 1 for n in Counter(a for a, _ in pairs).values()) or \
+        any(n > 1 for n in Counter(b for _, b in pairs).values())
+
+
+def brute_violation_conditions(doc, strict: bool = False) -> list[str]:
+    """Sorted condition labels of every gentle-rule failure, one per
+    offending vertex end or arrow end, by plain scans over the triples."""
+    rel = set(doc.relations)
+    arrows = doc_arrows(doc)
+    out = []
+    for v in {end for _, s, t in arrows for end in (s, t)}:
+        ins = [a for a, _, t in arrows if t == v]
+        outs = [a for a, s, _ in arrows if s == v]
+        out += ["1"] * ((len(ins) > 2) + (len(outs) > 2))
+        if len(ins) == 2:
+            out += ["2" for b in outs if ((ins[0], b) in rel) == ((ins[1], b) in rel)]
+        if len(outs) == 2:
+            out += ["3" for a in ins if ((a, outs[0]) in rel) == ((a, outs[1]) in rel)]
+    if strict:
+        for b, sb, tb in arrows:
+            ins = [a for a, _, t in arrows if t == sb]
+            outs = [c for c, s, _ in arrows if s == tb]
+            for label, count in (
+                    ("at-most-one-relation-into", sum((a, b) in rel for a in ins)),
+                    ("at-most-one-relation-out-of", sum((b, c) in rel for c in outs)),
+                    ("at-most-one-composition-into", sum((a, b) not in rel for a in ins)),
+                    ("at-most-one-composition-out-of", sum((b, c) not in rel for c in outs))):
+                if count > 1:
+                    out.append(label)
+    return sorted(out)
 
 
 def brute_global_dimension(doc) -> int:

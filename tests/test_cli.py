@@ -140,6 +140,17 @@ def test_koszul_emits_a_parseable_dual_document(capsys):
     assert payload["name"] == "a3_full_dual"
 
 
+@pytest.mark.parametrize("cmd", ["threads", "koszul", "gldim"])
+def test_quiver_subcommands_refuse_a_non_gentle_file_alike(capsys, tmp_path, cmd):
+    bad = tmp_path / "fan.qv"
+    bad.write_text("quiver fan {\n  vertices: 1 2\n"
+                   "  arrows: x: 1 -> 2, y: 1 -> 2, z: 1 -> 2\n}\n")
+    rc, out, err = run_cli(capsys, cmd, str(bad))
+    assert (rc, out) == (1, "")
+    assert err == (f"error: {bad}: not a gentle presentation "
+                   "(2 violation(s); run `validate` for details)\n")
+
+
 def test_gldim_text_reports_all_three_routes(capsys):
     rc, out, err = run_cli(capsys, "gldim", qv("a3_full"))
     assert rc == 0

@@ -140,6 +140,16 @@ def test_quiver_doc_validates_on_construction():
         QuiverDoc("x", ("1",), (Arrow("a", "1", "7"),), ())
 
 
+def test_quiver_doc_types_malformed_arrows_and_relations():
+    arrows = (Arrow("a", "1", "2"), Arrow("b", "2", "1"))
+    for rel in ("ab", ("a", "b", "a"), ("a",)):
+        with pytest.raises(NonQuadraticRelationError):
+            QuiverDoc("x", ("1", "2"), arrows, (rel,))
+    for arrow in (("c", "1"), "c12", 7):
+        with pytest.raises(StepQuiverError):
+            QuiverDoc("x", ("1", "2"), arrows + (arrow,), ())
+
+
 def test_quiver_doc_keeps_its_validated_quiver():
     doc = parse_quiver_dsl((CORPUS_DIR / "square_half.qv").read_text())
     q = doc.quiver()

@@ -6,6 +6,9 @@ in conftest, which never touch the library's thread machinery.
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -18,11 +21,15 @@ from stepquiver import (
     GentlePresentation,
     InfiniteDimensionalError,
     InfiniteGlobalDimensionError,
+    MethodDisagreementError,
     NonComposableRelationError,
+    NonFiniteError,
+    NonQuadraticRelationError,
     NotGentleError,
     NotPermittedError,
     PathNotInPresentationError,
     Quiver,
+    StepQuiverError,
     Thread,
     UnknownArrowError,
     UnknownVertexError,
@@ -49,7 +56,9 @@ from conftest import (
     brute_cycle_arrows,
     brute_dual_relations,
     brute_global_dimension,
+    brute_second_link,
     brute_threads,
+    brute_violation_conditions,
     corpus_names,
     gentle_presentations,
     load_doc,
@@ -114,6 +123,42 @@ def test_validate_gentle_builds_the_presentation_once(monkeypatch):
     p = validate_gentle(chain(3), full_chain_relations(3))
     assert isinstance(p, GentlePresentation) and p.validated
     assert len(checks) == 1 and checks[0] is p
+
+
+@pytest.mark.parametrize("rel", ["ab", ("a",), ("a", "b", "c"), 7, None])
+def test_a_relation_that_is_not_a_pair_of_names_is_typed(rel):
+    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
+    with pytest.raises(NonQuadraticRelationError):
+        validate_gentle(q, [rel])
+    with pytest.raises(NonQuadraticRelationError):
+        GentlePresentation(q, frozenset([rel]))
+
+
+@pytest.mark.parametrize("arrow", [("a", "1"), ("a", "1", "2", "3"), "a12", 7])
+def test_an_arrow_that_is_not_a_triple_is_typed(arrow):
+    with pytest.raises(StepQuiverError):
+        Quiver(("1", "2"), (Arrow("b", "1", "2"), arrow))
+
+
+def test_equality_hash_and_repr_ignore_the_integer_form():
+    # one side has built its integer form and links, the other not yet;
+    # the duals are built from integers, not from names
+    q, rels = chain(3), full_chain_relations(3)
+    fresh = Quiver(q.vertices, q.arrows)
+    p = validate_gentle(q, rels)
+    assert "_ints" in q.__dict__ and "_ints" not in fresh.__dict__
+    assert (q == fresh, hash(q) == hash(fresh), repr(q) == repr(fresh)) == (True,) * 3
+    assert repr(q) == f"Quiver(vertices={q.vertices!r}, arrows={q.arrows!r})"
+    twin = GentlePresentation(fresh, frozenset(rels))
+    assert (p == twin, hash(p) == hash(twin), repr(p) == repr(twin)) == (True,) * 3
+    assert repr(p) == (f"GentlePresentation(quiver={q!r}, relations={p.relations!r}, "
+                       "validated=True)")
+    assert [f.name for f in fields(GentlePresentation) if f.compare or f.repr] == \
+        ["quiver", "relations", "validated"]
+    dual = koszul_dual(p)
+    assert dual == validate_gentle(Quiver(q.vertices, dual.quiver.arrows), dual.relations,
+                                   allow_infinite_dimensional=True)
+    assert koszul_dual(dual) == p and hash(koszul_dual(dual)) == hash(p)
 
 
 def test_relation_must_be_composable():
@@ -271,6 +316,16 @@ def test_thread_walk_rejects_a_non_gentle_presentation():
         enumerate_threads(GentlePresentation(merge, {("a", "c"), ("b", "c")}), "forbidden")
 
 
+def test_a_second_link_is_named_in_declaration_order():
+    # the walk meets a's continuations in the order the arrows were
+    # declared, so the second one named is b here, not the later name c
+    branch = Quiver(("1", "2", "3", "4"),
+                    (Arrow("a", "1", "2"), Arrow("c", "2", "4"), Arrow("b", "2", "3")))
+    with pytest.raises(NotGentleError) as info:
+        enumerate_threads(GentlePresentation(branch, frozenset()), "permitted")
+    assert str(info.value) == "a*b is a second composition out of 'a' or into 'b'"
+
+
 def assert_cycle_witness(exc, on_cycles: set, doc, kind: str) -> None:
     """The message names the cycle through the least arrow on any cycle."""
     text = str(exc).split("cycle through arrows ", 1)[1].split(";")[0]
@@ -283,10 +338,10 @@ def assert_cycle_witness(exc, on_cycles: set, doc, kind: str) -> None:
         assert ((a, b) in doc.relations) == (kind == "forbidden"), text
 
 
-@settings(max_examples=150, deadline=None)
-@given(gentle_presentations())
-def test_random_gentle_presentations_match_brute_force(qr):
-    q, rels = qr
+def assert_gentle_matches_brute_force(q: Quiver, rels) -> None:
+    """Validation, cycle witnesses, threads of both kinds, the Koszul dual
+    and gl.dim by every route on a presentation that meets conditions
+    (1)-(3), each against the brute-force scanners."""
     doc = SimpleNamespace(arrows=q.arrows, relations=sorted(rels))
     p = validate_gentle(q, rels, allow_infinite_dimensional=True)
     assert isinstance(p, GentlePresentation), p
@@ -321,6 +376,95 @@ def test_random_gentle_presentations_match_brute_force(qr):
             assert global_dimension(p, method) == brute_global_dimension(doc), method
 
 
+@settings(max_examples=150, deadline=None)
+@given(gentle_presentations())
+def test_random_gentle_presentations_match_brute_force(qr):
+    assert_gentle_matches_brute_force(*qr)
+
+
+def random_presentation(rng: random.Random) -> tuple[Quiver, set]:
+    """A random quiver of up to seven vertices and a relation set, in one of
+    three shapes: ``gentle`` (at most two arrows at each vertex end and
+    relations matched as conditions (2)/(3) ask), ``pairs`` (the same
+    degrees and a random half of the composable pairs) or ``fan`` (the
+    gentle shape plus three more arrows out of one vertex).  Branches,
+    cycles and loops all occur.  Arrow names are drawn out of declaration
+    order, and ``a10`` sorts before ``a9``."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 7))]
+    ins: dict[str, list[str]] = {v: [] for v in vs}
+    outs: dict[str, list[str]] = {v: [] for v in vs}
+    names = iter(f"a{k}" for k in rng.sample(range(40), 40))
+    arrows = []
+    for _ in range(rng.randint(0, 2 * len(vs) + 1)):
+        s, t = rng.choice(vs), rng.choice(vs)
+        if len(outs[s]) < 2 and len(ins[t]) < 2:
+            arrows.append(Arrow(next(names), s, t))
+            outs[s].append(arrows[-1].name)
+            ins[t].append(arrows[-1].name)
+    shape = rng.choice(("gentle", "pairs", "fan"))
+    rels = set()
+    if shape == "pairs":
+        rels = {(a, b) for v in vs for a in ins[v] for b in outs[v] if rng.random() < 0.5}
+    else:
+        for v in vs:
+            a_in, a_out = ins[v], outs[v]
+            if len(a_in) == 2 and len(a_out) == 2:
+                b1, b2 = rng.sample(a_out, 2)
+                rels |= {(a_in[0], b1), (a_in[1], b2)}
+            elif len(a_in) == 2 and len(a_out) == 1:
+                rels.add((rng.choice(a_in), a_out[0]))
+            elif len(a_in) == 1 and len(a_out) == 2:
+                rels.add((a_in[0], rng.choice(a_out)))
+            elif len(a_in) == 1 and len(a_out) == 1 and rng.random() < 0.5:
+                rels.add((a_in[0], a_out[0]))
+    if shape == "fan":
+        v = rng.choice(vs)
+        arrows += [Arrow(next(names), v, rng.choice(vs)) for _ in range(3)]
+    rng.shuffle(arrows)
+    return Quiver(tuple(vs), tuple(arrows)), rels
+
+
+def test_seeded_random_presentations_match_brute_force():
+    # gentle, non-gentle, infinite-dimensional and infinite-gl.dim inputs,
+    # in both rule sets; the gentle ones go through every entry point
+    shapes = Counter()
+    for seed in range(400):
+        q, rels = random_presentation(random.Random(seed))
+        doc = SimpleNamespace(arrows=q.arrows, relations=sorted(rels))
+        for strict in (False, True):
+            labels = brute_violation_conditions(doc, strict)
+            got = validate_gentle(q, rels, strict=strict, allow_infinite_dimensional=True)
+            if labels:
+                assert isinstance(got, ValidationReport), (seed, strict)
+                assert sorted(v.condition for v in got.violations) == labels, (seed, strict)
+            else:
+                assert isinstance(got, GentlePresentation), (seed, strict)
+        if not brute_violation_conditions(doc):
+            shapes["gentle"] += 1
+            shapes["infinite"] += bool(brute_cycle_arrows(doc, "permitted")
+                                       or brute_cycle_arrows(doc, "forbidden"))
+            assert_gentle_matches_brute_force(q, rels)
+            continue
+        shapes["not gentle"] += 1
+        # built without validation: the walks refuse a second link, the
+        # dual fails its own check, and a kind with no second link still
+        # walks to the scanner's threads
+        p = GentlePresentation(q, rels)
+        with pytest.raises(MethodDisagreementError):
+            koszul_dual(p)
+        for kind in ("forbidden", "permitted"):
+            if brute_second_link(doc, kind):
+                with pytest.raises(NotGentleError):
+                    enumerate_threads(p, kind)
+            elif brute_cycle_arrows(doc, kind):
+                with pytest.raises((InfiniteDimensionalError, InfiniteGlobalDimensionError)):
+                    enumerate_threads(p, kind)
+            else:
+                got = [t.arrows for t in enumerate_threads(p, kind)]
+                assert got == sorted(brute_threads(doc, kind)), (seed, kind)
+    assert min(shapes.values()) >= 40, shapes
+
+
 @pytest.mark.parametrize("n", [1500, 20_000])
 @pytest.mark.parametrize("full", [False, True], ids=["free", "full"])
 def test_long_chains_have_no_recursion_limit(n, full):
@@ -338,6 +482,12 @@ def test_long_chains_have_no_recursion_limit(n, full):
     routes = ("threads", "integral") + (("stieltjes",) if gldim <= 1500 else ())
     for method in routes:
         assert global_dimension(p, method) == gldim, method
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_integer_from_float_refuses_non_finite_values(value):
+    with pytest.raises(NonFiniteError):
+        integer_from_float(value)
 
 
 @pytest.mark.parametrize("l", [1100, 10_000])

@@ -16,17 +16,23 @@ from that text.  Each run times the stages in order:
     emit      emit_dsl(doc)
 
 Every run starts from the text, so no stage reuses a cache filled by an
-earlier run, and the objects of the last run are collected before the next.  A stage that raises a ``StepQuiverError`` is timed up to the
-raise and its row names the error.  The output is a JSON list of rows
-``{checkout, n, relations, stage, median_s, min_s, runs, raised}``; the
-checkout is named by ``--label`` (default: its path).  ``--sizes`` picks
-a part of the ladder, so that a comparison of two checkouts can alternate
-them size by size, one call per size.
+earlier run, and the objects of the last run are collected before the
+next.  A stage that raises a ``StepQuiverError`` is timed up to the raise
+and its row names the error.  The output is a JSON list of rows
+``{checkout, n, relations, stage, median_s, min_s, runs, raised,
+peak_rss_mb}``; ``peak_rss_mb`` is the child's peak resident set size
+(``getrusage(RUSAGE_SELF).ru_maxrss``) after all its runs, the same on
+every row of one child.  The checkout is named by ``--label`` (default:
+its path).  ``--sizes`` picks a part of the ladder, so that a comparison
+of two checkouts can alternate them size by size, one call per size;
+``--sizes 1000000`` runs the 10⁶-arrow chains, whose children peak at
+about 1.0 GB (free) and 1.3 GB (full) on x86_64 with CPython 3.11.
 """
 
 import argparse
 import gc
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -81,9 +87,11 @@ def child(checkout: str, n: int, relations: str) -> list:
         # the last run's objects would slow the cyclic collector in this one
         doc = p = None
         gc.collect()
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return [{"n": n, "relations": relations, "stage": s,
              "median_s": round(statistics.median(ts), 6), "min_s": round(min(ts), 6),
-             "runs": len(ts), "raised": raised[s]} for s, ts in times.items()]
+             "runs": len(ts), "raised": raised[s], "peak_rss_mb": round(peak_mb, 1)}
+            for s, ts in times.items()]
 
 
 def main():
@@ -105,7 +113,7 @@ def main():
             for row in json.loads(out):
                 rows.append({"checkout": args.label or args.checkout, **row})
                 print(row["n"], relations, row["stage"], row["median_s"], row["raised"] or "",
-                      file=sys.stderr)
+                      row["peak_rss_mb"], file=sys.stderr)
     json.dump(rows, sys.stdout, indent=1)
     sys.stdout.write("\n")
 
