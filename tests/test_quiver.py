@@ -46,7 +46,7 @@ from stepquiver import (
     vertex_hom_q,
     w_projection,
 )
-from stepquiver import integrate
+from stepquiver import integrate, quiver
 from stepquiver.integrate import stieltjes_integrate
 from stepquiver.quiver import _log_unit, _stieltjes_length, integer_from_float
 
@@ -174,6 +174,41 @@ def test_validation_reports_fan_violations():
     assert isinstance(rep, ValidationReport) and not rep.ok
     conds = [v.condition for v in rep.violations]
     assert conds.count("1") == 2, f"expected two fan violations, got {conds}"
+
+
+def test_a_wide_fan_is_reported_without_walking_its_pairs(monkeypatch):
+    # 10^4 loops at one vertex make 10^8 composable pairs; condition (1)
+    # reads the vertex's groups, so no successor pass may run at all
+    passes = []
+    link = quiver._link
+    monkeypatch.setattr(quiver, "_link", lambda *a: passes.append(a) or link(*a))
+    k = 10_000
+    q = Quiver(("v",), tuple(Arrow(f"x{i}", "v", "v") for i in range(k)))
+    rep = validate_gentle(q, [])
+    assert isinstance(rep, ValidationReport)
+    assert [(v.condition, v.witness.split(":")[0]) for v in rep.violations] == [
+        ("1", f"vertex 'v' has {k} incoming arrows"),
+        ("1", f"vertex 'v' has {k} outgoing arrows")]
+    assert passes == []
+
+
+class _CountingKeys(frozenset):
+    def __contains__(self, key):
+        self.steps += 1
+        return frozenset.__contains__(self, key)
+
+
+def test_a_successor_pass_stops_at_its_first_clash():
+    # outside the ideal, the first loop's second continuation is a second
+    # link: the pass ends there instead of meeting all 10^6 pairs
+    k = 1000
+    q = Quiver(("v",), tuple(Arrow(f"x{i:04}", "v", "v") for i in range(k)))
+    keys = _CountingKeys()
+    keys.steps = 0
+    s = quiver._link(q._ints, keys, False)
+    assert s.clash == (0, 1) and keys.steps == 2
+    with pytest.raises(NotGentleError, match=r"^x0000\*x0001 is a second composition"):
+        enumerate_threads(GentlePresentation(q, frozenset()), "permitted")
 
 
 def test_validation_reports_parallel_continuation_violations():
