@@ -8,11 +8,15 @@ lower and an upper sum:
   pieces.
 * :func:`convex_enclosure` — for integrands known (analytically, by the
   caller) to be convex, the midpoint sum is a lower and the trapezoid sum
-  an upper bound; the bracket width scales like 1/N², which is what makes
-  tight tolerances affordable for the elementary-function constructions.
+  an upper bound; the bracket width scales like 1/N².
 
-Both run on one driver, :class:`Primitive`.  A cell rule gives a cell's
-two sums on a uniform grid of ``RULE_CELLS`` sub-cells.  The driver keeps
+The elementary functions (:mod:`stepquiver.elemfn`) use a third rule,
+:func:`_simpson_rule`: composite Simpson with an analytic f⁗ remainder and a
+rigorous rounding term, a fourth-order bracket for integrands whose fourth
+derivative is non-negative and bounded in closed form.
+
+All three run on one driver, :class:`Primitive`.  A cell rule gives a cell's
+two bounds on a uniform grid of ``RULE_CELLS`` sub-cells.  The driver keeps
 the cells in a heap by bracket width and bisects the widest one until the
 widths sum to at most ``tol``, the next bisection would spend more than
 ``CELL_BUDGET`` evaluations, or the widest cell has no float strictly
@@ -38,7 +42,7 @@ one cached array of the integers ``0 … 2·RULE_CELLS``, the same points
 ``np.linspace`` gives.  On a monotone cell, with ``S = Σ v_i``,
 ``Σ min(v_i, v_i+1) = S − max(v_0, v_N)`` and ``Σ max(v_i, v_i+1) = S −
 min(v_0, v_N)``, so the Darboux rule takes one sum once one comparison
-pass finds the values monotone.  Both rules scan their values for a
+pass finds the values monotone.  Every rule scans its values for a
 non-finite one only when a sum is not finite.
 
 The refinement is deterministic: identical inputs produce identical
@@ -72,9 +76,12 @@ from .measure import Box, Interval, StieltjesMeasure, make_interval
 from .stepfn import Region, StepFunction, _clipped, _measures, region_boxes
 
 CELL_BUDGET = 1 << 24
+# unit roundoff of binary64: a correctly rounded operation is off by at most
+# this times its exact result
+_U = 2.0 ** -53
 # uniform sub-cells of the grid a cell rule lays inside every cell
 RULE_CELLS = 1 << 12
-# 0, 1, ..., 2 RULE_CELLS: both rules scale a prefix of it into their grid
+# 0, 1, ..., 2 RULE_CELLS: every rule scales a prefix of it into its grid
 _UNIT = np.arange(2 * RULE_CELLS + 1, dtype=float)
 
 
@@ -226,7 +233,7 @@ def _as_interval(domain) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# the refinement driver and its two cell rules
+# the refinement driver and its three cell rules
 # ---------------------------------------------------------------------------
 
 _LO = operator.itemgetter(1)
@@ -264,9 +271,17 @@ class Primitive:
 
     def _bisect(self, heap: list, tol: float) -> tuple[float, float, bool]:
         """Refine the cells of ``heap`` (entries, reordered in place) best
-        first; the running sum of widths drifts, so a stop it suggests is
-        confirmed by ``math.fsum``."""
+        first.
+
+        The running sum of widths drifts, so a stop it suggests is confirmed
+        by ``math.fsum``.  ``drift`` bounds how far it has drifted; once that
+        exceeds an eighth of ``tol`` while the sum lies within it of ``tol``
+        (as after cancelling a cell far wider than the rest), the sum is
+        recomputed exactly, so a phantom remainder cannot hold it above
+        ``tol`` for good.
+        """
         width = sum(-e[0] for e in heap)
+        drift = len(heap) * _U * sum(abs(e[0]) for e in heap)
         heapq.heapify(heap)
         while width > tol or -math.fsum(map(_NEG_WIDTH, heap)) > tol:
             neg, lo, hi, k, _, _ = heap[0]
@@ -276,7 +291,12 @@ class Primitive:
             left, right = self._enter(lo, mid, k), self._enter(mid, hi, k)
             heapq.heapreplace(heap, left)
             heapq.heappush(heap, right)
+            # three roundings, each at most _U times a partial sum
+            drift += 4 * _U * (abs(width) + abs(neg) + abs(left[0]) + abs(right[0]))
             width += neg - left[0] - right[0]
+            if drift > 0.125 * tol and width - drift <= tol:
+                width = -math.fsum(map(_NEG_WIDTH, heap))
+                drift = _U * abs(width)
         lower = math.fsum(e[4] for e in heap)
         upper = math.fsum(e[5] for e in heap)
         return lower, upper, upper - lower <= tol * (1 + 1e-9)
@@ -382,6 +402,73 @@ def _sandwich_rule(ev: _Evaluator):
                 f"(midpoint sum {m!r} exceeds trapezoid sum {t!r})"
             )
         return m, t, 2 * RULE_CELLS + 1
+    return rule
+
+
+def _pairwise_depth(n: int) -> int:
+    """The most additions any one term passes through in numpy's pairwise
+    sum of ``n`` terms: runs of up to 128 go to eight interleaved
+    accumulators, joined in three levels, with the last ``n % 8`` terms added
+    one by one; longer runs are halved at a multiple of 8."""
+    if n < 8:
+        return n
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
+
+
+# a Simpson sum's odd and even terms are RULE_CELLS / 2 and one fewer, each
+# summed by ``np.sum``; three more additions join them with the two ends
+_SIMPSON_DEPTH = 3 + max(_pairwise_depth(RULE_CELLS // 2),
+                         _pairwise_depth(RULE_CELLS // 2 - 1))
+# covers the second-order terms of a first-order rounding bound, and the
+# roundings made while computing the bound itself
+_SAFE = 1.0 + 2.0 ** -20
+
+
+def _simpson_rule(ev: _Evaluator, d4max, d1max, ulps: float, origin: float = 0.0):
+    """Composite Simpson bracket of an ``f`` with ``f⁗ >= 0`` on a cell's
+    :func:`_grid` of ``N = RULE_CELLS`` sub-cells of width ``h``.
+
+    The remainder of the Simpson sum ``S`` is ``-(b - a) h⁴ f⁗(ξ) / 180``
+    (Davis & Rabinowitz, ch. 2), so ``[S - (b - a) h⁴ M / 180 - r, S + r]``
+    brackets ``∫_a^b f`` when ``M = d4max`` bounds f⁗ on the cell.  ``r``
+    bounds the rounding:
+
+    * of the sum: the weights 1, 2 and 4 scale exactly, and each value
+      passes through at most ``_SIMPSON_DEPTH`` additions of numpy's
+      pairwise sum;
+    * of the values: ``ev`` is within ``ulps`` ulps of f;
+    * of the grid: a computed point lies within ``shift`` of its exact place,
+      which moves its value by at most ``shift`` times ``d1max``, a bound of
+      ``|f'|``;
+    * of the product by ``h / 3``, the bracket's own two operations and the
+      driver's ``math.fsum`` of the cells.
+
+    The grid is laid out in offsets ``t - origin``, and ``ev``, ``d4max(a,
+    b)`` and ``d1max(a, b)`` take points in them: an integrand singular at
+    ``origin`` is then evaluated near it on points that keep their relative
+    accuracy, where points near ``origin`` itself would each be off by up
+    to half an ulp of ``origin``.
+    """
+    rel = (_SIMPSON_DEPTH + 2 * ulps + 8) * _U
+
+    def rule(lo, hi):
+        a, b = lo - origin, hi - origin
+        xs = _grid(a, b, 1)
+        vals = ev(xs)
+        raw = (4.0 * float(np.sum(vals[1::2])) + 2.0 * float(np.sum(vals[2:-1:2]))
+               + float(vals[0]) + float(vals[-1]))
+        w = hi - lo
+        s = raw * (w / (3 * RULE_CELLS))
+        if not math.isfinite(s):
+            _finite_or_raise(vals, xs)
+        shift = _U * (3.0 * abs(a) + 2.0 * abs(b) + 2.0 * abs(b - a))
+        r = (rel * s + w * shift * d1max(a - 2.0 * shift, b + 2.0 * shift)) * _SAFE
+        h2 = (w / RULE_CELLS) ** 2
+        rem = w * h2 * h2 / 180.0 * d4max(a, b) * _SAFE
+        return s - rem - r, s + r, RULE_CELLS + 1
     return rule
 
 

@@ -200,9 +200,10 @@ def test_sin_special_values():
 
 
 def test_sin_far_from_origin_is_honest():
-    # the quarter-period reduction cannot certify 1e-3 at u ~ 3e5, but the
-    # bracket must still contain the truth and say it failed
-    enc = sin_cat(1e6, 1e-3)
+    # at u ~ 3e5 the quarter-period reduction alone is off by up to ~6e-9,
+    # so it cannot certify 1e-9, but the bracket must still contain the
+    # truth and say it failed
+    enc = sin_cat(1e6, 1e-9)
     assert not enc.converged
     assert enc.contains(math.sin(1e6))
 
@@ -262,13 +263,14 @@ def _counting(monkeypatch, name):
 def test_sine_spends_the_pinned_evaluations(monkeypatch):
     # One primitive per inversion: a step pays only for the refinement the
     # steps before it have not done.  A fresh arcsine enclosure per step
-    # took 2225 calls and 18229425 points here.
+    # took 2225 calls and 18229425 points here, and one primitive on the
+    # second-order midpoint/trapezoid sandwich 401 calls and 3285393 points.
     tol = 1.5e-12
     sin_cat(0.9, tol)  # warm the cached quarter-period
     points = _counting(monkeypatch, "_circle")
     enc = sin_cat(0.9, tol)
     assert enc.converged and enc.contains(math.sin(0.9))
-    assert (len(points), sum(points)) == (401, 3285393)
+    assert (len(points), sum(points)) == (41, 167977)
 
 
 def test_one_inversion_spends_one_budget(monkeypatch):
@@ -307,6 +309,15 @@ def test_inverses_do_not_depend_on_earlier_calls():
     assert first == again[::-1]
 
 
+def test_ln_asks_ln2_no_tighter_than_it_can_reach(monkeypatch):
+    # half of 3e-13 over e = 29 is 5e-15, below the rounding term of ln 2's
+    # bracket: asked for that, ln 2 would spend the whole budget
+    elemfn._ln2.cache_clear()
+    points = _counting(monkeypatch, "_recip")
+    enc = ln_cat(1e9, 1e-13)
+    assert enc.contains(math.log(1e9)) and sum(points) < CELL_BUDGET // 100
+
+
 def test_ln_does_not_depend_on_call_history():
     # a fresh interpreter, so the first call is the first of the process
     code = ("from stepquiver import ln_cat\n"
@@ -337,6 +348,65 @@ def test_inverses_contain_high_precision_references(name, tol):
             exact = getattr(mpmath, name)(mpmath.mpf(x))
             assert mpmath.mpf(enc.lower) <= exact <= mpmath.mpf(enc.upper), \
                 f"{name}({x!r}, {tol}): [{enc.lower!r}, {enc.upper!r}] misses {exact}"
+
+
+@pytest.mark.parametrize("y, tol", [(1e-8, 1e-12), (1e-6, 1e-12), (1e-5, 1e-13)])
+def test_small_arcsines_contain_their_values(y, tol):
+    # rounded to nearest, each sum lands on the float below asin(y) and the
+    # bracket collapses beneath it; the rounding term keeps it open
+    mpmath = pytest.importorskip("mpmath")
+    enc = asin_cat(y, tol)
+    with mpmath.workdps(50):
+        exact = mpmath.asin(mpmath.mpf(y))
+        assert mpmath.mpf(enc.lower) <= exact <= mpmath.mpf(enc.upper), (enc, exact)
+    assert enc.converged
+
+
+# the argument ranges of perfbench's enclosures workload; ln takes y = 2^(8u/0.75
+# - 3) below u = 0.75 and 1e3 * 1e6^((u - 0.75)/0.25) above
+BENCH_RANGES = {"asin": (-0.95, 0.95), "acos": (-0.95, 0.95), "sin": (-10.0, 10.0),
+                "cos": (-9.0, 11.0), "exp": (-5.0, 5.0), "ln": (0.0, 1.0), "K": (0.0, 1.0)}
+ELEMENTARY = {"asin": asin_cat, "acos": acos_cat, "sin": sin_cat, "cos": cos_cat,
+              "exp": exp_cat, "ln": ln_cat, "K": lambda x, tol: K_constant(tol)}
+
+
+def _bench_arg(name, u):
+    lo, hi = BENCH_RANGES[name]
+    if name == "ln":
+        return 2.0 ** (8 * u / 0.75 - 3) if u < 0.75 else 1e3 * 1e6 ** ((u - 0.75) / 0.25)
+    return lo + (hi - lo) * u
+
+
+def _exact(mpmath, name, x):
+    if name == "K":
+        return mpmath.pi / 2
+    return getattr(mpmath, {"ln": "log"}.get(name, name))(mpmath.mpf(x))
+
+
+@pytest.mark.parametrize("tol", [1.5e-6, 1.5e-9, 1.5e-12], ids=["tol6", "tol9", "tol12"])
+@pytest.mark.parametrize("name", sorted(ELEMENTARY))
+def test_every_function_contains_its_value_over_the_benchmark_ranges(name, tol):
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(f"bench{name}{tol}")
+    for u in [0.0, 0.5, 1.0] + [rng.random() for _ in range(7)]:
+        x = _bench_arg(name, u)
+        enc = ELEMENTARY[name](x, tol)
+        with mpmath.workdps(50):
+            exact = _exact(mpmath, name, x)
+            assert mpmath.mpf(enc.lower) <= exact <= mpmath.mpf(enc.upper), \
+                f"{name}({x!r}, {tol}): [{enc.lower!r}, {enc.upper!r}] misses {exact}"
+        # exp's tolerance is absolute, on values up to e^5, so only its
+        # small arguments reach 1e-12
+        assert enc.converged or (name == "exp" and tol < 1e-9) or abs(x) > 10.0, (name, x)
+
+
+@given(st.sampled_from(sorted(ELEMENTARY)), st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=3, max_value=13))
+@settings(max_examples=40, deadline=None)
+def test_converged_means_within_tolerance(name, u, digits):
+    tol = 10.0 ** -digits
+    enc = ELEMENTARY[name](_bench_arg(name, u), tol)
+    assert not enc.converged or enc.width <= tol * (1 + 1e-9), (enc, tol)
 
 
 @pytest.mark.parametrize("fn, x, tol, ref", [

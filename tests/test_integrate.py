@@ -140,7 +140,7 @@ def test_convex_enclosure_rejects_concave_integrand():
 TOL_FAMILIES = {
     "darboux-recip": lambda p, tol: integrate_enclosure(lambda t: 1.0 / t, (1.0, 2.0), None, tol),
     "convex-recip": lambda p, tol: convex_enclosure(lambda t: 1.0 / t, (1.0, 1.0 + 7.0 * p[0]), tol),
-    "circle": lambda p, tol: convex_enclosure(_circle, (0.0, 0.999), tol),
+    "circle": lambda p, tol: convex_enclosure(lambda t: _circle(t - 1.0), (0.0, 0.999), tol),
     "quadratic": lambda p, tol: convex_enclosure(
         lambda t: 2.0 * p[0] + 10.0 ** (-12.0 * p[1]) * t * t, (-p[2], 1.0), tol),
 }
@@ -234,6 +234,23 @@ def test_a_primitive_pays_only_for_refinement_not_yet_done():
     assert prim.spent == sum(points)
 
 
+def test_a_cell_far_wider_than_the_rest_cannot_hold_the_driver():
+    # 1e20 + 9000 rounds up to 1e20 + 16384 in the running sum of widths,
+    # and cancelling the wide cell leaves that phantom 7384 behind; the
+    # cells below are 1e-9 wide, so two bisections meet the tolerance
+    calls = []
+
+    def rule(lo, hi):
+        calls.append((lo, hi))
+        width = {(0.0, 1.0): 1e20, (1.0, 2.0): 9000.0}.get((lo, hi), 1e-9 * (hi - lo))
+        return 0.0, width, CELL_BUDGET // 1024
+
+    lower, upper, converged = integrate_module._refine(
+        rule, [(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)], 1e-6)
+    assert converged and upper - lower == 2e-9
+    assert len(calls) == 6  # the two cells and their halves, not the budget
+
+
 STEP = indicator(box1(0.0, 0.5), box1(0.0, 1.0), 2.0)
 
 
@@ -308,6 +325,62 @@ def test_values_that_turn_keep_the_pairwise_darboux_sums():
         v, h = f(np.linspace(lo, hi, RULE_CELLS + 1)), (hi - lo) / RULE_CELLS
         assert (lower, upper) == (h * float(np.sum(np.minimum(v[:-1], v[1:]))),
                                   h * float(np.sum(np.maximum(v[:-1], v[1:]))))
+
+
+def _numpy_pairwise(values, lo, n):
+    """numpy's pairwise sum of ``values[lo:lo + n]`` as a Python loop, with
+    the most additions any one term passed through."""
+    if n < 8:
+        total = -0.0
+        for v in values[lo:lo + n]:
+            total += v
+        return total, n
+    if n <= 128:
+        acc = values[lo:lo + 8]
+        i = 8
+        while i < n - n % 8:
+            acc = [a + v for a, v in zip(acc, values[lo + i:lo + i + 8])]
+            i += 8
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[lo + i:lo + n]:
+            total += v
+        return total, n // 8 + 2 + n % 8
+    half = n // 2 - n // 2 % 8
+    (a, da), (b, db) = (_numpy_pairwise(values, lo, half),
+                        _numpy_pairwise(values, lo + half, n - half))
+    return a + b, 1 + max(da, db)
+
+
+def test_numpy_sums_in_the_order_the_simpson_rounding_term_assumes():
+    # the rule's rounding term rests on the depth of numpy's pairwise sum;
+    # if numpy summed in another order, the sums would differ somewhere here
+    rng = np.random.default_rng(21)
+    for n in (1, 7, 8, 127, 128, 129, 1000, RULE_CELLS // 2 - 1, RULE_CELLS // 2):
+        for _ in range(20):
+            v = rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-8.0, 8.0, 2 * n)
+            for arr in (v[:n], v[::2]):
+                total, depth = _numpy_pairwise(arr.tolist(), 0, n)
+                assert float(np.sum(arr)) == total and depth == integrate_module._pairwise_depth(n)
+
+
+def test_simpson_brackets_the_exact_integral_of_a_quartic():
+    # for t⁴ the remainder (b - a) h⁴ · 24 / 180 is exact, so the lower end
+    # of the bracket is the integral itself less the rounding term alone
+    rule = integrate_module._simpson_rule(
+        _Evaluator(lambda t: t * t * t * t), lambda a, b: 24.0,
+        lambda a, b: 4.0 * max(abs(a), abs(b)) ** 3, 2)
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        lo = float(rng.uniform(-3.0, 3.0))
+        hi = lo + float(10.0 ** rng.uniform(-9.0, 0.7))
+        lower, upper, cost = rule(lo, hi)
+        exact = (Fraction(hi) ** 5 - Fraction(lo) ** 5) / 5
+        assert Fraction(lower) <= exact <= Fraction(upper), (lo, hi)
+        # the width is the remainder and a rounding term of a few dozen ulps
+        h = (hi - lo) / RULE_CELLS
+        rem = (hi - lo) * h ** 4 * 24.0 / 180.0
+        assert cost == RULE_CELLS + 1
+        assert upper - lower <= 1.001 * rem + 1e-13 * abs(float(exact)), (lo, hi)
 
 
 def test_a_bump_between_the_samples_stays_inside_the_bracket():
