@@ -234,11 +234,11 @@ def _cmd_elemfn(args) -> int:
 
     fname, needs_point = _ELEMFN[args.name]
     fn = getattr(elemfn, fname)
-    call_args = []
-    if needs_point:
-        if args.at is None:
-            raise StepQuiverError(f"elemfn --name {args.name} requires --at")
-        call_args.append(args.at)
+    if needs_point and args.at is None:
+        raise StepQuiverError(f"elemfn --name {args.name} requires --at")
+    if not needs_point and args.at is not None:
+        raise StepQuiverError(f"elemfn --name {args.name} takes no --at")
+    call_args = [] if args.at is None else [args.at]
     if args.tol is not None:
         call_args.append(args.tol)
     enc = fn(*call_args)

@@ -15,11 +15,13 @@ on [0, 1) only (it is even) and evaluated in offsets ``o = t - 1`` from its
 singular end, as ``1/sqrt((1 - t)(1 + t)) = 1/sqrt(-o (2 + o))``, so grid
 points near 1 keep their relative accuracy.
 
-Both inversions run through one certified bisection, :func:`_invert`: a
-step is decided by a loose enclosure of the integral when that enclosure
-lies wholly on one side of the target, and only a straddling step asks for
-a sharp one.  Every step of one call reads one resumable primitive
-(:class:`~stepquiver.integrate.Primitive`) made for that call alone: of
+Both inversions run through one certified bisection, :func:`_invert`:
+every step asks for one enclosure of the integral, all at the one
+tolerance the result needs, and keeps the half of the bracket its
+midpoint puts the root in.  On fourth-order cells a sharp query costs about the cells of a
+loose one, so no step first asks loosely.  Every step of one call reads
+one resumable primitive (:class:`~stepquiver.integrate.Primitive`) made
+for that call alone: of
 ``1/t`` based at 1 for the exponential, and of the main part of the circle
 integrand based at 0 for sine and cosine, with negative arguments mirrored
 onto [0, 1].  A step so pays only for the refinement the steps before it
@@ -121,12 +123,10 @@ def _tail_pos(t0: float, t1: float) -> Enclosure:
 
 
 def _simpson_circle(lo: float, hi: float, tol: float) -> Enclosure:
-    """``∫_lo^hi dt/sqrt(1 - t²)`` for -1 < lo < hi < 1, taken on [0, 1)
-    only: the integrand is even."""
+    """``∫_lo^hi dt/sqrt(1 - t²)`` for -1 < lo < hi < 1 with hi > 0, as
+    every caller's is, taken on [0, 1) only: the integrand is even."""
     if lo >= 0.0:
         return _circle_primitive(lo).enclose(hi, tol)
-    if hi <= 0.0:
-        return _circle_primitive(-hi).enclose(-lo, tol)
     prim = _circle_primitive(0.0)
     return prim.enclose(-lo, 0.5 * tol) + prim.enclose(hi, 0.5 * tol)
 
@@ -169,7 +169,7 @@ def _enclose_circle(a: float, b: float, tol: float, main=_simpson_circle) -> Enc
 
 def asin_cat(y: float, tol: float = 1e-6) -> Enclosure:
     """``∫_0^y dt/sqrt(1-t²)`` — the arcsine, for y in [-1, 1]."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     y = float(y)
     if not -1.0 <= y <= 1.0:
         raise OutOfDomainError(f"asin argument {y} outside [-1, 1]")
@@ -185,7 +185,7 @@ def _asin(y: float, tol: float, main=_simpson_circle) -> Enclosure:
 
 def acos_cat(y: float, tol: float = 1e-6) -> Enclosure:
     """``∫_y^1 dt/sqrt(1-t²)`` — the arccosine, for y in [-1, 1]."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     y = float(y)
     if not -1.0 <= y <= 1.0:
         raise OutOfDomainError(f"acos argument {y} outside [-1, 1]")
@@ -197,7 +197,7 @@ _K_CACHE: Dict[float, Enclosure] = {}
 
 def K_constant(tol: float = 1e-3) -> Enclosure:
     """The quarter-period ``K = ∫_0^1 dt/sqrt(1-t²)`` (classically pi/2)."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     enc = _K_CACHE.get(tol)
     if enc is None:
         enc = _enclose_circle(0.0, 1.0, tol)
@@ -223,56 +223,34 @@ _MAX_ARG = 1e6
 
 
 def _invert(enclose, target: float, lo: float, hi: float, tol: float,
-            scale, floor: float):
+            scale: float, floor: float):
     """Bisect ``[lo, hi]`` for ``F(y) = target``, F increasing and known
     only through enclosures ``enclose(y, tol)``.
 
-    ``scale(h)`` is at least ``|dy/dF|`` for y <= h.  Each step asks for a
-    loose enclosure, a few percent of the bracket's F-space width; one lying
-    wholly on one side of the target decides the step exactly.  A straddling
-    step is sharpened to ``inner = max(tol / (4·scale), floor)`` and decided
-    by its midpoint.  Returns ``(lo, hi, worst)``, where ``worst >= inner``
-    is the largest F-space half-width a midpoint decision rested on; the
-    caller pads by it times its own derivative bound.
+    ``scale`` is at least ``|dy/dF|`` on ``[lo, hi]``.  Every step asks for
+    one enclosure at ``inner = max(tol / (4·scale), floor)`` and keeps the
+    half of the bracket its midpoint puts the root in: an exact decision
+    when the enclosure lies wholly on one side of the target.  Returns ``(lo, hi, worst)``, where ``worst
+    >= inner`` is the largest F-space half-width a straddling enclosure's
+    midpoint decision rested on; the caller pads by it times its own
+    derivative bound.
 
     The callers' ``enclose`` reads one :class:`~stepquiver.integrate.Primitive`
     made for this inversion alone, so a step pays only for the refinement
     the steps before it have not done, and one ``CELL_BUDGET`` caps the
     refinement of the whole inversion.
     """
-    inner = max(tol / (4.0 * scale(hi)), floor)
+    inner = max(tol / (4.0 * scale), floor)
     worst = inner
     for _ in range(400):
         if hi - lo <= max(0.5 * tol, 4.0 * math.ulp(hi)):
             break
         mid = 0.5 * (lo + hi)
-        step_tol = max(inner, min(1e-3, 0.06 * (hi - lo) / scale(hi)))
-        enc = enclose(mid, step_tol)
+        enc = enclose(mid, inner)
         if enc.lower <= target <= enc.upper:
-            if step_tol != inner:
-                enc = enclose(mid, inner)
             worst = max(worst, 0.5 * enc.width + (0.0 if enc.converged else inner))
-            below = enc.midpoint < target
-        else:
-            below = enc.upper < target
-        lo, hi = (mid, hi) if below else (lo, mid)
+        lo, hi = (mid, hi) if enc.midpoint < target else (lo, mid)
     return lo, hi, worst
-
-
-def _invert_asin(target: float, tol: float) -> Enclosure:
-    """Solve ``asin(y) = target`` for y in [-1, 1]; since |dy/d asin| <= 1,
-    padding by ``worst`` keeps the true y inside."""
-    if not math.isfinite(target):
-        raise InversionFailedError(f"non-finite inversion target {target!r}")
-    prim = _circle_primitive(0.0)
-
-    def main(lo, hi, t):  # lo is 0: the arguments are mirrored onto [0, 1]
-        return prim.enclose(hi, t)
-
-    lo, hi, pad = _invert(lambda y, t: _asin(y, t, main), target, -1.0, 1.0, tol,
-                          lambda h: 1.0, 0.0)
-    return Enclosure(max(-1.0, lo - pad), min(1.0, hi + pad),
-                     (hi - lo) + 2 * pad <= tol * (1 + 1e-9))
 
 
 def _k_hat() -> tuple[float, float]:
@@ -283,17 +261,35 @@ def _k_hat() -> tuple[float, float]:
     return kenc.midpoint, 0.5 * kenc.width + math.ulp(kenc.midpoint)
 
 
-def _inner_tol(tol: float, slack: float) -> float:
-    """What ``tol`` leaves the inversion once the reduction's ``slack`` is
-    padded on both sides; all of ``tol`` when nothing is left, as the
-    result cannot converge then anyway."""
+def _sine(target: float, slack: float, odd: int, tol: float) -> Enclosure:
+    """``±y`` with ``asin(y) = target``, for a ``target`` the range
+    reduction left off by at most ``slack``.
+
+    The inversion gets what ``tol`` leaves once ``slack`` is padded on both
+    sides, or all of it when nothing is left, as the result cannot converge
+    then anyway.  Since ``|dy/d asin| <= 1``, padding by ``_invert``'s
+    ``worst`` keeps the solution inside, and padding by ``slack`` more keeps
+    the true ``y`` inside; ``odd`` flips the sign.
+    """
     rest = tol - 2.0 * slack
-    return rest if rest > 0.0 else tol
+    share = rest if rest > 0.0 else tol
+    prim = _circle_primitive(0.0)
+
+    def main(lo, hi, t):  # lo is 0: the arguments are mirrored onto [0, 1]
+        return prim.enclose(hi, t)
+
+    lo, hi, pad = _invert(lambda y, t: _asin(y, t, main), target, -1.0, 1.0, share,
+                          1.0, 0.0)
+    conv = (hi - lo) + 2 * pad <= share * (1 + 1e-9)
+    lo, hi = max(-1.0, lo - pad), min(1.0, hi + pad)
+    enc = Enclosure(max(-1.0, lo - slack), min(1.0, hi + slack),
+                    conv and (hi - lo) + 2 * slack <= tol * (1 + 1e-9))
+    return -enc if odd else enc
 
 
 def sin_cat(x: float, tol: float = 1e-3) -> Enclosure:
     """Sine on the line, via ``s(x ± 2uK) = (-1)^u s(x)`` and inversion."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     x = float(x)
     if not math.isfinite(x) or abs(x) > _MAX_ARG:
         raise InversionFailedError(f"sine argument {x!r} out of supported range")
@@ -303,15 +299,12 @@ def sin_cat(x: float, tol: float = 1e-3) -> Enclosure:
     # the reduced argument is off by 2|u|·|khat - K| and the rounding of
     # its product and difference
     slack = 2.0 * abs(u) * kerr + math.ulp(2.0 * u * khat) + math.ulp(x0)
-    enc = _invert_asin(x0, _inner_tol(tol, slack))
-    enc = Enclosure(max(-1.0, enc.lower - slack), min(1.0, enc.upper + slack),
-                    enc.converged and enc.width + 2 * slack <= tol * (1 + 1e-9))
-    return -enc if u % 2 else enc
+    return _sine(x0, slack, u % 2, tol)
 
 
 def cos_cat(x: float, tol: float = 1e-3) -> Enclosure:
     """Cosine via ``acos(y) = K - asin(y)`` on the base window [0, 2K)."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     x = float(x)
     if not math.isfinite(x) or abs(x) > _MAX_ARG:
         raise InversionFailedError(f"cosine argument {x!r} out of supported range")
@@ -322,10 +315,7 @@ def cos_cat(x: float, tol: float = 1e-3) -> Enclosure:
     # which also rounds
     slack = (2.0 * (abs(u) + 1.0) * kerr + math.ulp(2.0 * u * khat) + math.ulp(x0)
              + math.ulp(khat))
-    enc = _invert_asin(khat - x0, _inner_tol(tol, slack))
-    enc = Enclosure(max(-1.0, enc.lower - slack), min(1.0, enc.upper + slack),
-                    enc.converged and enc.width + 2 * slack <= tol * (1 + 1e-9))
-    return -enc if u % 2 else enc
+    return _sine(khat - x0, slack, u % 2, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +341,7 @@ def ln_cat(y: float, tol: float = 1e-6) -> Enclosure:
     the integral is only ever taken on [1, 2), where 1/t is gentlest; ln 2
     is a cached enclosure of :func:`_ln2`.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     y = float(y)
     if not math.isfinite(y) or y <= 0.0:
         raise OutOfDomainError(f"logarithm argument {y!r} outside (0, inf)")
@@ -393,7 +383,7 @@ def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
     inner log enclosures actually achieved, and ``converged`` reports
     whether the target was met.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     x = float(x)
     if not math.isfinite(x) or abs(x) > 40.0:
         raise InversionFailedError(f"exp argument {x!r} out of supported range")
@@ -401,8 +391,9 @@ def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
         return Enclosure(1.0, 1.0)
     prim = _recip_primitive(1.0)
     k = math.floor(x / 0.69)
-    lo, hi, worst = _invert(lambda y, t: _ln(prim, y, t), x, math.ldexp(1.0, k - 1),
-                            math.ldexp(1.0, k + 2), tol, lambda h: 2.0 * max(1.0, h), LN_RES)
+    hi = math.ldexp(1.0, k + 2)
+    lo, hi, worst = _invert(lambda y, t: _ln(prim, y, t), x, math.ldexp(1.0, k - 1), hi,
+                            tol, 2.0 * max(1.0, hi), LN_RES)
     # an error delta in log space moves the preimage by at most ~y*delta
     slack = 2.0 * hi * worst
     return Enclosure(max(0.0, lo - slack), hi + slack,

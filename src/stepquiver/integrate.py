@@ -73,7 +73,7 @@ from .errors import (
     ToleranceUnreachedError,
 )
 from .measure import Box, Interval, StieltjesMeasure, make_interval
-from .stepfn import Region, StepFunction, _clipped, _measures, region_boxes
+from .stepfn import Region, StepFunction, _clipped, _is_real, _measures, region_boxes
 
 CELL_BUDGET = 1 << 24
 # unit roundoff of binary64: a correctly rounded operation is off by at most
@@ -220,9 +220,13 @@ def _finite_or_raise(vals: np.ndarray, xs: np.ndarray) -> None:
         )
 
 
-def _check_tol(tol) -> None:
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+def _check_tol(tol) -> float:
+    """``tol`` as a Python float, once it is a finite positive real (a
+    numpy scalar is one, a ``bool`` is not): then a numpy tolerance gives
+    the same brackets as its float, and every ``converged`` is a ``bool``."""
+    if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
         raise OrderViolationError(f"tolerance must be a positive real, got {tol!r}")
+    return float(tol)
 
 
 def _as_interval(domain) -> Interval:
@@ -524,7 +528,7 @@ def integrate_enclosure(
     the module docstring for the refinement and the meaning of ``converged``.
     """
     domain = _as_interval(domain)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if domain.is_degenerate():
         return Enclosure(0.0, 0.0, True)
     pieces = _check_tiling(domain, monotone_pieces if monotone_pieces is not None else [domain])
@@ -546,16 +550,10 @@ def convex_enclosure(f: Callable, domain, tol: float) -> Enclosure:
     over-estimates on every cell, giving an O(1/N²) bracket.
     """
     domain = _as_interval(domain)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if domain.is_degenerate():
         return Enclosure(0.0, 0.0, True)
-    return convex_primitive(f, domain.lo).enclose(domain.hi, tol)
-
-
-def convex_primitive(f: Callable, base) -> Primitive:
-    """The :class:`Primitive` ``y ↦ ∫_base^y f`` of an integrand convex
-    wherever it is queried, on the midpoint/trapezoid sandwich."""
-    return Primitive(_sandwich_rule(_Evaluator(f)), base)
+    return Primitive(_sandwich_rule(_Evaluator(f)), domain.lo).enclose(domain.hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +793,7 @@ def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> 
     ``∫ f φ'``.
     """
     domain = _as_interval(domain)
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if domain.is_degenerate():
         return 0.0
     phi.check_monotone(domain)

@@ -86,9 +86,8 @@ def build_iposet(f: StepFunction, family: Iterable) -> tuple[IPosetElement, ...]
     the ambient; continuum families are represented by whatever finite grid
     the caller chooses.
     """
-    elems = [poset_element(f, iv, alpha=None) for iv in family]
-    elems = [IPosetElement(e.interval, e.value, e.backing, alpha=e.interval.lo)
-             for e in elems]
+    ivs = [iv if isinstance(iv, Interval) else make_interval(*iv) for iv in family]
+    elems = [poset_element(f, iv, alpha=iv.lo) for iv in ivs]
     return tuple(sorted(elems, key=lambda e: (e.interval.lo, e.interval.hi)))
 
 

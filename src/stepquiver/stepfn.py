@@ -30,6 +30,7 @@ no boxes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence, Union
 
@@ -287,6 +288,11 @@ def restrict(f: StepFunction, region: Region) -> StepFunction:
     return _build(f.ambient, lo, hi, f.k[i], _OVERLAP)
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number: numpy's count, ``bool`` does not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def p_norm(f: StepFunction, p: float) -> float:
     """``(Σ |k_i|^p * μ(X_i)^p)^(1/p)`` — note the measure is also raised
     to the p-th power, which differs from the classical L^p integrand.
@@ -295,7 +301,7 @@ def p_norm(f: StepFunction, p: float) -> float:
     for a nonzero ``f``, the norm is taken from each ``|k_i|·μ(X_i)`` split
     by :func:`math.frexp` (:func:`_scaled_root`).
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1):
+    if not (_is_real(p) and math.isfinite(p) and p >= 1):
         raise BadExponentError(f"norm exponent must be a finite real >= 1, got {p!r}")
     p = float(p)
     with np.errstate(over="ignore"):
@@ -414,7 +420,7 @@ def direct_sum_norm(tup: FunctionTuple, p: float) -> float:
     length for the scale factor to be well-defined) and ``I_Λ`` the full
     ambient box.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1):
+    if not (_is_real(p) and math.isfinite(p) and p >= 1):
         raise BadExponentError(f"norm exponent must be a finite real >= 1, got {p!r}")
     p = float(p)
     amb = tup.ambient

@@ -286,6 +286,12 @@ def test_elemfn_requires_a_point_for_functions(capsys):
     assert rc == 1 and "requires --at" in err
 
 
+def test_elemfn_refuses_a_point_for_the_constant(capsys):
+    rc, out, err = run_cli(capsys, "elemfn", "--name", "K", "--at", "1")
+    assert rc == 1 and out == ""
+    assert err == "error: elemfn --name K takes no --at\n"
+
+
 def test_elemfn_rejects_a_negative_tolerance(capsys):
     rc, out, err = run_cli(capsys, "elemfn", "--name", "asin", "--at", "0.5", "--tol", "-1")
     assert rc == 1 and out == ""

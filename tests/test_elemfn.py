@@ -6,6 +6,7 @@ oracle whether or not it managed to converge to the requested width.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -101,6 +102,27 @@ def test_every_elementary_function_rejects_a_bad_tolerance(call, tol):
     with pytest.raises(OrderViolationError) as err:
         call(tol)
     assert str(err.value) == f"tolerance must be a positive real, got {tol!r}"
+
+
+@pytest.mark.parametrize("tol", [np.float64(1e-6), np.float32(1e-6), np.int64(1)])
+@pytest.mark.parametrize("call", [
+    lambda t: K_constant(t), lambda t: sin_cat(0.5, t), lambda t: ln_cat(3.0, t),
+    lambda t: exp_cat(1.0, t),
+], ids=["K", "sin", "ln", "exp"])
+def test_a_numpy_tolerance_is_its_float(call, tol):
+    enc = call(tol)
+    assert enc == call(float(tol)) and type(enc.converged) is bool
+    json.dumps(enc.to_json())
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: asin_cat(0.5, t), lambda t: K_constant(t), lambda t: sin_cat(0.5, t),
+    lambda t: ln_cat(3.0, t), lambda t: exp_cat(1.0, t),
+], ids=["asin", "K", "sin", "ln", "exp"])
+def test_a_bool_is_not_a_tolerance(call):
+    with pytest.raises(OrderViolationError) as err:
+        call(True)
+    assert str(err.value) == "tolerance must be a positive real, got True"
 
 
 def test_asin_is_odd_in_enclosure_terms():
@@ -292,6 +314,25 @@ def test_one_inversion_spends_one_budget(monkeypatch):
     cell = 2 * RULE_CELLS + 1
     assert CELL_BUDGET - 2 * cell < sum(points) <= CELL_BUDGET + 2 * cell * len(queries)
     assert len(queries) < 100
+
+
+@pytest.mark.parametrize("fn, x, tol", [
+    (sin_cat, 0.9, 1.5e-12), (sin_cat, -7.5, 1.5e-9), (cos_cat, 1.9, 1.5e-12),
+    (cos_cat, 0.4, 1e-6),
+])
+def test_every_step_of_an_inversion_asks_one_tolerance(monkeypatch, fn, x, tol):
+    # one sharp enclosure per bisection step, none loose first
+    fn(x, 1e-3)  # warm the cached quarter-period
+    tols = []
+    real_enclose = Primitive.enclose
+
+    def counted(self, y, t):
+        tols.append(t)
+        return real_enclose(self, y, t)
+
+    monkeypatch.setattr(Primitive, "enclose", counted)
+    fn(x, tol)
+    assert len(tols) > 10 and len(set(tols)) == 1
 
 
 INVERSES = {"sin": (sin_cat, (-10.0, 10.0)), "cos": (cos_cat, (-9.0, 11.0)),

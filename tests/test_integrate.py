@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -43,7 +44,8 @@ from stepquiver import integrate as integrate_module
 from stepquiver import elemfn
 from stepquiver.elemfn import _circle
 from stepquiver.integrate import (
-    CELL_BUDGET, RULE_CELLS, STIELTJES_BLOCK, _Evaluator, _stieltjes_sum, convex_primitive,
+    CELL_BUDGET, RULE_CELLS, STIELTJES_BLOCK, Primitive, _Evaluator, _sandwich_rule,
+    _stieltjes_sum,
 )
 
 from conftest import random_step
@@ -187,7 +189,7 @@ def test_an_unreachable_tolerance_spends_one_budget(call, sampled):
 
 @pytest.mark.parametrize("y, tol", [(0.3, 1e-6), (1 / 64, 1e-12), (0.999, 1e-14)])
 def test_a_query_below_the_base_is_refused(y, tol):
-    prim = convex_primitive(lambda t: 1.0 / t, 1.0)
+    prim = Primitive(_sandwich_rule(_Evaluator(lambda t: 1.0 / t)), 1.0)
     with pytest.raises(OrderViolationError, match="below"):
         prim.enclose(y, tol)
     assert prim.cells == [] and prim.spent == 0
@@ -201,7 +203,7 @@ def _tiles(cells, lo, hi):
 def test_primitive_queries_on_both_sides_contain_the_logarithm():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20)
-    prim = convex_primitive(lambda t: 1.0 / t, 1.0)
+    prim = Primitive(_sandwich_rule(_Evaluator(lambda t: 1.0 / t)), 1.0)
     # reachable tolerances first, then ones that exhaust the shared budget;
     # the logarithm takes every y to the primitive's side of 1, on [1, 2)
     for i in range(60):
@@ -223,7 +225,7 @@ def test_a_primitive_pays_only_for_refinement_not_yet_done():
         points.append(np.size(xs))
         return 1.0 / xs
 
-    prim = convex_primitive(recip, 1.0)
+    prim = Primitive(_sandwich_rule(_Evaluator(recip)), 1.0)
     first = prim.enclose(3.0, 1e-12)
     spent = sum(points)
     # the same query again is answered from the kept cells
@@ -264,6 +266,27 @@ STEP = indicator(box1(0.0, 0.5), box1(0.0, 1.0), 2.0)
 def test_every_enclosure_rejects_a_bad_tolerance(call, tol):
     with pytest.raises(OrderViolationError, match="tolerance must be a positive real"):
         call(tol)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: integrate_enclosure(lambda x: x, (0.0, 1.0), tol=tol),
+    lambda tol: convex_enclosure(lambda x: x * x, (0, 1), tol),
+], ids=["darboux", "convex"])
+@pytest.mark.parametrize("tol", [np.float64(1e-6), np.float32(1e-6), np.int64(1)])
+def test_a_numpy_tolerance_is_its_float(call, tol):
+    enc = call(tol)
+    assert enc == call(float(tol)) and type(enc.converged) is bool
+    json.dumps(enc.to_json())
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: integrate_enclosure(lambda x: x, (0.0, 1.0), tol=tol),
+    lambda tol: convex_enclosure(lambda x: x * x, (0, 1), tol),
+    lambda tol: stieltjes_integrate(lambda x: x, identity_measure(), (0.0, 1.0), tol),
+], ids=["darboux", "convex", "stieltjes"])
+def test_a_bool_is_not_a_tolerance(call):
+    with pytest.raises(OrderViolationError, match="tolerance must be a positive real, got True"):
+        call(True)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ from stepquiver import (
     upper_limit_record,
 )
 
+from stepquiver import iposet as iposet_module
+
 from conftest import random_step
 
 
@@ -64,6 +66,25 @@ def test_build_iposet_orders_by_inclusion():
     assert not order_leq(big, small)
     assert not order_leq(small, side)  # incomparable
     assert not order_leq(side, small)
+
+
+def test_build_iposet_integrates_each_element_once(monkeypatch):
+    # one integral for the value and one for the element's own value check
+    f = random_step(np.random.default_rng(22), 0.0, 4.0)
+    family = [(1.0, 3.0), make_interval(0.5, 1.75), (0.0, 4.0)]
+    expected = [poset_element(f, iv, alpha=iv[0]) for iv in [(0.0, 4.0), (0.5, 1.75), (1.0, 3.0)]]
+    calls = []
+    real = iposet_module.integrate_step
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(iposet_module, "integrate_step", counted)
+    elems = build_iposet(f, family)
+    assert len(calls) == 2 * len(family)
+    assert [(e.interval, e.value, e.alpha) for e in elems] == \
+        [(e.interval, e.value, e.alpha) for e in expected]
 
 
 def test_order_leq_is_reflexive():

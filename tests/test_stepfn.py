@@ -228,6 +228,17 @@ def test_p_norm_rejects_exponent_below_one():
         p_norm(indicator(UNIT, UNIT), 0.5)
 
 
+@pytest.mark.parametrize("norm", [
+    lambda f, p: p_norm(f, p), lambda f, p: direct_sum_norm(FunctionTuple((f, f)), p),
+], ids=["p_norm", "direct_sum_norm"])
+def test_norm_exponents_are_reals_but_not_bools(norm):
+    f = indicator(box1(0.0, 0.5), UNIT, 3.0)
+    for p in (np.float32(2.0), np.int64(2), np.float64(2.0)):
+        assert norm(f, p) == norm(f, 2.0)
+    with pytest.raises(BadExponentError, match="got True"):
+        norm(f, True)
+
+
 @given(steps(), st.floats(min_value=-5, max_value=5, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_p_norm_absolute_homogeneity(f, lam):

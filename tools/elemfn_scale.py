@@ -12,14 +12,17 @@ it makes one untimed call of the row's function at the range's upper end
 and the row's tolerance, which fills the quarter-period reference that
 every sin and cos call shares; the ln 2 enclosures that exp and ln read are
 cached per power-of-two tolerance, so the timed calls pay for the ones they
-are the first to need, as a process would.  Each call is timed with ``time.perf_counter`` and its integrand evaluations are counted
-by wrapping ``elemfn._circle`` and ``elemfn._recip``: ``calls`` is the
-number of cell-rule calls, ``points`` the number of points they evaluated.
+are the first to need, as a process would.  Each call is timed with
+``time.perf_counter`` and its integrand evaluations are counted by wrapping
+``elemfn._circle`` and ``elemfn._recip``: ``calls`` is the number of
+cell-rule calls, ``points`` the number of points they evaluated.
+``warm_points`` counts the untimed call's points: the quarter-period
+reference and every ln 2 enclosure that call was the first to need.
 
 The output is a JSON list of rows, one per function and tolerance:
 ``{checkout, fn, tol, n, median_s, max_s, total_s, calls, points,
-converged, xs, seconds, points_per_x, converged_per_x}``; the checkout is
-named by ``--label`` (default: its path).
+converged, warm_points, xs, seconds, points_per_x, converged_per_x}``; the
+checkout is named by ``--label`` (default: its path).
 """
 
 import argparse
@@ -46,8 +49,6 @@ def child(checkout: str, fn: str, tol: float) -> dict:
     def call(x, tol):
         return cat(2.0 ** x if fn == "ln" else x, tol)
 
-    lo, hi = RANGES[fn]
-    call(hi, tol)
     counts = []
     for name in ("_circle", "_recip"):
         real = getattr(elemfn, name)
@@ -57,6 +58,9 @@ def child(checkout: str, fn: str, tol: float) -> dict:
             return real(ts)
         setattr(elemfn, name, counted)
 
+    lo, hi = RANGES[fn]
+    call(hi, tol)
+    warm_points = sum(counts)
     xs = [lo + (hi - lo) * (i + 0.5) / POINTS for i in range(POINTS)]
     seconds, evals, calls, converged = [], [], 0, []
     for x in xs:
@@ -70,7 +74,7 @@ def child(checkout: str, fn: str, tol: float) -> dict:
     return {"fn": fn, "tol": tol, "n": POINTS,
             "median_s": round(statistics.median(seconds), 6), "max_s": round(max(seconds), 6),
             "total_s": round(sum(seconds), 6), "calls": calls, "points": sum(evals),
-            "converged": sum(converged), "xs": [round(x, 6) for x in xs],
+            "converged": sum(converged), "warm_points": warm_points, "xs": [round(x, 6) for x in xs],
             "seconds": [round(s, 6) for s in seconds], "points_per_x": evals,
             "converged_per_x": converged}
 
@@ -93,7 +97,7 @@ def main():
             row = {"checkout": args.label or args.checkout, **json.loads(out)}
             rows.append(row)
             print(fn, tol, row["median_s"], row["max_s"], row["points"], row["converged"],
-                  file=sys.stderr)
+                  row["warm_points"], file=sys.stderr)
     json.dump(rows, sys.stdout, indent=1)
     sys.stdout.write("\n")
 
