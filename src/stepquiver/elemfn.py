@@ -230,10 +230,10 @@ def _invert(enclose, target: float, lo: float, hi: float, tol: float,
     ``scale`` is at least ``|dy/dF|`` on ``[lo, hi]``.  Every step asks for
     one enclosure at ``inner = max(tol / (4·scale), floor)`` and keeps the
     half of the bracket its midpoint puts the root in: an exact decision
-    when the enclosure lies wholly on one side of the target.  Returns ``(lo, hi, worst)``, where ``worst
-    >= inner`` is the largest F-space half-width a straddling enclosure's
-    midpoint decision rested on; the caller pads by it times its own
-    derivative bound.
+    when the enclosure lies wholly on one side of the target.  Returns
+    ``(lo, hi, worst)``, where ``worst >= inner`` is the largest F-space
+    half-width a straddling enclosure's decision rested on; the caller pads
+    by it times its own derivative bound.
 
     The callers' ``enclose`` reads one :class:`~stepquiver.integrate.Primitive`
     made for this inversion alone, so a step pays only for the refinement

@@ -289,7 +289,8 @@ def restrict(f: StepFunction, region: Region) -> StepFunction:
 
 
 def _is_real(x) -> bool:
-    """Whether ``x`` is a real number: numpy's count, ``bool`` does not."""
+    """Whether ``x`` is a real number, numpy scalars included; a ``bool``
+    is not one here."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 

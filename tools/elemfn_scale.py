@@ -74,7 +74,8 @@ def child(checkout: str, fn: str, tol: float) -> dict:
     return {"fn": fn, "tol": tol, "n": POINTS,
             "median_s": round(statistics.median(seconds), 6), "max_s": round(max(seconds), 6),
             "total_s": round(sum(seconds), 6), "calls": calls, "points": sum(evals),
-            "converged": sum(converged), "warm_points": warm_points, "xs": [round(x, 6) for x in xs],
+            "converged": sum(converged), "warm_points": warm_points,
+            "xs": [round(x, 6) for x in xs],
             "seconds": [round(s, 6) for s in seconds], "points_per_x": evals,
             "converged_per_x": converged}
 
