@@ -36,7 +36,6 @@ from .qv import QuiverDoc, doc_from_presentation, emit_dsl, parse_quiver_dsl
 
 if TYPE_CHECKING:
     from .integrate import Enclosure
-    from .stepfn import StepFunction
 
 
 def _emit_json(payload) -> None:
@@ -156,36 +155,40 @@ def _cmd_gldim(args) -> int:
     return 0
 
 
-def _widen_to(step: StepFunction, lo: float, hi: float) -> StepFunction:
-    """Grow a step literal's ambient so it covers [lo, hi] (it is 0 there)."""
-    from .measure import box1
+def _integrand(args):
+    """``--fn`` and ``--domain`` as an integrand and its interval: a step
+    literal widened so its ambient covers the domain (it is 0 there), or
+    the expression on the domain :func:`~stepquiver.dsl.ensure_proper`
+    checks (and shrinks, with ``--truncate``)."""
+    from .dsl import ensure_proper, parse_fn_expr, step_literal
+    from .measure import box1, make_interval
     from .stepfn import with_ambient
 
+    expr = parse_fn_expr(args.fn)
+    lo, hi = args.domain
+    step = step_literal(expr)
+    if step is None:
+        return expr, ensure_proper(expr, (lo, hi), truncate=args.truncate)
     amb = step.ambient.factors[0]
     if lo < amb.lo or hi > amb.hi:
         step = with_ambient(step, box1(min(lo, amb.lo), max(hi, amb.hi)))
-    return step
+    return step, make_interval(lo, hi)
 
 
 def _cmd_integrate(args) -> int:
     import numpy as np
 
-    from .dsl import ensure_proper, monotone_pieces, parse_fn_expr, step_literal
+    from .dsl import monotone_pieces
     from .integrate import Enclosure, integrate_enclosure, integrate_step
-    from .measure import make_interval
+    from .stepfn import StepFunction
 
-    expr = parse_fn_expr(args.fn)
-    lo, hi = args.domain
-    step = step_literal(expr)
-    if step is not None:
-        step = _widen_to(step, lo, hi)
-        value = integrate_step(step, make_interval(lo, hi))
-        enc = Enclosure(value, value, True)
-    else:
-        with np.errstate(all="ignore"):
-            domain = ensure_proper(expr, (lo, hi), truncate=args.truncate)
-            pieces = monotone_pieces(expr, domain)
-            enc = integrate_enclosure(expr, domain, pieces, tol=args.tol)
+    with np.errstate(all="ignore"):
+        fn, domain = _integrand(args)
+        if isinstance(fn, StepFunction):
+            value = integrate_step(fn, domain)
+            enc = Enclosure(value, value, True)
+        else:
+            enc = integrate_enclosure(fn, domain, monotone_pieces(fn, domain), tol=args.tol)
     _print_enclosure(enc, args.json)
     return 0
 
@@ -193,23 +196,14 @@ def _cmd_integrate(args) -> int:
 def _cmd_stieltjes(args) -> int:
     import numpy as np
 
-    from .dsl import ensure_proper, parse_fn_expr, step_literal
     from .integrate import stieltjes_integrate
-    from .measure import identity_measure, log_power_measure, make_interval
+    from .measure import identity_measure, log_power_measure
 
-    expr = parse_fn_expr(args.fn)
-    lo, hi = args.domain
     phi = (log_power_measure(args.log_power) if args.log_power is not None
            else identity_measure())
-    integrand = step_literal(expr)
     with np.errstate(all="ignore"):
-        if integrand is None:
-            domain = ensure_proper(expr, (lo, hi), truncate=args.truncate)
-            integrand = expr
-        else:
-            integrand = _widen_to(integrand, lo, hi)
-            domain = make_interval(lo, hi)
-        value = stieltjes_integrate(integrand, phi, domain, tol=args.tol)
+        fn, domain = _integrand(args)
+        value = stieltjes_integrate(fn, phi, domain, tol=args.tol)
     if args.json:
         _emit_json({"value": value, "measure": phi.label, "tol": args.tol})
     else:

@@ -28,8 +28,8 @@ onto [0, 1].  A step so pays only for the refinement the steps before it
 have not done, and one ``CELL_BUDGET`` caps the whole inversion.  Every
 logarithm is reduced to ``y = m·2^e`` with m in [1, 2), ``ln y = e·ln 2 +
 ∫_1^m dt/t``, so a primitive is only ever asked above its base.  ln 2 is
-one enclosure per process and power-of-two tolerance, so no result depends
-on the calls made before it.
+one enclosure per process, so no result depends on the calls made before
+it.
 
 No transcendental library routines participate in any returned value: every
 result is an :class:`~stepquiver.integrate.Enclosure` from those Simpson
@@ -55,7 +55,7 @@ from typing import Dict
 import numpy as np
 
 from .errors import InversionFailedError, OutOfDomainError
-from .integrate import Enclosure, Primitive, _U, _Evaluator, _check_tol, _simpson_rule
+from .integrate import Enclosure, Primitive, _U, _Evaluator, _check_tol, _met, _simpson_rule
 
 UNIT_EPS = 2.0 ** -40    # smallest truncation distance at the ±1 endpoints
 K_REF_TOL = 2e-14        # tolerance of the cached reference quarter-period
@@ -160,7 +160,7 @@ def _enclose_circle(a: float, b: float, tol: float, main=_simpson_circle) -> Enc
     if lo_main < hi_main:
         tol_main = max(0.5 * tol, tol - total.width)
         total = total + main(lo_main, hi_main, tol_main)
-    return Enclosure(total.lower, total.upper, total.width <= tol * (1 + 1e-9))
+    return Enclosure(total.lower, total.upper, _met(total.width, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +280,10 @@ def _sine(target: float, slack: float, odd: int, tol: float) -> Enclosure:
 
     lo, hi, pad = _invert(lambda y, t: _asin(y, t, main), target, -1.0, 1.0, share,
                           1.0, 0.0)
-    conv = (hi - lo) + 2 * pad <= share * (1 + 1e-9)
+    conv = _met((hi - lo) + 2 * pad, share)
     lo, hi = max(-1.0, lo - pad), min(1.0, hi + pad)
     enc = Enclosure(max(-1.0, lo - slack), min(1.0, hi + slack),
-                    conv and (hi - lo) + 2 * slack <= tol * (1 + 1e-9))
+                    conv and _met((hi - lo) + 2 * slack, tol))
     return -enc if odd else enc
 
 
@@ -327,11 +327,12 @@ LN2_FLOOR = 2.0 ** -47   # the least power of two ln 2's rounding term (~6e-15) 
 
 
 @functools.cache
-def _ln2(tol: float) -> Enclosure:
-    """ln 2 as ``∫_1^2 dt/t`` to ``tol``, one enclosure per process and
-    tolerance, so a logarithm never depends on the calls before it.
-    :func:`_ln` asks only at powers of two, which bounds the cache."""
-    return _recip_primitive(1.0).enclose(2.0, tol)
+def _ln2() -> Enclosure:
+    """ln 2 as ``∫_1^2 dt/t`` to ``LN2_FLOOR``, one enclosure per process, so
+    a logarithm never depends on the calls before it.  A tighter demand
+    would spend the whole budget to no effect; a looser one saves two
+    Simpson cells at most."""
+    return _recip_primitive(1.0).enclose(2.0, LN2_FLOOR)
 
 
 def ln_cat(y: float, tol: float = 1e-6) -> Enclosure:
@@ -353,11 +354,9 @@ def _ln(prim, y: float, tol: float) -> Enclosure:
     ``1/t`` based at 1 that is queried only on [1, 2).
 
     ``∫_1^m`` takes the whole tolerance when e = 0 and half of it
-    otherwise; ln 2 gets the other half over |e|, rounded down to a power
-    of two, the key of its cache, but no less than ``LN2_FLOOR``: a tighter
-    demand would spend the whole budget to no effect.  Sub-resolution
-    demands are clamped to ``LN_RES·(1 + |e|)``: below that the answer has
-    no binary64 digits left to certify, and the flag reports that.
+    otherwise, beside the one ln 2 of :func:`_ln2`.  Sub-resolution demands
+    are clamped to ``LN_RES·(1 + |e|)``: below that the answer has no
+    binary64 digits left to certify, and the flag reports that.
     """
     m, e = math.frexp(y)
     m, e = 2.0 * m, e - 1            # y = m * 2**e, m in [1, 2)
@@ -365,9 +364,8 @@ def _ln(prim, y: float, tol: float) -> Enclosure:
     if e == 0:
         s = prim.enclose(m, eff)
     else:
-        share = max(LN2_FLOOR, math.ldexp(0.5, math.frexp(0.5 * eff / abs(e))[1]))
-        s = _ln2(share).scale(float(e)) + prim.enclose(m, 0.5 * eff)
-    return Enclosure(s.lower, s.upper, s.width <= tol * (1.0 + 1e-9))
+        s = _ln2().scale(float(e)) + prim.enclose(m, 0.5 * eff)
+    return Enclosure(s.lower, s.upper, _met(s.width, tol))
 
 
 def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
@@ -396,5 +394,4 @@ def exp_cat(x: float, tol: float = 1e-6) -> Enclosure:
                             tol, 2.0 * max(1.0, hi), LN_RES)
     # an error delta in log space moves the preimage by at most ~y*delta
     slack = 2.0 * hi * worst
-    return Enclosure(max(0.0, lo - slack), hi + slack,
-                     (hi - lo) + 2 * slack <= tol * (1 + 1e-9))
+    return Enclosure(max(0.0, lo - slack), hi + slack, _met((hi - lo) + 2 * slack, tol))

@@ -72,7 +72,7 @@ from .errors import (
     OutOfDomainError,
     ToleranceUnreachedError,
 )
-from .measure import Box, Interval, StieltjesMeasure, make_interval
+from .measure import Interval, StieltjesMeasure, _directions, box_arrays, make_interval
 from .stepfn import Region, StepFunction, _clipped, _is_real, _measures, region_boxes
 
 CELL_BUDGET = 1 << 24
@@ -153,16 +153,8 @@ def integrate_step(f: StepFunction, region: Optional[Region] = None) -> float:
     and, within a piece, region box by region box: exact whenever every
     product and partial sum is representable, as on dyadic data.  A sum
     that overflows raises :class:`NonFiniteError`."""
-    if region is None:
-        boxes = (f.ambient,)
-    else:
-        boxes = region_boxes(region, f.dim)
-        for rb in boxes:
-            if not f.ambient.contains_box(rb):
-                raise AmbientMismatchError(
-                    f"region {rb.to_json()} escapes ambient {f.ambient.to_json()}"
-                )
-    i, lo, hi = _clipped(f, boxes)
+    boxes = (f.ambient,) if region is None else region_boxes(region, f.ambient)
+    i, lo, hi = _clipped(f, *box_arrays(boxes, f.dim))
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(_running_sum([f.k[i] * _measures(lo, hi)])[-1:], "integral")[0]
 
@@ -227,6 +219,12 @@ def _check_tol(tol) -> float:
     if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
         raise OrderViolationError(f"tolerance must be a positive real, got {tol!r}")
     return float(tol)
+
+
+def _met(width: float, tol: float) -> bool:
+    """Whether a bracket of ``width`` meets ``tol``, up to a relative 1e-9
+    that forgives the rounding of the width: every ``converged`` flag."""
+    return width <= tol * (1 + 1e-9)
 
 
 def _as_interval(domain) -> Interval:
@@ -303,7 +301,7 @@ class Primitive:
                 drift = _U * abs(width)
         lower = math.fsum(e[4] for e in heap)
         upper = math.fsum(e[5] for e in heap)
-        return lower, upper, upper - lower <= tol * (1 + 1e-9)
+        return lower, upper, _met(upper - lower, tol)
 
     def enclose(self, y, tol: float) -> Enclosure:
         """Enclosure of ``F(y)``; ``converged`` says whether ``tol`` was met."""
@@ -498,21 +496,30 @@ def _check_tiling(domain: Interval, pieces: Sequence[Interval]) -> list[Interval
     return ivs
 
 
-def _sample_monotone(ev: _Evaluator, iv: Interval) -> None:
-    """Cheap sanity check that 17 samples of f on ``iv`` don't change direction.
+def _sample_monotone(ev: _Evaluator, lo, hi) -> None:
+    """Cheap sanity check that 17 samples of f on ``[lo, hi]`` don't change
+    direction.
 
     Catches blatantly non-monotone declarations; it is a sampling heuristic,
     not a proof — the declaration is the contract.
     """
-    xs = np.linspace(iv.lo, iv.hi, 17)
+    xs = np.linspace(lo, hi, 17)
     vals = ev(xs)
     _finite_or_raise(vals, xs)
-    eps = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
-    diffs = np.diff(vals)
-    if (diffs > eps).any() and (diffs < -eps).any():
-        raise BadPiecesError(
-            f"integrand is not monotone on declared piece [{iv.lo}, {iv.hi}]"
-        )
+    signs = _directions(vals)
+    if (signs > 0).any() and (signs < 0).any():
+        raise BadPiecesError(f"integrand is not monotone on declared piece [{lo}, {hi}]")
+
+
+def _darboux(ev: _Evaluator, cells, tol: float) -> Enclosure:
+    """Darboux enclosure of ``Σ k ∫_[lo,hi] f`` over the ``(lo, hi, k)`` of
+    ``cells``, each sample-checked by :func:`_sample_monotone` as it comes,
+    then all refined by one driver call."""
+    checked = []
+    for lo, hi, k in cells:
+        _sample_monotone(ev, lo, hi)
+        checked.append((lo, hi, k))
+    return Enclosure(*_refine(_darboux_rule(ev), checked, tol))
 
 
 def integrate_enclosure(
@@ -532,10 +539,7 @@ def integrate_enclosure(
     if domain.is_degenerate():
         return Enclosure(0.0, 0.0, True)
     pieces = _check_tiling(domain, monotone_pieces if monotone_pieces is not None else [domain])
-    ev = _Evaluator(f)
-    for iv in pieces:
-        _sample_monotone(ev, iv)
-    return Enclosure(*_refine(_darboux_rule(ev), [(iv.lo, iv.hi, 1.0) for iv in pieces], tol))
+    return _darboux(_Evaluator(f), [(iv.lo, iv.hi, 1.0) for iv in pieces], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +632,7 @@ def var_upper_integral(f: StepFunction, c: float) -> VarIntegralFn:
 def _nonzero_cells(f: StepFunction, lo, hi) -> list:
     """``(a, b, k)`` left to right for the pieces of a 1-D ``f`` clipped to
     ``[lo, hi]``, where the clip has positive length."""
-    i, a, b = _clipped(f, (Box((Interval(lo, hi),)),))
+    i, a, b = _clipped(f, np.array([[lo]], dtype=float), np.array([[hi]], dtype=float))
     return list(zip(a[:, 0].tolist(), b[:, 0].tolist(), f.k[i].tolist()))
 
 
@@ -646,19 +650,18 @@ def eta(F: VarIntegralFn, G: VarIntegralFn, domain) -> VarIntegralFn:
             f"operands live on {F.domain.to_json()} / {G.domain.to_json()}, "
             f"expected {domain.to_json()}"
         )
-    fd = F.ys[-1]
-    xs: list[float] = []
-    ys: list[float] = []
-    for u, y in zip(F.xs, F.ys):
-        xs.append(0.5 * (u + c))
-        ys.append(0.5 * y)
-    for u, y in zip(G.xs, G.ys):
-        x = 0.5 * (u + d)
-        if xs and x == xs[-1]:
-            continue
-        xs.append(x)
-        ys.append(0.5 * (fd + y))
-    return VarIntegralFn(base=c, xs=tuple(xs), ys=tuple(ys))
+
+    def halve(H: VarIntegralFn, end: float, start: float) -> list:
+        # -0.0 + y is y for every y, signed zeros included
+        return [(0.5 * (u + end), 0.5 * (start + y)) for u, y in zip(H.xs, H.ys)]
+
+    nodes = halve(F, c, -0.0)
+    # a node of the upper half that rounds onto its predecessor is dropped
+    for x, y in halve(G, d, F.ys[-1]):
+        if x != nodes[-1][0]:
+            nodes.append((x, y))
+    xs, ys = zip(*nodes)
+    return VarIntegralFn(base=c, xs=xs, ys=ys)
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +710,7 @@ def _monotone_runs(ev: _Evaluator, iv: Interval):
     xs = np.linspace(iv.lo, iv.hi, 129)
     vals = ev(xs)
     _finite_or_raise(vals, xs)
-    eps = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
-    diffs = np.diff(vals)
-    signs = np.where(diffs > eps, 1, np.where(diffs < -eps, -1, 0))
+    signs = _directions(vals)
     flips = []
     current = 0
     for i, s in enumerate(signs):
@@ -738,25 +739,18 @@ def _monotone_runs(ev: _Evaluator, iv: Interval):
     return [Interval(a, b) for a, b in zip(pts, pts[1:]) if a < b]
 
 
-def _stieltjes_exact_step(f: StepFunction, phi: StieltjesMeasure, domain: Interval) -> float:
-    total = 0.0
-    for a, z, k in _nonzero_cells(f, domain.lo, domain.hi):
-        total += k * (float(phi.phi(z)) - float(phi.phi(a)))
-    return total
-
-
-def _density_enclosure(f, fp, domain: Interval, tol: float) -> Optional[Enclosure]:
+def _density_enclosure(f, fp, cells: list, tol: float) -> Optional[Enclosure]:
     """Best-effort enclosure of ``∫ f(t) φ'(t) dt``; None if not certifiable.
 
-    For a step function the integrand is ``φ'`` on the cells that
-    :func:`_stieltjes_exact_step` reads, each carrying its coefficient;
-    otherwise it is ``f * φ'`` on the domain.  Each cell is split on sampled
-    monotone runs, and all runs go to one driver call.  Returns None when
-    sampling cannot produce a trustworthy monotone-piece picture.
+    For a step function the integrand is ``φ'`` on the clipped ``cells`` of
+    ``(a, b, k)`` whose exact sum :func:`stieltjes_integrate` took, each
+    carrying its coefficient; otherwise it is ``f * φ'`` on the one cell of
+    the domain.  Each cell is split on sampled monotone runs, and all runs
+    go to one :func:`_darboux` call.  Returns None when sampling cannot
+    produce a trustworthy monotone-piece picture.
     """
     if isinstance(f, StepFunction):
         ev = _Evaluator(fp)
-        cells = _nonzero_cells(f, domain.lo, domain.hi)
     else:
         ev_f, ev_fp = _Evaluator(f), _Evaluator(fp)
 
@@ -765,19 +759,18 @@ def _density_enclosure(f, fp, domain: Interval, tol: float) -> Optional[Enclosur
             return ev_f(xs) * ev_fp(xs)
 
         ev = _Evaluator(g)
-        cells = [(domain.lo, domain.hi, 1.0)]
-    pieces = []
-    for a, b, k in cells:
-        runs = _monotone_runs(ev, Interval(a, b))
-        if runs is None:
-            return None
-        try:
-            for iv in runs:
-                _sample_monotone(ev, iv)
-        except BadPiecesError:
-            return None
-        pieces += [(iv.lo, iv.hi, k) for iv in runs]
-    return Enclosure(*_refine(_darboux_rule(ev), pieces, tol))
+
+    def pieces():
+        for a, b, k in cells:
+            runs = _monotone_runs(ev, Interval(a, b))
+            if runs is None:
+                raise BadPiecesError("the sampled direction changes too often")
+            yield from ((iv.lo, iv.hi, k) for iv in runs)
+
+    try:
+        return _darboux(ev, pieces(), tol)
+    except BadPiecesError:
+        return None
 
 
 def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> float:
@@ -800,7 +793,10 @@ def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> 
     if isinstance(f, StepFunction):
         if f.dim != 1:
             raise DimensionMismatchError("Stieltjes integration is one-dimensional")
-        value = _stieltjes_exact_step(f, phi, domain)
+        cells = _nonzero_cells(f, domain.lo, domain.hi)
+        value = 0.0
+        for a, z, k in cells:
+            value += k * (float(phi.phi(z)) - float(phi.phi(a)))
         slack = max(tol, 1e-12)
     else:
         ev_f = _Evaluator(f)
@@ -819,9 +815,10 @@ def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> 
             raise ToleranceUnreachedError(
                 f"Stieltjes sums did not settle within {tol} by N = {STIELTJES_MAX_N}"
             )
+        cells = [(domain.lo, domain.hi, 1.0)]
         slack = tol
     if phi.phi_prime is not None:
-        enc = _density_enclosure(f, phi.phi_prime, domain, max(tol, 1e-12))
+        enc = _density_enclosure(f, phi.phi_prime, cells, max(tol, 1e-12))
         if enc is not None and not enc.lower - 2.0 * slack <= value <= enc.upper + 2.0 * slack:
             raise MethodDisagreementError(
                 f"Stieltjes sum {value!r} disagrees with density enclosure "

@@ -177,6 +177,9 @@ def classify_case(a: Interval, b: Interval) -> CaseTag:
 
 def _branch_value(tag: CaseTag, f: StepFunction, g: StepFunction,
                   a: Interval, b: Interval) -> float:
+    """The case's own formula: ``∫_a f + ∫_b g`` for disjoint and nested
+    intervals, and for overlapping ones ``f`` alone, both, then ``g``
+    alone, with ``∫ (f + g) = ∫ f + ∫ g`` on the overlap."""
     u, v = a.lo, a.hi
     s, t = b.lo, b.hi
 
@@ -186,19 +189,10 @@ def _branch_value(tag: CaseTag, f: StepFunction, g: StepFunction,
     def intg(lo, hi):
         return integrate_step(g, Interval(lo, hi))
 
-    def intfg(lo, hi):
-        return integrate_step(linear_combine(1.0, f, 1.0, g), Interval(lo, hi))
-
-    if tag is CaseTag.DISJOINT_LEFT:
-        return intf(u, v) + intg(s, t)
-    if tag is CaseTag.DISJOINT_RIGHT:
-        return intg(s, t) + intf(u, v)
     if tag is CaseTag.OVERLAP_LEFT:
-        return intf(u, s) + intfg(s, v) + intg(v, t)
+        return intf(u, s) + (intf(s, v) + intg(s, v)) + intg(v, t)
     if tag is CaseTag.OVERLAP_RIGHT:
-        return intg(s, u) + intfg(u, t) + intf(t, v)
-    if tag is CaseTag.CONTAINED_IN:
-        return intg(s, t) + intf(u, v)
+        return intg(s, u) + (intf(u, t) + intg(u, t)) + intf(t, v)
     return intf(u, v) + intg(s, t)
 
 

@@ -467,6 +467,14 @@ def segment(scheme: DyadicScheme, t: int):
 # Lebesgue–Stieltjes distribution data
 # ---------------------------------------------------------------------------
 
+def _directions(vals: np.ndarray) -> np.ndarray:
+    """The direction of each step between successive samples: 1 up, -1
+    down, 0 for a step within the dead band ``1e-12·(1 + max|v|)``."""
+    eps = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
+    diffs = np.diff(vals)
+    return np.where(diffs > eps, 1, np.where(diffs < -eps, -1, 0))
+
+
 @dataclass
 class StieltjesMeasure:
     """Distribution-function data for Lebesgue–Stieltjes integration.
@@ -490,8 +498,7 @@ class StieltjesMeasure:
             vals = np.asarray([float(self.phi(float(x))) for x in xs])
         if not np.all(np.isfinite(vals)):
             raise NonFiniteError(f"{self.label} is non-finite on [{iv.lo}, {iv.hi}]")
-        scale = 1.0 + float(np.max(np.abs(vals)))
-        drops = np.diff(vals) < -1e-12 * scale
+        drops = _directions(vals) < 0
         if drops.any():
             i = int(np.argmax(drops))
             raise NotMonotoneError(

@@ -70,17 +70,23 @@ def _as_point(x: Point, dim: int) -> tuple[float, ...]:
     return x
 
 
-def region_boxes(region: Region, dim: int) -> tuple[Box, ...]:
-    """Normalize an Interval/Box/MeasurableSet argument to a box tuple."""
+def region_boxes(region: Region, ambient: Box) -> tuple[Box, ...]:
+    """Normalize an Interval/Box/MeasurableSet argument to a box tuple, each
+    box checked to lie inside ``ambient``."""
     if isinstance(region, Interval):
-        if dim != 1:
+        if ambient.dim != 1:
             raise DimensionMismatchError("interval region for a multi-dimensional ambient")
-        return (Box((region,)),)
-    if isinstance(region, Box):
-        return (region,)
-    if isinstance(region, MeasurableSet):
-        return region.boxes
-    raise TypeError(f"unsupported region type: {type(region).__name__}")
+        boxes = (Box((region,)),)
+    elif isinstance(region, Box):
+        boxes = (region,)
+    elif isinstance(region, MeasurableSet):
+        boxes = region.boxes
+    else:
+        raise TypeError(f"unsupported region type: {type(region).__name__}")
+    for b in boxes:
+        if not ambient.contains_box(b):
+            raise AmbientMismatchError(f"region {b.to_json()} escapes ambient {ambient.to_json()}")
+    return boxes
 
 
 _OVERLAP = "pieces overlap with positive measure; combine them via linear_combine"
@@ -193,11 +199,10 @@ def _piece_arrays(ambient: Box, pieces: tuple):
     return lo, hi, k
 
 
-def _clipped(f: StepFunction, boxes: Sequence[Box]):
-    """The pieces of ``f`` clipped to each of ``boxes`` where the clip has
-    positive measure: piece indices and clipped corners, piece by piece and,
-    within a piece, box by box."""
-    qlo, qhi = box_arrays(boxes, f.dim)
+def _clipped(f: StepFunction, qlo: np.ndarray, qhi: np.ndarray):
+    """The pieces of ``f`` clipped to each box of corners ``qlo[j]`` and
+    ``qhi[j]`` where the clip has positive measure: piece indices and
+    clipped corners, piece by piece and, within a piece, box by box."""
     i, j = meeting_pairs(f.lo, f.hi, qlo, qhi, strict=True, reach=f._reach)
     lo, hi = np.maximum(f.lo[i], qlo[j]), np.minimum(f.hi[i], qhi[j])
     full = (lo < hi).all(axis=1)
@@ -234,8 +239,7 @@ def indicator(region: Region, ambient, coeff: float = 1.0) -> StepFunction:
     """``coeff * 1_region`` inside ``ambient`` (a box, or an interval in 1-d)."""
     if isinstance(ambient, Interval):
         ambient = Box((ambient,))
-    boxes = region_boxes(region, ambient.dim)
-    return StepFunction(ambient, tuple((b, coeff) for b in boxes))
+    return StepFunction(ambient, tuple((b, coeff) for b in region_boxes(region, ambient)))
 
 
 def locate(f: StepFunction, x: Point) -> tuple[float, bool]:
@@ -280,11 +284,7 @@ def linear_combine(a: float, f: StepFunction, b: float, g: StepFunction) -> Step
 
 def restrict(f: StepFunction, region: Region) -> StepFunction:
     """``f * 1_region`` (pieces clipped to the region), same ambient."""
-    boxes = region_boxes(region, f.dim)
-    for rb in boxes:
-        if not f.ambient.contains_box(rb):
-            raise AmbientMismatchError(f"region {rb.to_json()} escapes ambient")
-    i, lo, hi = _clipped(f, boxes)
+    i, lo, hi = _clipped(f, *box_arrays(region_boxes(region, f.ambient), f.dim))
     return _build(f.ambient, lo, hi, f.k[i], _OVERLAP)
 
 

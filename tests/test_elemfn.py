@@ -359,6 +359,25 @@ def test_ln_asks_ln2_no_tighter_than_it_can_reach(monkeypatch):
     assert enc.contains(math.log(1e9)) and sum(points) < CELL_BUDGET // 100
 
 
+def test_one_process_makes_one_ln2(monkeypatch):
+    # ln 2 is ∫_1^2 dt/t, the one query at 2.0 on a primitive based at 1
+    elemfn._ln2.cache_clear()
+    queries = []
+    real_enclose = Primitive.enclose
+
+    def counted(self, y, t):
+        if self.base == 1.0 and y == 2.0:
+            queries.append(t)
+        return real_enclose(self, y, t)
+
+    monkeypatch.setattr(Primitive, "enclose", counted)
+    for tol in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13):
+        assert ln_cat(1000.0, tol).contains(math.log(1000.0))
+        exp_cat(3.3, tol)
+        ln_cat(1e-5, tol)
+    assert len(queries) == 1
+
+
 def test_ln_does_not_depend_on_call_history():
     # a fresh interpreter, so the first call is the first of the process
     code = ("from stepquiver import ln_cat\n"

@@ -12,11 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stepquiver import (
     AmbientMismatchError,
+    BadPiecesError,
     DomainMismatchError,
     EmptyWeightsError,
     Enclosure,
     NonFiniteError,
     NonIntegerResultError,
+    NotMonotoneError,
     OrderViolationError,
     StepFunction,
     StieltjesMeasure,
@@ -37,6 +39,7 @@ from stepquiver import (
     stieltjes_integrate,
     upper_limit_record,
     var_upper_integral,
+    VarIntegralFn,
     zero_function,
 )
 
@@ -44,8 +47,8 @@ from stepquiver import integrate as integrate_module
 from stepquiver import elemfn
 from stepquiver.elemfn import _circle
 from stepquiver.integrate import (
-    CELL_BUDGET, RULE_CELLS, STIELTJES_BLOCK, Primitive, _Evaluator, _sandwich_rule,
-    _stieltjes_sum,
+    CELL_BUDGET, RULE_CELLS, STIELTJES_BLOCK, Primitive, _Evaluator, _monotone_runs,
+    _sample_monotone, _sandwich_rule, _stieltjes_sum,
 )
 
 from conftest import random_step
@@ -580,6 +583,14 @@ def test_eta_glues_continuously():
         assert H(x) == pytest.approx(0.5 * F(2.0 * x), abs=1e-15)
 
 
+def test_eta_drops_an_upper_node_that_rounds_onto_its_predecessor():
+    # (5e-324 + 1) / 2 rounds to 0.5, the node the halves already share
+    F = VarIntegralFn(0.0, (0.0, 1.0), (0.0, 2.0))
+    G = VarIntegralFn(0.0, (0.0, 5e-324, 1.0), (0.0, 1.0, 3.0))
+    H = eta(F, G, (0.0, 1.0))
+    assert H.xs == (0.0, 0.5, 1.0) and H.ys == (0.0, 1.0, 2.5)
+
+
 def test_eta_rejects_foreign_domains():
     f = indicator(box1(0.0, 1.0), box1(0.0, 1.0))
     g = indicator(box1(0.0, 2.0), box1(0.0, 2.0))
@@ -683,3 +694,51 @@ def test_stieltjes_step_density_check_spends_one_budget():
     # each cell is sampled for monotone runs (129 points) and each run is
     # checked (17 points) before the driver starts
     assert sum(points) <= CELL_BUDGET + n * (129 + 17)
+
+
+# the dead band of a sampled direction is 1e-12·(1 + max|v|): with a sample
+# at -1 it is exactly 2e-12 = 1e-12 * 2.0, and a drop of that reads as flat
+_BAND = 1e-12 * 2.0
+
+
+def _up_then_down(drop, n):
+    """Samples -1 up to 0 at the middle of ``[0, n - 1]``, then down by
+    ``drop`` in the last quarter: a turn, unless the drop is flat."""
+    def f(xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.where(xs < (n - 1) / 2, -1.0, np.where(xs < 3 * (n - 1) / 4, 0.0, -drop))
+    return f
+
+
+def test_a_step_of_exactly_the_dead_band_reads_flat_in_every_sampler():
+    more = np.nextafter(_BAND, 1.0)
+    # _sample_monotone takes 17 samples, _monotone_runs 129
+    _sample_monotone(_Evaluator(_up_then_down(_BAND, 17)), 0.0, 16.0)
+    with pytest.raises(BadPiecesError):
+        _sample_monotone(_Evaluator(_up_then_down(more, 17)), 0.0, 16.0)
+    assert len(_monotone_runs(_Evaluator(_up_then_down(_BAND, 129)),
+                              make_interval(0.0, 128.0))) == 1
+    assert len(_monotone_runs(_Evaluator(_up_then_down(more, 129)),
+                              make_interval(0.0, 128.0))) == 2
+    # StieltjesMeasure.check_monotone takes 257 and refuses any drop past it
+    flat = _up_then_down(_BAND, 257)
+    StieltjesMeasure(phi=lambda x: float(flat(x))).check_monotone(make_interval(0.0, 256.0))
+    turn = _up_then_down(more, 257)
+    with pytest.raises(NotMonotoneError):
+        StieltjesMeasure(phi=lambda x: float(turn(x))).check_monotone(
+            make_interval(0.0, 256.0))
+
+
+def test_stieltjes_clips_a_step_integrand_once(monkeypatch):
+    # the exact value and the density check read the same clipped cells
+    calls = []
+    real = integrate_module._nonzero_cells
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(integrate_module, "_nonzero_cells", counted)
+    f = indicator(box1(1.0, 1.5), box1(1.0, 2.0), 2.0)
+    assert stieltjes_integrate(f, log_power_measure(1.0), (1.0, 2.0)) == 2.0 * float(np.log(1.5))
+    assert len(calls) == 1

@@ -12,6 +12,7 @@ from stepquiver import (
     Interval,
     OutOfAmbientError,
     SigmaPair,
+    StepFunction,
     TauNotHomomorphismError,
     add_elements,
     box1,
@@ -296,3 +297,22 @@ def test_multiplicative_axioms_square_tau(a1, a2, r):
     lhs = lambda_action(a1, tau, p + q).value
     rhs = (lambda_action(a1, tau, p) + lambda_action(a1, tau, q)).value
     assert abs(lhs - rhs) <= eps * (1.0 + abs(rhs))
+
+
+def test_add_elements_combines_the_backings_once(monkeypatch):
+    # the overlap branch reads ∫ (f + g) as ∫ f + ∫ g, so the only sum of
+    # backings is the one the integral identity needs
+    calls = []
+    real = iposet_module.linear_combine
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(iposet_module, "linear_combine", counted)
+    f = StepFunction(box1(0.0, 4.0), ((box1(0.0, 1.5), 2.0), (box1(2.5, 4.0), -1.0)))
+    g = StepFunction(box1(0.0, 4.0), ((box1(1.0, 3.0), 0.5),))
+    for first, second in (((0.0, 2.0), (1.0, 3.0)), ((1.0, 3.0), (0.0, 2.0))):
+        calls.clear()
+        e1, e2 = poset_element(f, first), poset_element(g, second)
+        assert add_elements(e1, e2).value == e1.value + e2.value and len(calls) == 1

@@ -18,6 +18,7 @@ from stepquiver import (
     ArityMismatchError,
     BadExponentError,
     Box,
+    DimensionMismatchError,
     DyadicScheme,
     FunctionTuple,
     Interval,
@@ -858,3 +859,25 @@ def test_with_ambient_rewraps_the_arrays():
     assert with_ambient(zero_function(box1(0.0, 1.0)), box1(5.0, 6.0)).is_zero()
     with pytest.raises(AmbientMismatchError, match=r"piece \[\[1.0, 1.5\]\] escapes"):
         with_ambient(f, box1(0.0, 1.25))
+
+
+def test_a_region_box_outside_the_ambient_is_one_error_everywhere():
+    # restrict, integrate_step and indicator share one region check, so a
+    # set with one escaping box names that box and the ambient in each
+    f = indicator(box1(0.0, 1.0), box1(0.0, 2.0), 3.0)
+    region = measurable_set((box1(0.25, 0.5), box1(1.5, 2.5)))
+    message = r"^region \[\[1.5, 2.5\]\] escapes ambient \[\[0.0, 2.0\]\]$"
+    for call in (lambda: restrict(f, region), lambda: integrate_step(f, region),
+                 lambda: indicator(region, f.ambient)):
+        with pytest.raises(AmbientMismatchError, match=message):
+            call()
+
+
+def test_a_region_box_of_the_wrong_dimension_is_refused():
+    f = indicator(box1(0.0, 1.0), box1(0.0, 2.0), 3.0)
+    square = box(make_interval(0.0, 1.0), make_interval(0.0, 1.0))
+    for region in (square, measurable_set((square,))):
+        for call in (lambda: restrict(f, region), lambda: integrate_step(f, region),
+                     lambda: indicator(region, f.ambient)):
+            with pytest.raises(DimensionMismatchError):
+                call()
