@@ -72,8 +72,8 @@ from .errors import (
     OutOfDomainError,
     ToleranceUnreachedError,
 )
-from .measure import Interval, StieltjesMeasure, _directions, box_arrays, make_interval
-from .stepfn import Region, StepFunction, _clipped, _is_real, _measures, region_boxes
+from .measure import Interval, StieltjesMeasure, _directions, make_interval
+from .stepfn import Region, StepFunction, _clipped, _is_real, _measures, region_corners
 
 CELL_BUDGET = 1 << 24
 # unit roundoff of binary64: a correctly rounded operation is off by at most
@@ -153,8 +153,7 @@ def integrate_step(f: StepFunction, region: Optional[Region] = None) -> float:
     and, within a piece, region box by region box: exact whenever every
     product and partial sum is representable, as on dyadic data.  A sum
     that overflows raises :class:`NonFiniteError`."""
-    boxes = (f.ambient,) if region is None else region_boxes(region, f.ambient)
-    i, lo, hi = _clipped(f, *box_arrays(boxes, f.dim))
+    i, lo, hi = _clipped(f, *region_corners(f.ambient if region is None else region, f.ambient))
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(_running_sum([f.k[i] * _measures(lo, hi)])[-1:], "integral")[0]
 
@@ -496,30 +495,27 @@ def _check_tiling(domain: Interval, pieces: Sequence[Interval]) -> list[Interval
     return ivs
 
 
-def _sample_monotone(ev: _Evaluator, lo, hi) -> None:
-    """Cheap sanity check that 17 samples of f on ``[lo, hi]`` don't change
-    direction.
+def _sample_monotone(ev: _Evaluator, cells: list) -> list:
+    """Cheap sanity check that 17 samples of f on each ``[lo, hi]`` of the
+    ``(lo, hi, k)`` of ``cells`` don't change direction; returns ``cells``.
 
     Catches blatantly non-monotone declarations; it is a sampling heuristic,
     not a proof — the declaration is the contract.
     """
-    xs = np.linspace(lo, hi, 17)
-    vals = ev(xs)
-    _finite_or_raise(vals, xs)
-    signs = _directions(vals)
-    if (signs > 0).any() and (signs < 0).any():
-        raise BadPiecesError(f"integrand is not monotone on declared piece [{lo}, {hi}]")
+    for lo, hi, _ in cells:
+        xs = np.linspace(lo, hi, 17)
+        vals = ev(xs)
+        _finite_or_raise(vals, xs)
+        signs = _directions(vals)
+        if (signs > 0).any() and (signs < 0).any():
+            raise BadPiecesError(f"integrand is not monotone on declared piece [{lo}, {hi}]")
+    return cells
 
 
-def _darboux(ev: _Evaluator, cells, tol: float) -> Enclosure:
+def _darboux(ev: _Evaluator, cells: list, tol: float) -> Enclosure:
     """Darboux enclosure of ``Σ k ∫_[lo,hi] f`` over the ``(lo, hi, k)`` of
-    ``cells``, each sample-checked by :func:`_sample_monotone` as it comes,
-    then all refined by one driver call."""
-    checked = []
-    for lo, hi, k in cells:
-        _sample_monotone(ev, lo, hi)
-        checked.append((lo, hi, k))
-    return Enclosure(*_refine(_darboux_rule(ev), checked, tol))
+    ``cells``, checked by :func:`_sample_monotone`: one driver call."""
+    return Enclosure(*_refine(_darboux_rule(ev), cells, tol))
 
 
 def integrate_enclosure(
@@ -539,7 +535,8 @@ def integrate_enclosure(
     if domain.is_degenerate():
         return Enclosure(0.0, 0.0, True)
     pieces = _check_tiling(domain, monotone_pieces if monotone_pieces is not None else [domain])
-    return _darboux(_Evaluator(f), [(iv.lo, iv.hi, 1.0) for iv in pieces], tol)
+    ev = _Evaluator(f)
+    return _darboux(ev, _sample_monotone(ev, [(iv.lo, iv.hi, 1.0) for iv in pieces]), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -760,17 +757,16 @@ def _density_enclosure(f, fp, cells: list, tol: float) -> Optional[Enclosure]:
 
         ev = _Evaluator(g)
 
-    def pieces():
-        for a, b, k in cells:
-            runs = _monotone_runs(ev, Interval(a, b))
-            if runs is None:
-                raise BadPiecesError("the sampled direction changes too often")
-            yield from ((iv.lo, iv.hi, k) for iv in runs)
-
-    try:
-        return _darboux(ev, pieces(), tol)
-    except BadPiecesError:
-        return None
+    pieces = []
+    for a, b, k in cells:
+        runs = _monotone_runs(ev, Interval(a, b))
+        if runs is None:
+            return None
+        try:
+            pieces += _sample_monotone(ev, [(iv.lo, iv.hi, k) for iv in runs])
+        except BadPiecesError:
+            return None
+    return _darboux(ev, pieces, tol)
 
 
 def stieltjes_integrate(f, phi: StieltjesMeasure, domain, tol: float = 1e-9) -> float:

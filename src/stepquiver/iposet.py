@@ -175,11 +175,12 @@ def classify_case(a: Interval, b: Interval) -> CaseTag:
     return CaseTag.OVERLAP_RIGHT
 
 
-def _branch_value(tag: CaseTag, f: StepFunction, g: StepFunction,
+def _branch_value(tag: CaseTag, f: StepFunction, g: StepFunction, h: StepFunction,
                   a: Interval, b: Interval) -> float:
     """The case's own formula: ``∫_a f + ∫_b g`` for disjoint and nested
     intervals, and for overlapping ones ``f`` alone, both, then ``g``
-    alone, with ``∫ (f + g) = ∫ f + ∫ g`` on the overlap."""
+    alone, the overlap read from ``h = 1_a f + 1_b g``, whose coefficients
+    there are the rounded sums ``f + g``."""
     u, v = a.lo, a.hi
     s, t = b.lo, b.hi
 
@@ -189,10 +190,13 @@ def _branch_value(tag: CaseTag, f: StepFunction, g: StepFunction,
     def intg(lo, hi):
         return integrate_step(g, Interval(lo, hi))
 
+    def intfg(lo, hi):
+        return integrate_step(h, Interval(lo, hi))
+
     if tag is CaseTag.OVERLAP_LEFT:
-        return intf(u, s) + (intf(s, v) + intg(s, v)) + intg(v, t)
+        return intf(u, s) + intfg(s, v) + intg(v, t)
     if tag is CaseTag.OVERLAP_RIGHT:
-        return intg(s, u) + (intf(u, t) + intg(u, t)) + intf(t, v)
+        return intg(s, u) + intfg(u, t) + intf(t, v)
     return intf(u, v) + intg(s, t)
 
 
@@ -210,7 +214,7 @@ def add_elements(e1: IPosetElement, e2: IPosetElement) -> SigmaPair:
     h = linear_combine(1.0, restrict(f, a), 1.0, restrict(g, b))
     value = integrate_step(h, hull)
     tag = classify_case(a, b)
-    branch = _branch_value(tag, f, g, a, b)
+    branch = _branch_value(tag, f, g, h, a, b)
     if abs(branch - value) > VALUE_TOL * (1.0 + abs(value)):
         raise MethodDisagreementError(
             f"case {tag.value} branch {branch!r} != integral {value!r}"

@@ -70,23 +70,32 @@ def _as_point(x: Point, dim: int) -> tuple[float, ...]:
     return x
 
 
-def region_boxes(region: Region, ambient: Box) -> tuple[Box, ...]:
-    """Normalize an Interval/Box/MeasurableSet argument to a box tuple, each
-    box checked to lie inside ``ambient``."""
+def region_boxes(region: Region, dim: int) -> tuple[Box, ...]:
+    """Normalize an Interval/Box/MeasurableSet argument to a box tuple."""
     if isinstance(region, Interval):
-        if ambient.dim != 1:
+        if dim != 1:
             raise DimensionMismatchError("interval region for a multi-dimensional ambient")
-        boxes = (Box((region,)),)
-    elif isinstance(region, Box):
-        boxes = (region,)
-    elif isinstance(region, MeasurableSet):
-        boxes = region.boxes
-    else:
-        raise TypeError(f"unsupported region type: {type(region).__name__}")
-    for b in boxes:
+        return (Box((region,)),)
+    if isinstance(region, Box):
+        return (region,)
+    if isinstance(region, MeasurableSet):
+        return region.boxes
+    raise TypeError(f"unsupported region type: {type(region).__name__}")
+
+
+def region_corners(region: Region, ambient: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Corners of the boxes of ``region``, one row each, all checked at once
+    to have the ambient's dimension and lie inside it."""
+    n = ambient.dim
+    boxes = region_boxes(region, n)
+    if all(b.dim == n for b in boxes):
+        lo, hi = box_arrays(boxes, n)
+        amb_lo, amb_hi = box_arrays((ambient,), n)
+        if (lo >= amb_lo).all() and (hi <= amb_hi).all():
+            return lo, hi
+    for b in boxes:     # raises the first bad box's error
         if not ambient.contains_box(b):
             raise AmbientMismatchError(f"region {b.to_json()} escapes ambient {ambient.to_json()}")
-    return boxes
 
 
 _OVERLAP = "pieces overlap with positive measure; combine them via linear_combine"
@@ -239,7 +248,8 @@ def indicator(region: Region, ambient, coeff: float = 1.0) -> StepFunction:
     """``coeff * 1_region`` inside ``ambient`` (a box, or an interval in 1-d)."""
     if isinstance(ambient, Interval):
         ambient = Box((ambient,))
-    return StepFunction(ambient, tuple((b, coeff) for b in region_boxes(region, ambient)))
+    boxes = region_boxes(region, ambient.dim)
+    return StepFunction(ambient, tuple((b, coeff) for b in boxes))
 
 
 def locate(f: StepFunction, x: Point) -> tuple[float, bool]:
@@ -284,7 +294,7 @@ def linear_combine(a: float, f: StepFunction, b: float, g: StepFunction) -> Step
 
 def restrict(f: StepFunction, region: Region) -> StepFunction:
     """``f * 1_region`` (pieces clipped to the region), same ambient."""
-    i, lo, hi = _clipped(f, *box_arrays(region_boxes(region, f.ambient), f.dim))
+    i, lo, hi = _clipped(f, *region_corners(region, f.ambient))
     return _build(f.ambient, lo, hi, f.k[i], _OVERLAP)
 
 

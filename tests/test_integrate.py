@@ -713,9 +713,9 @@ def _up_then_down(drop, n):
 def test_a_step_of_exactly_the_dead_band_reads_flat_in_every_sampler():
     more = np.nextafter(_BAND, 1.0)
     # _sample_monotone takes 17 samples, _monotone_runs 129
-    _sample_monotone(_Evaluator(_up_then_down(_BAND, 17)), 0.0, 16.0)
+    _sample_monotone(_Evaluator(_up_then_down(_BAND, 17)), [(0.0, 16.0, 1.0)])
     with pytest.raises(BadPiecesError):
-        _sample_monotone(_Evaluator(_up_then_down(more, 17)), 0.0, 16.0)
+        _sample_monotone(_Evaluator(_up_then_down(more, 17)), [(0.0, 16.0, 1.0)])
     assert len(_monotone_runs(_Evaluator(_up_then_down(_BAND, 129)),
                               make_interval(0.0, 128.0))) == 1
     assert len(_monotone_runs(_Evaluator(_up_then_down(more, 129)),

@@ -300,8 +300,8 @@ def test_multiplicative_axioms_square_tau(a1, a2, r):
 
 
 def test_add_elements_combines_the_backings_once(monkeypatch):
-    # the overlap branch reads ∫ (f + g) as ∫ f + ∫ g, so the only sum of
-    # backings is the one the integral identity needs
+    # the overlap branch reads ∫ (f + g) from the combination the integral
+    # identity builds, so the backings are summed once
     calls = []
     real = iposet_module.linear_combine
 
@@ -316,3 +316,15 @@ def test_add_elements_combines_the_backings_once(monkeypatch):
         calls.clear()
         e1, e2 = poset_element(f, first), poset_element(g, second)
         assert add_elements(e1, e2).value == e1.value + e2.value and len(calls) == 1
+
+
+def test_add_elements_accepts_cancelling_coefficients_on_the_overlap():
+    # ∫ f + ∫ g over the overlap rounds each product near 1e8 · 0.3, far past
+    # the 1e-12 check; the rounded sum f + g that the integral reads does not
+    f = StepFunction(box1(0.0, 1.0), ((box1(0.1, 0.4), 1e8 + 0.1),))
+    g = StepFunction(box1(0.0, 1.0), ((box1(0.1, 0.4), -1e8),))
+    for (a, e), (b, d) in ((((0.0, 0.4), f), ((0.1, 1.0), g)),
+                           (((0.1, 1.0), g), ((0.0, 0.4), f))):
+        e1, e2 = poset_element(e, a), poset_element(d, b)
+        h = linear_combine(1.0, restrict(e, e1.interval), 1.0, restrict(d, e2.interval))
+        assert add_elements(e1, e2).value == integrate_step(h, make_interval(0.0, 1.0))

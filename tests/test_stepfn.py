@@ -862,15 +862,21 @@ def test_with_ambient_rewraps_the_arrays():
 
 
 def test_a_region_box_outside_the_ambient_is_one_error_everywhere():
-    # restrict, integrate_step and indicator share one region check, so a
-    # set with one escaping box names that box and the ambient in each
+    # restrict and integrate_step share one region check, so a set with one
+    # escaping box names that box and the ambient in each; indicator leaves
+    # the check to the constructor, which names the piece
     f = indicator(box1(0.0, 1.0), box1(0.0, 2.0), 3.0)
     region = measurable_set((box1(0.25, 0.5), box1(1.5, 2.5)))
     message = r"^region \[\[1.5, 2.5\]\] escapes ambient \[\[0.0, 2.0\]\]$"
-    for call in (lambda: restrict(f, region), lambda: integrate_step(f, region),
-                 lambda: indicator(region, f.ambient)):
+    for call in (lambda: restrict(f, region), lambda: integrate_step(f, region)):
         with pytest.raises(AmbientMismatchError, match=message):
             call()
+    with pytest.raises(AmbientMismatchError,
+                       match=r"^piece \[\[1.5, 2.5\]\] escapes ambient \[\[0.0, 2.0\]\]$"):
+        indicator(region, f.ambient)
+    # a non-finite coefficient is refused before the region is looked at
+    with pytest.raises(NonFiniteError):
+        indicator(region, f.ambient, math.nan)
 
 
 def test_a_region_box_of_the_wrong_dimension_is_refused():
@@ -881,3 +887,5 @@ def test_a_region_box_of_the_wrong_dimension_is_refused():
                      lambda: indicator(region, f.ambient)):
             with pytest.raises(DimensionMismatchError):
                 call()
+        with pytest.raises(NonFiniteError):
+            indicator(region, f.ambient, math.inf)
