@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -277,8 +278,20 @@ def _cmd_iposet_add(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# argparse reads "-1" and "-1.5" as negative numbers but takes "-1e-05", the
+# form ``repr`` gives small floats, for an option; no option here looks like
+# a number, so every negative decimal, exponent or not, is a value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stepquiver",
         description="Step-function integration and gentle-quiver calculations.",
     )

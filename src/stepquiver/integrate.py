@@ -16,9 +16,11 @@ rigorous rounding term, a fourth-order bracket for integrands whose fourth
 derivative is non-negative and bounded in closed form.
 
 All three run on one driver, :class:`Primitive`.  A cell rule gives a cell's
-two bounds on a uniform grid of ``RULE_CELLS`` sub-cells.  The driver keeps
-the cells in a heap by bracket width and bisects the widest one until the
-widths sum to at most ``tol``, the next bisection would spend more than
+two bounds on a uniform grid of ``RULE_CELLS`` sub-cells; it takes up to two
+cells, lays their grids out as the rows of one array and calls the integrand
+once on it.  The driver keeps the cells in a heap by bracket width and
+bisects the widest one, both halves in one rule call, until the widths sum
+to at most ``tol``, the next bisection would spend more than
 ``CELL_BUDGET`` evaluations, or the widest cell has no float strictly
 inside it.  The order of the bisections depends on the widths alone, and
 each bisection refines both sums, so a smaller ``tol`` passes through the
@@ -36,8 +38,9 @@ one tight enclosure, not one per point.  A single enclosure is the
 single-query case (:func:`_refine` for given starting cells), with the
 same bisections, brackets and evaluation counts.
 
-A call that stops on the budget costs ``CELL_BUDGET`` times the cost of one
-grid point, so the rules keep that cost low.  Each grid is a scaled copy of
+A call that stops on the budget evaluates ``CELL_BUDGET`` grid points in one
+integrand call per bisection, both halves on one grid, so the rules keep
+the cost of a point and of a call low.  Each grid is a scaled copy of
 one cached array of the integers ``0 … 2·RULE_CELLS``, the same points
 ``np.linspace`` gives.  On a monotone cell, with ``S = Σ v_i``,
 ``Σ min(v_i, v_i+1) = S − max(v_0, v_N)`` and ``Σ max(v_i, v_i+1) = S −
@@ -256,6 +259,11 @@ class Primitive:
     evaluated even once the budget is spent, since the query cannot be
     answered without it: at most two cells a query.  :func:`_refine` is the
     single-query case.
+
+    Every rule call holds at most two cells: a bisection enters both halves
+    in one call, and the cells a query or :func:`_refine` starts from go two
+    at a time, left to right.  A rule checks its cells in that order, so an
+    error is the one the left cell alone would raise first.
     """
 
     def __init__(self, rule, base):
@@ -264,11 +272,18 @@ class Primitive:
         self.cells: list = []   # heap entries sorted by lo; they tile [base, R]
         self.spent = self.cost = 0
 
-    def _enter(self, lo, hi, k):
-        lower, upper, self.cost = self.rule(lo, hi)
-        self.spent += self.cost
-        lower, upper = (k * lower, k * upper) if k >= 0 else (k * upper, k * lower)
-        return (lower - upper, lo, hi, k, lower, upper)
+    def _enter(self, cells) -> list:
+        """Heap entries of the ``(lo, hi, k)`` of ``cells``, in order, from
+        one rule call for each two cells."""
+        entries = []
+        for i in range(0, len(cells), 2):
+            pair = cells[i:i + 2]
+            bounds = self.rule([(lo, hi) for lo, hi, _ in pair])
+            for (lo, hi, k), (lower, upper, self.cost) in zip(pair, bounds):
+                self.spent += self.cost
+                lower, upper = (k * lower, k * upper) if k >= 0 else (k * upper, k * lower)
+                entries.append((lower - upper, lo, hi, k, lower, upper))
+        return entries
 
     def _bisect(self, heap: list, tol: float) -> tuple[float, float, bool]:
         """Refine the cells of ``heap`` (entries, reordered in place) best
@@ -289,7 +304,7 @@ class Primitive:
             mid = lo + 0.5 * (hi - lo)
             if not lo < mid < hi or self.spent + 2 * self.cost > CELL_BUDGET:
                 break
-            left, right = self._enter(lo, mid, k), self._enter(mid, hi, k)
+            left, right = self._enter(((lo, mid, k), (mid, hi, k)))
             heapq.heapreplace(heap, left)
             heapq.heappush(heap, right)
             # three roundings, each at most _U times a partial sum
@@ -322,7 +337,8 @@ class Primitive:
             part.append(_pending(lo, y, k))
             rest.append(_pending(y, hi, k))
         with np.errstate(over="ignore", invalid="ignore"):
-            heap = [e if e[0] is not None else self._enter(*e[1:4]) for e in part]
+            new = iter(self._enter([e[1:4] for e in part if e[0] is None]))
+            heap = [e if e[0] is not None else next(new) for e in part]
             lower, upper, conv = self._bisect(heap, tol)
         cells[:b] = sorted(heap + rest, key=_LO)
         # roundoff can nudge the sums past each other on near-linear integrands
@@ -337,28 +353,47 @@ def _refine(rule, cells, tol: float) -> tuple[float, float, bool]:
     """Bracket ``Σ k ∫_[lo,hi] f`` over ``cells`` of ``(lo, hi, k)``: the
     single-query case of :class:`Primitive`, whose cells are these.
 
-    ``rule(lo, hi)`` returns ``(lower, upper, evaluations)`` for one cell.
-    The starting cells are evaluated whatever their number.
+    ``rule(cells)`` returns ``(lower, upper, evaluations)`` for each
+    ``(lo, hi)`` of up to two ``cells``, from one integrand call.  The
+    starting cells are evaluated, two to a call, whatever their number; each
+    bisection after them is one call.
     """
     p = Primitive(rule, None)
     # A rule's sum that overflows is reported as a NonFiniteError, so numpy's
     # warning on the way is noise; one errstate per call, not per cell.
     with np.errstate(over="ignore", invalid="ignore"):
-        return p._bisect([p._enter(*cell) for cell in cells], tol)
+        return p._bisect(p._enter(cells), tol)
 
 
-def _grid(lo, hi, n: int):
-    """``np.linspace(lo, hi, n * RULE_CELLS + 1)`` from the cached ``_UNIT``:
-    numpy's ``k * step + lo`` with the last point ``hi``, so bit for bit the
-    same points whenever the step is not 0."""
-    xs = _UNIT[:n * RULE_CELLS + 1] * ((hi - lo) / (n * RULE_CELLS))
-    xs += lo
-    xs[-1] = hi
+def _grid(cells, n: int):
+    """One row ``np.linspace(lo, hi, n * RULE_CELLS + 1)`` per ``(lo, hi)`` of
+    ``cells``, from the cached ``_UNIT``: numpy's ``k * step + lo`` with the
+    last point ``hi``, so bit for bit the same points whenever the step is
+    not 0."""
+    xs = np.multiply.outer([(hi - lo) / (n * RULE_CELLS) for lo, hi in cells],
+                           _UNIT[:n * RULE_CELLS + 1])
+    lo, hi = zip(*cells)
+    xs += np.array(lo, dtype=float)[:, None]
+    xs[:, -1] = hi
     return xs
 
 
+def _sampled(ev: _Evaluator, cells, n: int, *parts):
+    """The :func:`_grid` of ``cells``, its values from one ``ev`` call on all
+    rows, the end values of each row and, for each slice of ``parts``, the
+    rows' sums of the values in it; a row's sum is the one ``np.sum`` gives
+    on that row alone (a guard test checks this)."""
+    xs = _grid(cells, n)
+    vals = ev(xs.ravel()).reshape(xs.shape)
+    return (xs, vals, vals[:, ::n * RULE_CELLS].tolist(),
+            *(np.add.reduce(vals[:, p], axis=1).tolist() for p in parts))
+
+
+_ALL, _ODD, _INNER_EVEN = np.s_[:], np.s_[1::2], np.s_[2:-1:2]
+
+
 def _darboux_rule(ev: _Evaluator):
-    """Lower and upper Darboux sums of a monotone ``f`` on a cell's
+    """Lower and upper Darboux sums of a monotone ``f`` on each cell's
     :func:`_grid` of ``N = RULE_CELLS`` sub-cells.
 
     On monotone grid values, with ``S = Σ v_i``, the sums are
@@ -366,43 +401,51 @@ def _darboux_rule(ev: _Evaluator):
     turn keep the pairwise min/max sums, whose width makes the driver
     refine a bump that :func:`_sample_monotone` stepped over.
     """
-    def rule(lo, hi):
-        xs = _grid(lo, hi, 1)
-        vals = ev(xs)
-        s = float(np.sum(vals))
-        if not math.isfinite(s):  # a non-finite value, or finite ones that overflow
-            _finite_or_raise(vals, xs)
-        h = (hi - lo) / RULE_CELLS
-        v0, vn = float(vals[0]), float(vals[-1])
-        a, b = (vals[:-1], vals[1:]) if v0 <= vn else (vals[1:], vals[:-1])
-        if np.all(a <= b):
-            return h * (s - max(v0, vn)), h * (s - min(v0, vn)), RULE_CELLS + 1
-        return (h * float(np.sum(np.minimum(a, b))), h * float(np.sum(np.maximum(a, b))),
-                RULE_CELLS + 1)
+    def rule(cells):
+        xs, vals, ends, sums = _sampled(ev, cells, 1, _ALL)
+        # one comparison pass over the rows whose values rise end to end,
+        # one over those whose values fall
+        up = [v0 <= vn for v0, vn in ends]
+        a, b = vals[:, :-1], vals[:, 1:]
+        rises = (a <= b).all(axis=1) if any(up) else None
+        falls = (b <= a).all(axis=1) if not all(up) else None
+        out = []
+        for i, ((lo, hi), s, (v0, vn)) in enumerate(zip(cells, sums, ends)):
+            if not math.isfinite(s):  # a non-finite value, or finite ones that overflow
+                _finite_or_raise(vals[i], xs[i])
+            h = (hi - lo) / RULE_CELLS
+            if (rises if up[i] else falls)[i]:
+                out.append((h * (s - max(v0, vn)), h * (s - min(v0, vn)), RULE_CELLS + 1))
+            else:
+                ai, bi = (a[i], b[i]) if up[i] else (b[i], a[i])
+                out.append((h * float(np.sum(np.minimum(ai, bi))),
+                            h * float(np.sum(np.maximum(ai, bi))), RULE_CELLS + 1))
+        return out
     return rule
 
 
 def _sandwich_rule(ev: _Evaluator):
-    """Midpoint (lower) and trapezoid (upper) sums of a convex ``f`` on a
+    """Midpoint (lower) and trapezoid (upper) sums of a convex ``f`` on each
     cell's grid; the midpoints are the odd points of one doubled
     :func:`_grid`."""
-    def rule(lo, hi):
-        xs = _grid(lo, hi, 2)
-        vals = ev(xs)
-        h = (hi - lo) / RULE_CELLS
-        ends = vals[::2]
-        m = h * float(np.sum(vals[1::2]))
-        t = h * (0.5 * float(ends[0]) + float(np.sum(ends[1:-1])) + 0.5 * float(ends[-1]))
-        if not (math.isfinite(m) and math.isfinite(t)):
-            _finite_or_raise(vals, xs)
-        if t - m < -1e-12 * (abs(m) + abs(t) + 1.0):
-            # midpoint sum above trapezoid sum beyond rounding: the sandwich
-            # points the wrong way, so the convexity premise is false
-            raise NotMonotoneError(
-                f"integrand is not convex on [{lo}, {hi}] "
-                f"(midpoint sum {m!r} exceeds trapezoid sum {t!r})"
-            )
-        return m, t, 2 * RULE_CELLS + 1
+    def rule(cells):
+        out = []
+        for (lo, hi), x, v, (v0, vn), odd, even in zip(
+                cells, *_sampled(ev, cells, 2, _ODD, _INNER_EVEN)):
+            h = (hi - lo) / RULE_CELLS
+            m = h * odd
+            t = h * (0.5 * v0 + even + 0.5 * vn)
+            if not (math.isfinite(m) and math.isfinite(t)):
+                _finite_or_raise(v, x)
+            if t - m < -1e-12 * (abs(m) + abs(t) + 1.0):
+                # midpoint sum above trapezoid sum beyond rounding: the sandwich
+                # points the wrong way, so the convexity premise is false
+                raise NotMonotoneError(
+                    f"integrand is not convex on [{lo}, {hi}] "
+                    f"(midpoint sum {m!r} exceeds trapezoid sum {t!r})"
+                )
+            out.append((m, t, 2 * RULE_CELLS + 1))
+        return out
     return rule
 
 
@@ -420,7 +463,8 @@ def _pairwise_depth(n: int) -> int:
 
 
 # a Simpson sum's odd and even terms are RULE_CELLS / 2 and one fewer, each
-# summed by ``np.sum``; three more additions join them with the two ends
+# summed as ``np.sum`` sums them; three more additions join them with the
+# two ends
 _SIMPSON_DEPTH = 3 + max(_pairwise_depth(RULE_CELLS // 2),
                          _pairwise_depth(RULE_CELLS // 2 - 1))
 # covers the second-order terms of a first-order rounding bound, and the
@@ -455,21 +499,22 @@ def _simpson_rule(ev: _Evaluator, d4max, d1max, ulps: float, origin: float = 0.0
     """
     rel = (_SIMPSON_DEPTH + 2 * ulps + 8) * _U
 
-    def rule(lo, hi):
-        a, b = lo - origin, hi - origin
-        xs = _grid(a, b, 1)
-        vals = ev(xs)
-        raw = (4.0 * float(np.sum(vals[1::2])) + 2.0 * float(np.sum(vals[2:-1:2]))
-               + float(vals[0]) + float(vals[-1]))
-        w = hi - lo
-        s = raw * (w / (3 * RULE_CELLS))
-        if not math.isfinite(s):
-            _finite_or_raise(vals, xs)
-        shift = _U * (3.0 * abs(a) + 2.0 * abs(b) + 2.0 * abs(b - a))
-        r = (rel * s + w * shift * d1max(a - 2.0 * shift, b + 2.0 * shift)) * _SAFE
-        h2 = (w / RULE_CELLS) ** 2
-        rem = w * h2 * h2 / 180.0 * d4max(a, b) * _SAFE
-        return s - rem - r, s + r, RULE_CELLS + 1
+    def rule(cells):
+        out = []
+        offsets = [(lo - origin, hi - origin) for lo, hi in cells]
+        for (lo, hi), (a, b), x, v, (v0, vn), odd, even in zip(
+                cells, offsets, *_sampled(ev, offsets, 1, _ODD, _INNER_EVEN)):
+            raw = 4.0 * odd + 2.0 * even + v0 + vn
+            w = hi - lo
+            s = raw * (w / (3 * RULE_CELLS))
+            if not math.isfinite(s):
+                _finite_or_raise(v, x)
+            shift = _U * (3.0 * abs(a) + 2.0 * abs(b) + 2.0 * abs(b - a))
+            r = (rel * s + w * shift * d1max(a - 2.0 * shift, b + 2.0 * shift)) * _SAFE
+            h2 = (w / RULE_CELLS) ** 2
+            rem = w * h2 * h2 / 180.0 * d4max(a, b) * _SAFE
+            out.append((s - rem - r, s + r, RULE_CELLS + 1))
+        return out
     return rule
 
 

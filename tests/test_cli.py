@@ -357,6 +357,38 @@ def test_integrate_rejects_an_exponent_that_overflows(capsys):
     assert err == f"error: syntax error at line 1, column 3: expected a finite exponent, found '{'9' * 400}'\n"
 
 
+_TOL_ERROR = "error: tolerance must be a positive real, got {}\n"
+
+
+@pytest.mark.parametrize("argv, exponent, plain, err", [
+    (("integrate", "--fn", "t", "--domain", "{}", "1"), "-1e-3", "-0.001", ""),
+    (("integrate", "--fn", "t", "--domain", "0", "1", "--tol", "{}"), "-1e-6", "-0.000001",
+     _TOL_ERROR.format("-1e-06")),
+    (("stieltjes", "--fn", "t", "--domain", "{}", "1"), "-2e0", "-2", ""),
+    (("stieltjes", "--fn", "t", "--domain", "1", "2", "--log-power", "{}"), "-4E0", "-4.0",
+     "error: -4.0*ln(t) decreases near x = 1 on [1.0, 2.0]\n"),
+    (("stieltjes", "--fn", "t", "--domain", "0", "1", "--tol", "{}"), "-1e-9", "-.000000001",
+     _TOL_ERROR.format("-1e-09")),
+    (("elemfn", "--name", "asin", "--at", "{}"), "-1e-05", "-0.00001", ""),
+    (("elemfn", "--name", "asin", "--at", "0.5", "--tol", "{}"), "-1e-6", "-0.000001",
+     _TOL_ERROR.format("-1e-06")),
+    (("iposet-add", "--fn", "indicator(-2,4)", "--first", "{}", "2", "--second", "1", "3"),
+     "-1e0", "-1", ""),
+    (("iposet-add", "--fn", "indicator(-2,4)", "--first", "0", "2", "--second", "{}", "3"),
+     "-1.5e+0", "-1.5", ""),
+    (("iposet-add", "--fn", "indicator(0,4)", "--first", "0", "2", "--second", "1", "3",
+      "--ambient", "{}", "5"), "-1e0", "-1", ""),
+], ids=["integrate-domain", "integrate-tol", "stieltjes-domain", "stieltjes-log-power",
+        "stieltjes-tol", "elemfn-at", "elemfn-tol", "iposet-first", "iposet-second",
+        "iposet-ambient"])
+def test_a_negative_value_with_an_exponent_is_read_as_a_number(capsys, argv, exponent,
+                                                                plain, err):
+    # argparse took "-1e-05" for an option and exited 2
+    got = run_cli(capsys, *(exponent if a == "{}" else a for a in argv))
+    assert got == run_cli(capsys, *(plain if a == "{}" else a for a in argv))
+    assert got[0] == (1 if err else 0) and got[2] == err
+
+
 # ---------------------------------------------------------------------------
 # exit codes and determinism
 # ---------------------------------------------------------------------------

@@ -245,15 +245,17 @@ def test_a_cell_far_wider_than_the_rest_cannot_hold_the_driver():
     # cells below are 1e-9 wide, so two bisections meet the tolerance
     calls = []
 
-    def rule(lo, hi):
-        calls.append((lo, hi))
-        width = {(0.0, 1.0): 1e20, (1.0, 2.0): 9000.0}.get((lo, hi), 1e-9 * (hi - lo))
-        return 0.0, width, CELL_BUDGET // 1024
+    def rule(cells):
+        calls.append(cells)
+        return [(0.0, {(0.0, 1.0): 1e20, (1.0, 2.0): 9000.0}.get(c, 1e-9 * (c[1] - c[0])),
+                 CELL_BUDGET // 1024) for c in cells]
 
     lower, upper, converged = integrate_module._refine(
         rule, [(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)], 1e-6)
     assert converged and upper - lower == 2e-9
-    assert len(calls) == 6  # the two cells and their halves, not the budget
+    # the two cells and their halves, not the budget: a call a bisection
+    assert calls == [[(0.0, 1.0), (1.0, 2.0)], [(0.0, 0.5), (0.5, 1.0)],
+                     [(1.0, 1.5), (1.5, 2.0)]]
 
 
 STEP = indicator(box1(0.0, 0.5), box1(0.0, 1.0), 2.0)
@@ -311,10 +313,12 @@ def _seeded_cells(seed, count):
 
 @pytest.mark.parametrize("n", [1, 2], ids=["darboux", "sandwich"])
 def test_rule_grid_is_linspace_bit_for_bit(n):
-    for lo, hi in _seeded_cells(5, 700):
-        got = integrate_module._grid(lo, hi, n)
-        want = np.linspace(lo, hi, n * RULE_CELLS + 1)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (lo, hi)
+    cells = _seeded_cells(5, 700)
+    for pair in zip(cells, cells[1:] + cells[:1]):  # each cell alone and in a pair
+        for rows in (pair[:1], pair):
+            for (lo, hi), got in zip(rows, integrate_module._grid(rows, n)):
+                want = np.linspace(lo, hi, n * RULE_CELLS + 1)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (lo, hi)
 
 
 MONOTONE = [lambda t: 1.0 / (1.0 + t), lambda t: t * t * t + 0.5 * t, np.sqrt,
@@ -331,7 +335,7 @@ def test_one_sum_darboux_matches_the_min_max_sums():
         hi = lo + float(10.0 ** rng.uniform(-12.0, 0.5))
         if i % 3 == 0 and i % len(MONOTONE) in (1, 4):  # odd ones also left of 0
             lo, hi = -hi, -lo
-        lower, upper, cost = integrate_module._darboux_rule(_Evaluator(f))(lo, hi)
+        [(lower, upper, cost)] = integrate_module._darboux_rule(_Evaluator(f))([(lo, hi)])
         xs = np.linspace(lo, hi, RULE_CELLS + 1)
         v, h = f(xs), (hi - lo) / RULE_CELLS
         ref = (h * float(np.sum(np.minimum(v[:-1], v[1:]))),
@@ -347,7 +351,7 @@ def test_values_that_turn_keep_the_pairwise_darboux_sums():
         lo = float(rng.uniform(-3.0, 3.0))
         hi = lo + float(rng.uniform(0.2, 2.0))  # longer than a period
         f = lambda t: np.cos(40.0 * t) + 0.1 * t  # noqa: E731
-        lower, upper, _ = integrate_module._darboux_rule(_Evaluator(f))(lo, hi)
+        [(lower, upper, _)] = integrate_module._darboux_rule(_Evaluator(f))([(lo, hi)])
         v, h = f(np.linspace(lo, hi, RULE_CELLS + 1)), (hi - lo) / RULE_CELLS
         assert (lower, upper) == (h * float(np.sum(np.minimum(v[:-1], v[1:]))),
                                   h * float(np.sum(np.maximum(v[:-1], v[1:]))))
@@ -389,17 +393,79 @@ def test_numpy_sums_in_the_order_the_simpson_rounding_term_assumes():
                 assert float(np.sum(arr)) == total and depth == integrate_module._pairwise_depth(n)
 
 
+def test_a_row_sum_is_the_sum_of_that_row_alone():
+    # a rule sums the rows of its grid values with one add.reduce; the
+    # brackets stay those of a cell on its own only while each row is summed
+    # in the order np.sum gives the 1-D slice
+    rng = np.random.default_rng(23)
+    for n in (RULE_CELLS + 1, 2 * RULE_CELLS + 1):
+        for rows in (1, 2):
+            for _ in range(20):
+                v = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (rows, n))
+                for part in (np.s_[:], np.s_[1::2], np.s_[2:-1:2]):
+                    got = np.add.reduce(v[:, part], axis=1).tolist()
+                    assert got == [float(np.sum(row[part])) for row in v], (n, rows, part)
+
+
+def _outcome(rule, cells):
+    """The rule's brackets and costs on ``cells``, or the error it raised."""
+    try:
+        return rule(cells)
+    except (NonFiniteError, NotMonotoneError) as exc:
+        return type(exc), str(exc)
+
+
+def _quartic_simpson():
+    return integrate_module._simpson_rule(
+        _Evaluator(lambda t: t * t * t * t), lambda a, b: 24.0,
+        lambda a, b: 4.0 * max(abs(a), abs(b)) ** 3, 2)
+
+
+PAIRED_RULES = {
+    "darboux": lambda: integrate_module._darboux_rule(_Evaluator(lambda t: t * t * t + 0.5 * t)),
+    "darboux-turning": lambda: integrate_module._darboux_rule(_Evaluator(np.cos)),
+    # not finite on (-1/2, 1/2): an error in the left cell, the right or both
+    "darboux-pole": lambda: integrate_module._darboux_rule(_Evaluator(lambda t: 1 / np.round(t))),
+    "sandwich": lambda: _sandwich_rule(_Evaluator(lambda t: t * t)),
+    "sandwich-pole": lambda: _sandwich_rule(_Evaluator(lambda t: 1 / np.round(t))),
+    "simpson": _quartic_simpson,
+    # the circle integrand on cells of [0, 1), laid out in offsets from 1
+    "simpson-origin": lambda: elemfn._circle_primitive(0.0).rule,
+}
+
+
+@pytest.mark.parametrize("name", PAIRED_RULES)
+def test_a_cell_entered_in_a_pair_is_that_cell_entered_alone(name):
+    rule = PAIRED_RULES[name]()
+    cells = _seeded_cells(24, 60)
+    rng = np.random.default_rng(24)
+    for _ in range(60):  # non-dyadic cells and their two halves
+        lo, hi = sorted(float(x) for x in rng.uniform(0.0, 1.0, 2) / 3.0)
+        mid = lo + 0.5 * (hi - lo)
+        cells += [(lo, hi), (lo, mid), (mid, hi)]
+    if name == "simpson-origin":
+        cells = [(abs(lo) % 1.0, abs(hi) % 1.0) for lo, hi in cells]
+    with np.errstate(all="ignore"):
+        for left, right in zip(cells, cells[1:]):
+            alone = [_outcome(rule, [c]) for c in (left, right)]
+            pair = _outcome(rule, [left, right])
+            if isinstance(alone[0], tuple):  # the left cell's error, raised first
+                assert pair == alone[0], (left, right)
+            elif isinstance(alone[1], tuple):
+                assert pair == alone[1], (left, right)
+            else:
+                assert pair == alone[0] + alone[1], (left, right)
+
+
 def test_simpson_brackets_the_exact_integral_of_a_quartic():
     # for t⁴ the remainder (b - a) h⁴ · 24 / 180 is exact, so the lower end
     # of the bracket is the integral itself less the rounding term alone
-    rule = integrate_module._simpson_rule(
-        _Evaluator(lambda t: t * t * t * t), lambda a, b: 24.0,
-        lambda a, b: 4.0 * max(abs(a), abs(b)) ** 3, 2)
+    rule = _quartic_simpson()
     rng = np.random.default_rng(22)
     for _ in range(300):
         lo = float(rng.uniform(-3.0, 3.0))
         hi = lo + float(10.0 ** rng.uniform(-9.0, 0.7))
-        lower, upper, cost = rule(lo, hi)
+        [(lower, upper, cost)] = rule([(lo, hi)])
         exact = (Fraction(hi) ** 5 - Fraction(lo) ** 5) / 5
         assert Fraction(lower) <= exact <= Fraction(upper), (lo, hi)
         # the width is the remainder and a rounding term of a few dozen ulps
@@ -419,16 +485,18 @@ def test_a_bump_between_the_samples_stays_inside_the_bracket():
     assert e.converged and e.contains(exact), (e, exact)
 
 
-# evaluation counts recorded before the cheaper grid points; the work is
-# the same, so calls and points must match to the last point
+# points recorded before the cheaper grid points; the work is the same, so
+# the points must match to the last point.  A call is the Darboux sampling
+# call, the starting cell or one bisection, whose two children share one
+# grid; with a call per cell the same work took 246, 4096, 2784, 777 and 29
 PINNED_COUNTS = [
     (lambda f: integrate_enclosure(f, (0.0, 1.0), None, 1e-6),
-     lambda t: 1.0 / (1.0 + t), 246, 1003782),
+     lambda t: 1.0 / (1.0 + t), 124, 1003782),
     (lambda f: integrate_enclosure(f, (-1.0, 1.0), None, 1.5e-9),
-     lambda t: t * t * t + 0.5 * t, 4096, 16777232),
-    (lambda f: integrate_enclosure(f, (0.25, 4.0), None, 1e-6), np.sqrt, 2784, 11401968),
-    (lambda f: convex_enclosure(f, (1.0, 8.0), 1e-12), lambda t: 1.0 / t, 777, 6365961),
-    (lambda f: convex_enclosure(f, (0.0, 1.0), 1e-10), lambda t: 0.1 + t * t, 29, 237597),
+     lambda t: t * t * t + 0.5 * t, 2049, 16777232),
+    (lambda f: integrate_enclosure(f, (0.25, 4.0), None, 1e-6), np.sqrt, 1393, 11401968),
+    (lambda f: convex_enclosure(f, (1.0, 8.0), 1e-12), lambda t: 1.0 / t, 389, 6365961),
+    (lambda f: convex_enclosure(f, (0.0, 1.0), 1e-10), lambda t: 0.1 + t * t, 15, 237597),
 ]
 
 
@@ -443,6 +511,22 @@ def test_enclosures_spend_the_pinned_evaluations(call, g, calls, points):
 
     call(f)
     assert (len(sizes), sum(sizes)) == (calls, points)
+
+
+def test_no_rule_call_holds_more_than_two_cells():
+    sizes = []
+
+    def f(xs):
+        sizes.append(np.size(xs))
+        return xs * xs * xs + 0.5 * xs
+
+    cuts = [-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]
+    integrate_enclosure(f, (-1.0, 1.0), list(zip(cuts, cuts[1:])), 1e-9)
+    cell = RULE_CELLS + 1
+    # the sampling of each piece, the five pieces two at a time, then a
+    # bisection a call
+    assert sizes[:8] == [17] * 5 + [2 * cell, 2 * cell, cell]
+    assert len(sizes) > 20 and set(sizes[8:]) == {2 * cell}
 
 
 def _poisoned(x, value, g=lambda t: t * t):

@@ -10,14 +10,15 @@ arguments spaced evenly over the range (cell midpoints, so no argument sits
 on a range end; for ln the row's ``xs`` are the exponents u).  Before timing
 it makes one untimed call of the row's function at the range's upper end
 and the row's tolerance, which fills the quarter-period reference that
-every sin and cos call shares; the ln 2 enclosures that exp and ln read are
-cached per power-of-two tolerance, so the timed calls pay for the ones they
-are the first to need, as a process would.  Each call is timed with
-``time.perf_counter`` and its integrand evaluations are counted by wrapping
-``elemfn._circle`` and ``elemfn._recip``: ``calls`` is the number of
-cell-rule calls, ``points`` the number of points they evaluated.
-``warm_points`` counts the untimed call's points: the quarter-period
-reference and every ln 2 enclosure that call was the first to need.
+every sin and cos call shares and, for exp and ln, the one ln 2 enclosure
+a process makes (``elemfn._ln2``), so the timed calls pay for neither.
+Each call is timed with ``time.perf_counter`` and its integrand
+evaluations are counted by wrapping ``elemfn._circle`` and
+``elemfn._recip``: ``calls`` is the number of integrand calls, one per
+cell-rule call, which holds one cell or the two halves of a bisection;
+``points`` is the number of points they evaluated.  ``warm_points``
+counts the untimed call's points: the quarter-period reference and the
+ln 2 enclosure, for the functions that read them.
 
 The output is a JSON list of rows, one per function and tolerance:
 ``{checkout, fn, tol, n, median_s, max_s, total_s, calls, points,
