@@ -383,7 +383,7 @@ _TOL_ERROR = "error: tolerance must be a positive real, got {}\n"
         "iposet-ambient"])
 def test_a_negative_value_with_an_exponent_is_read_as_a_number(capsys, argv, exponent,
                                                                 plain, err):
-    # argparse took "-1e-05" for an option and exited 2
+    # a value such as "-1e-05" is a number, not an option flag
     got = run_cli(capsys, *(exponent if a == "{}" else a for a in argv))
     assert got == run_cli(capsys, *(plain if a == "{}" else a for a in argv))
     assert got[0] == (1 if err else 0) and got[2] == err

@@ -485,10 +485,9 @@ def test_a_bump_between_the_samples_stays_inside_the_bracket():
     assert e.converged and e.contains(exact), (e, exact)
 
 
-# points recorded before the cheaper grid points; the work is the same, so
-# the points must match to the last point.  A call is the Darboux sampling
-# call, the starting cell or one bisection, whose two children share one
-# grid; with a call per cell the same work took 246, 4096, 2784, 777 and 29
+# the driver's work is fixed, so calls and points must match exactly.  A call
+# is the Darboux sampling call, the starting cell or one bisection, whose two
+# children share one grid
 PINNED_COUNTS = [
     (lambda f: integrate_enclosure(f, (0.0, 1.0), None, 1e-6),
      lambda t: 1.0 / (1.0 + t), 124, 1003782),
