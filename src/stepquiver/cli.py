@@ -279,9 +279,9 @@ def _cmd_iposet_add(args) -> int:
 # ---------------------------------------------------------------------------
 
 # argparse reads "-1" and "-1.5" as negative numbers but takes "-1e-05", the
-# form ``repr`` gives small floats, for an option; no option here looks like
-# a number, so every negative decimal, exponent or not, is a value
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# form ``repr`` gives small floats, and "-inf" for options; no option here looks
+# like a number, so every negative decimal and non-finite word is a value
+_NEGATIVE_NUMBER = re.compile(r"(?i)^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$")
 
 
 class _Parser(argparse.ArgumentParser):

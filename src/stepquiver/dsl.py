@@ -425,24 +425,18 @@ def ensure_proper(e: FnExpr, domain, truncate: bool = False) -> Interval:
 def monotone_pieces(e: FnExpr, domain) -> Optional[list]:
     """Best-effort monotone tiling of the domain for the Darboux integrator.
 
-    Cuts at indicator bounds (statically known jump points), then refines
-    each chunk by sampled direction changes.  Returns None when the sampled
-    picture is too oscillatory to trust; the integrator then treats the
-    domain as one piece and its own monotonicity check has the last word.
+    Cuts at indicator bounds (statically known jump points), then splits
+    every chunk at its sampled turns in one :func:`_monotone_runs` call:
+    one evaluator call for the samples of all chunks, one per ternary step.
+    Returns None when the sampled picture is too oscillatory to trust; the
+    integrator then treats the domain as one piece and its own
+    monotonicity check has the last word.
     """
     iv = make_interval(*((domain.lo, domain.hi) if isinstance(domain, Interval)
                          else tuple(domain)))
     cuts = {float(b) for op, arg in e.tape if op == "ind"
             for b in arg if iv.lo < b < iv.hi}
     pts = [iv.lo] + sorted(cuts) + [iv.hi]
-    ev = _Evaluator(e)
-    pieces = []
     with np.errstate(all="ignore"):
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                continue
-            runs = _monotone_runs(ev, make_interval(a, b))
-            if runs is None:
-                return None
-            pieces.extend(runs)
-    return pieces
+        runs = _monotone_runs(_Evaluator(e), [(a, b, 1.0) for a, b in zip(pts, pts[1:]) if a < b])
+    return None if runs is None else [Interval(a, b) for a, b, _ in runs]

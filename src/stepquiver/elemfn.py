@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict
 
 import numpy as np
 
@@ -192,17 +191,16 @@ def acos_cat(y: float, tol: float = 1e-6) -> Enclosure:
     return _enclose_circle(y, 1.0, tol)
 
 
-_K_CACHE: Dict[float, Enclosure] = {}
-
-
 def K_constant(tol: float = 1e-3) -> Enclosure:
     """The quarter-period ``K = ∫_0^1 dt/sqrt(1-t²)`` (classically pi/2)."""
-    tol = _check_tol(tol)
-    enc = _K_CACHE.get(tol)
-    if enc is None:
-        enc = _enclose_circle(0.0, 1.0, tol)
-        _K_CACHE[tol] = enc
-    return enc
+    return _enclose_circle(0.0, 1.0, _check_tol(tol))
+
+
+@functools.cache
+def _k_ref() -> Enclosure:
+    """K to ``K_REF_TOL``, one enclosure per process: the one K that the
+    sine/cosine range reduction and :func:`k_reference` read."""
+    return K_constant(K_REF_TOL)
 
 
 def k_reference() -> float:
@@ -212,7 +210,7 @@ def k_reference() -> float:
     range reduction; tests of periodicity should use it too, so that all
     statements are relative to one consistent K.
     """
-    return K_constant(K_REF_TOL).midpoint
+    return _k_ref().midpoint
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,7 @@ def _k_hat() -> tuple[float, float]:
     """The reference ``khat`` (:func:`k_reference`) and a bound of
     ``|khat - K|``: half the width of its enclosure, and the rounding of
     the midpoint."""
-    kenc = K_constant(K_REF_TOL)
+    kenc = _k_ref()
     return kenc.midpoint, 0.5 * kenc.width + math.ulp(kenc.midpoint)
 
 

@@ -540,18 +540,31 @@ def _check_tiling(domain: Interval, pieces: Sequence[Interval]) -> list[Interval
     return ivs
 
 
+def _sample_rows(ev: _Evaluator, cells: list, num: int):
+    """Each ``(lo, hi, k)`` of ``cells`` with its samples ``np.linspace(lo,
+    hi, num)`` and their :func:`_directions`, in order: one ``ev`` call on
+    the rows of all cells, and a row's non-finite value raised when the
+    caller reaches it, as a cell-by-cell loop would."""
+    if not cells:
+        return
+    xs = np.array([np.linspace(lo, hi, num) for lo, hi, _ in cells])
+    vals = ev(xs.ravel()).reshape(xs.shape)
+    with np.errstate(invalid="ignore"):     # a non-finite row raises before it is read
+        signs = _directions(vals)
+    for cell, x, v, s in zip(cells, xs, vals, signs):
+        _finite_or_raise(v, x)
+        yield cell, x, s
+
+
 def _sample_monotone(ev: _Evaluator, cells: list) -> list:
     """Cheap sanity check that 17 samples of f on each ``[lo, hi]`` of the
-    ``(lo, hi, k)`` of ``cells`` don't change direction; returns ``cells``.
+    ``(lo, hi, k)`` of ``cells``, all taken in one evaluator call, don't
+    change direction; returns ``cells``.
 
     Catches blatantly non-monotone declarations; it is a sampling heuristic,
     not a proof — the declaration is the contract.
     """
-    for lo, hi, _ in cells:
-        xs = np.linspace(lo, hi, 17)
-        vals = ev(xs)
-        _finite_or_raise(vals, xs)
-        signs = _directions(vals)
+    for (lo, hi, _), _, signs in _sample_rows(ev, cells, 17):
         if (signs > 0).any() and (signs < 0).any():
             raise BadPiecesError(f"integrand is not monotone on declared piece [{lo}, {hi}]")
     return cells
@@ -742,43 +755,34 @@ def _stieltjes_sum(ev_f: _Evaluator, ev_phi: _Evaluator, lo: float, hi: float,
     return sums[0]
 
 
-def _monotone_runs(ev: _Evaluator, iv: Interval):
-    """Split ``iv`` at direction changes of the integrand among 129 samples.
-
-    Returns a list of intervals on which samples are one-directional, with
-    each internal boundary sharpened by ternary search, or None when the
-    samples change direction too often to trust the picture.
-    """
-    xs = np.linspace(iv.lo, iv.hi, 129)
-    vals = ev(xs)
-    _finite_or_raise(vals, xs)
-    signs = _directions(vals)
-    flips = []
-    current = 0
-    for i, s in enumerate(signs):
-        if s == 0:
-            continue
-        if current != 0 and s != current:
-            flips.append(i)
-        current = s
-    if len(flips) > 8:
-        return None
-    cuts = []
-    for i in flips:
-        lo, hi = float(xs[max(0, i - 1)]), float(xs[min(len(xs) - 1, i + 1)])
+def _monotone_runs(ev: _Evaluator, cells: list) -> Optional[list]:
+    """Split each ``(lo, hi, k)`` of ``cells`` at the turns of 129 samples
+    of the integrand: the ``(lo, hi, k)`` runs in order, each inner end
+    sharpened by an 80-step ternary search, or None once a cell turns more
+    than 8 times.  One evaluator call takes the samples of all cells, and
+    the searches of all turns run in lockstep, one evaluator call a step."""
+    turns = []      # (cell, lo, hi, whether the extremum is a max) per turn
+    for c, (_, xs, signs) in enumerate(_sample_rows(ev, cells, 129)):
+        at = np.flatnonzero(signs)
+        flips = at[1:][signs[at[1:]] != signs[at[:-1]]].tolist()
+        if len(flips) > 8:
+            return None
+        turns += [(c, xs[i - 1], xs[i + 1], signs[i] < 0) for i in flips]
+    inner = [[] for _ in cells]
+    if turns:
+        owner, lo, hi, is_max = map(np.array, zip(*turns))
         for _ in range(80):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            v1 = float(ev(np.array([m1]))[0])
-            v2 = float(ev(np.array([m2]))[0])
-            going_up = signs[i] < 0  # extremum is a max iff direction flips + -> -
-            if (v1 < v2) == going_up:
-                lo = m1
-            else:
-                hi = m2
-        cuts.append(0.5 * (lo + hi))
-    pts = [iv.lo] + sorted(cuts) + [iv.hi]
-    return [Interval(a, b) for a, b in zip(pts, pts[1:]) if a < b]
+            m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+            v = ev(np.concatenate((m1, m2)))
+            right = (v[:len(lo)] < v[len(lo):]) == is_max     # the extremum is past m1
+            lo, hi = np.where(right, m1, lo), np.where(right, hi, m2)
+        for c, cut in zip(owner.tolist(), (0.5 * (lo + hi)).tolist()):
+            inner[c].append(cut)
+    runs = []
+    for (a, b, k), cuts in zip(cells, inner):
+        pts = [a] + sorted(cuts) + [b]
+        runs += [(x, y, k) for x, y in zip(pts, pts[1:]) if x < y]
+    return runs
 
 
 def _density_enclosure(f, fp, cells: list, tol: float) -> Optional[Enclosure]:
@@ -787,9 +791,11 @@ def _density_enclosure(f, fp, cells: list, tol: float) -> Optional[Enclosure]:
     For a step function the integrand is ``φ'`` on the clipped ``cells`` of
     ``(a, b, k)`` whose exact sum :func:`stieltjes_integrate` took, each
     carrying its coefficient; otherwise it is ``f * φ'`` on the one cell of
-    the domain.  Each cell is split on sampled monotone runs, and all runs
-    go to one :func:`_darboux` call.  Returns None when sampling cannot
-    produce a trustworthy monotone-piece picture.
+    the domain.  Every cell's runs are found (:func:`_monotone_runs`) before
+    any is checked (:func:`_sample_monotone`): one evaluator call for the
+    samples of all cells, one per ternary step, one for all runs' samples.
+    All runs go to one :func:`_darboux` call.  Returns None when sampling
+    cannot produce a trustworthy monotone-piece picture.
     """
     if isinstance(f, StepFunction):
         ev = _Evaluator(fp)
@@ -802,15 +808,13 @@ def _density_enclosure(f, fp, cells: list, tol: float) -> Optional[Enclosure]:
 
         ev = _Evaluator(g)
 
-    pieces = []
-    for a, b, k in cells:
-        runs = _monotone_runs(ev, Interval(a, b))
-        if runs is None:
-            return None
-        try:
-            pieces += _sample_monotone(ev, [(iv.lo, iv.hi, k) for iv in runs])
-        except BadPiecesError:
-            return None
+    runs = _monotone_runs(ev, cells)
+    if runs is None:
+        return None
+    try:
+        pieces = _sample_monotone(ev, runs)
+    except BadPiecesError:
+        return None
     return _darboux(ev, pieces, tol)
 
 

@@ -239,9 +239,8 @@ def cut(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, repeat: str):
     covers (index ``i`` spans ``grids[ax][i]`` to ``grids[ax][i + 1]``), one
     row each, sorted by axis 1, 2, ... and then axis 0 as :func:`merge`
     first needs them, and ``values`` their values.  A cell covered again
-    gets, by ``repeat``: ``"sum"``, the values added in box order;
-    ``"first"``, the first box's value; any other string, an
-    :class:`OrderViolationError` with that message.
+    gets, by ``repeat``: ``"sum"``, the values added in box order; any
+    other string, an :class:`OrderViolationError` with that message.
 
     A stable lexsort of the cells' index rows finds repeats on any grid.
     Boxes covering more cells than the grid has overlap, and are rejected
@@ -256,7 +255,7 @@ def cut(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, repeat: str):
     first, width = ends[:m], ends[m:] - ends[:m]
     count = width.prod(axis=1, dtype=float)     # a float cannot wrap round to a small count
     total = count.sum()
-    if repeat not in ("sum", "first") and total > math.prod(len(g) - 1 for g in grids):
+    if repeat != "sum" and total > math.prod(len(g) - 1 for g in grids):
         raise OrderViolationError(repeat)
     if total >= 2.0 ** 53:      # past exact float counts, and far past any memory
         raise MemoryError(f"{total:.3g} grid cells to expand")
@@ -275,11 +274,11 @@ def cut(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, repeat: str):
         rows, values = rows[order], np.concatenate((values, vals[box]))[order]
         new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
         cells = rows[new]
-        if repeat not in ("sum", "first") and not new.all():
+        if repeat != "sum" and not new.all():
             raise OrderViolationError(repeat)
         # bincount adds each cell's values in box order
         values = (np.bincount(np.cumsum(new) - 1, weights=values, minlength=len(cells))
-                  if repeat == "sum" else values[new])
+                  if repeat == "sum" else values)
     return grids, cells, values
 
 
@@ -331,7 +330,8 @@ def normalize_set(boxes: Iterable[Box]) -> MeasurableSet:
     lo, hi = box_arrays(raw, raw[0].dim if raw else 1)
     solid = (lo < hi).all(axis=1)
     flat = np.flatnonzero(~solid)
-    merged_lo, merged_hi, _ = merge(*cut(lo[solid], hi[solid], np.ones(solid.sum()), "first"))
+    grids, cells, _ = cut(lo[solid], hi[solid], np.ones(solid.sum()), "sum")
+    merged_lo, merged_hi, _ = merge(grids, cells, np.ones(len(cells)))
     _, first = np.unique(np.concatenate((lo[flat], hi[flat]), axis=1) + 0.0, axis=0,
                          return_index=True)
     flat = flat[first]      # each degenerate box once, sorted by lower corner
@@ -468,9 +468,10 @@ def segment(scheme: DyadicScheme, t: int):
 # ---------------------------------------------------------------------------
 
 def _directions(vals: np.ndarray) -> np.ndarray:
-    """The direction of each step between successive samples: 1 up, -1
-    down, 0 for a step within the dead band ``1e-12·(1 + max|v|)``."""
-    eps = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
+    """The direction of each step between successive samples, along the
+    last axis: 1 up, -1 down, 0 for a step within the dead band ``1e-12·(1
+    + max|v|)`` of its row."""
+    eps = 1e-12 * (1.0 + np.max(np.abs(vals), axis=-1, keepdims=True))
     diffs = np.diff(vals)
     return np.where(diffs > eps, 1, np.where(diffs < -eps, -1, 0))
 

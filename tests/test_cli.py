@@ -389,6 +389,28 @@ def test_a_negative_value_with_an_exponent_is_read_as_a_number(capsys, argv, exp
     assert got[0] == (1 if err else 0) and got[2] == err
 
 
+_FINITE_ERROR = "error: expected a finite real, got {}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("integrate", "--fn", "t", "--domain", "-inf", "1"), _FINITE_ERROR.format("-inf")),
+    (("elemfn", "--name", "exp", "--at", "-Infinity"),
+     "error: exp argument -inf out of supported range\n"),
+    (("integrate", "--fn", "t", "--domain", "0", "1", "--tol", "-NaN"), _TOL_ERROR.format("nan")),
+    (("stieltjes", "--fn", "t", "--domain", "1", "2", "--log-power", "-INF"),
+     "error: -inf*ln(t) is non-finite on [1.0, 2.0]\n"),
+    (("iposet-add", "--fn", "indicator(0,4)", "--first", "-infinity", "2", "--second", "1", "3"),
+     _FINITE_ERROR.format("-inf")),
+    (("iposet-add", "--fn", "indicator(0,4)", "--first", "0", "2", "--second", "-nan", "3"),
+     _FINITE_ERROR.format("nan")),
+    (("iposet-add", "--fn", "indicator(0,4)", "--first", "0", "2", "--second", "1", "3",
+      "--ambient", "-iNf", "5"), _FINITE_ERROR.format("-inf")),
+], ids=["domain", "at", "tol", "log-power", "first", "second", "ambient"])
+def test_a_negative_non_finite_word_is_read_as_a_number(capsys, argv, err):
+    # "-inf", "-infinity" and "-nan", in any case, are values, not option flags
+    assert run_cli(capsys, *argv) == (1, "", err)
+
+
 # ---------------------------------------------------------------------------
 # exit codes and determinism
 # ---------------------------------------------------------------------------

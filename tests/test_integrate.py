@@ -47,9 +47,10 @@ from stepquiver import integrate as integrate_module
 from stepquiver import elemfn
 from stepquiver.elemfn import _circle
 from stepquiver.integrate import (
-    CELL_BUDGET, RULE_CELLS, STIELTJES_BLOCK, Primitive, _Evaluator, _monotone_runs,
-    _sample_monotone, _sandwich_rule, _stieltjes_sum,
+    CELL_BUDGET, RULE_CELLS, STIELTJES_BLOCK, Primitive, _Evaluator, _density_enclosure,
+    _monotone_runs, _sample_monotone, _sandwich_rule, _stieltjes_sum,
 )
+from stepquiver.dsl import FnExpr
 
 from conftest import random_step
 
@@ -522,10 +523,10 @@ def test_no_rule_call_holds_more_than_two_cells():
     cuts = [-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]
     integrate_enclosure(f, (-1.0, 1.0), list(zip(cuts, cuts[1:])), 1e-9)
     cell = RULE_CELLS + 1
-    # the sampling of each piece, the five pieces two at a time, then a
-    # bisection a call
-    assert sizes[:8] == [17] * 5 + [2 * cell, 2 * cell, cell]
-    assert len(sizes) > 20 and set(sizes[8:]) == {2 * cell}
+    # one sampling call for all five pieces, the pieces two at a time, then
+    # a bisection a call
+    assert sizes[:4] == [5 * 17, 2 * cell, 2 * cell, cell]
+    assert len(sizes) > 16 and set(sizes[4:]) == {2 * cell}
 
 
 def _poisoned(x, value, g=lambda t: t * t):
@@ -799,10 +800,8 @@ def test_a_step_of_exactly_the_dead_band_reads_flat_in_every_sampler():
     _sample_monotone(_Evaluator(_up_then_down(_BAND, 17)), [(0.0, 16.0, 1.0)])
     with pytest.raises(BadPiecesError):
         _sample_monotone(_Evaluator(_up_then_down(more, 17)), [(0.0, 16.0, 1.0)])
-    assert len(_monotone_runs(_Evaluator(_up_then_down(_BAND, 129)),
-                              make_interval(0.0, 128.0))) == 1
-    assert len(_monotone_runs(_Evaluator(_up_then_down(more, 129)),
-                              make_interval(0.0, 128.0))) == 2
+    assert len(_monotone_runs(_Evaluator(_up_then_down(_BAND, 129)), [(0.0, 128.0, 1.0)])) == 1
+    assert len(_monotone_runs(_Evaluator(_up_then_down(more, 129)), [(0.0, 128.0, 1.0)])) == 2
     # StieltjesMeasure.check_monotone takes 257 and refuses any drop past it
     flat = _up_then_down(_BAND, 257)
     StieltjesMeasure(phi=lambda x: float(flat(x))).check_monotone(make_interval(0.0, 256.0))
@@ -810,6 +809,190 @@ def test_a_step_of_exactly_the_dead_band_reads_flat_in_every_sampler():
     with pytest.raises(NotMonotoneError):
         StieltjesMeasure(phi=lambda x: float(turn(x))).check_monotone(
             make_interval(0.0, 256.0))
+
+
+# ---------------------------------------------------------------------------
+# sampled monotone runs: every cell in one pass
+# ---------------------------------------------------------------------------
+
+def _reference_signs(vals):
+    eps = 1e-12 * (1.0 + float(np.max(np.abs(vals))))
+    diffs = np.diff(vals)
+    return np.where(diffs > eps, 1, np.where(diffs < -eps, -1, 0))
+
+
+def _reference_finite(vals, xs):
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise NonFiniteError(
+            f"integrand returned a non-finite value near x = {float(xs[int(np.argmax(bad))])!r}; "
+            "truncate improper endpoints before integrating")
+
+
+def reference_monotone_runs(ev, cells):
+    """The per-cell loop the batched ``_monotone_runs`` replaced: a 129-point
+    call per cell, then two one-point calls per ternary step per turn."""
+    out = []
+    for a, b, k in cells:
+        xs = np.linspace(a, b, 129)
+        vals = ev(xs)
+        _reference_finite(vals, xs)
+        signs = _reference_signs(vals)
+        flips, current = [], 0
+        for i, s in enumerate(signs):
+            if s == 0:
+                continue
+            if current != 0 and s != current:
+                flips.append(i)
+            current = s
+        if len(flips) > 8:
+            return None
+        cuts = []
+        for i in flips:
+            lo, hi = float(xs[max(0, i - 1)]), float(xs[min(len(xs) - 1, i + 1)])
+            for _ in range(80):
+                m1 = lo + (hi - lo) / 3.0
+                m2 = hi - (hi - lo) / 3.0
+                v1 = float(ev(np.array([m1]))[0])
+                v2 = float(ev(np.array([m2]))[0])
+                if (v1 < v2) == (signs[i] < 0):
+                    lo = m1
+                else:
+                    hi = m2
+            cuts.append(0.5 * (lo + hi))
+        pts = [a] + sorted(cuts) + [b]
+        out += [(x, y, k) for x, y in zip(pts, pts[1:]) if x < y]
+    return out
+
+
+def reference_sample_monotone(ev, cells):
+    """The per-cell loop the batched ``_sample_monotone`` replaced."""
+    for lo, hi, _ in cells:
+        xs = np.linspace(lo, hi, 17)
+        vals = ev(xs)
+        _reference_finite(vals, xs)
+        signs = _reference_signs(vals)
+        if (signs > 0).any() and (signs < 0).any():
+            raise BadPiecesError(f"integrand is not monotone on declared piece [{lo}, {hi}]")
+    return cells
+
+
+def _chebyshev(m):
+    """T_m by its recurrence, + and * only: m - 1 turns inside [-1, 1]."""
+    def f(x):
+        a, b = 1.0 + 0.0 * x, x
+        for _ in range(m - 1):
+            a, b = b, 2.0 * x * b - a
+        return b if m else a
+    return f
+
+
+def _scalar_only(x):
+    if x < 0.3:     # a Python branch: an array raises, so every point is one call
+        return x * x
+    return 0.09 - (x - 0.3)
+
+
+def _poison_sample(g, cells, which, num):
+    """``g`` with an infinity at the second of the ``num`` samples of cell
+    ``which``: a 17-sample point is a 129-sample point too, not the reverse."""
+    lo, hi, _ = cells[which]
+    bad = float(np.linspace(lo, hi, num)[1])
+    return lambda x: np.where(np.asarray(x) == bad, np.inf, g(np.asarray(x, dtype=float)))
+
+
+def _parity_cases():
+    rng = np.random.default_rng(25)
+    cases = []
+    for m in range(11):     # 0 to 9 turns on [-1, 1], and cells inside it
+        cells = [(-1.0, 1.0, 1.0)]
+        for _ in range(3):
+            lo, hi = sorted(float(x) for x in rng.uniform(-1.2, 1.2, 2))
+            cells.append((lo, hi, float(rng.integers(-2, 3))))
+        cases.append((f"chebyshev{m}", _chebyshev(m), cells))
+        cases.append((f"chebyshev{m}-scalar", lambda x, f=_chebyshev(m): float(f(x)), cells))
+    band = [(0.0, 128.0, 1.0), (0.0, 16.0, 2.0), (0.0, 256.0, 1.0)]
+    for drop, kind in ((_BAND, "flat"), (np.nextafter(_BAND, 1.0), "turn")):
+        for n in (17, 129):
+            cases.append((f"band{n}-{kind}", _up_then_down(drop, n), band))
+    # samples at the integers rise, fall at 11, rise: the search for the max
+    # in [9, 11] finds the spike at 10.9, the one for the min in [10, 12] the
+    # dip at 10.05, so the cuts come out in reverse order
+    knots = ([0, 10, 10.05, 10.2, 10.8, 10.9, 11, 12, 128],
+             [0, 10, 5, 9.8, 10.2, 12, 9.5, 12, 128])
+    cases.append(("crossed-cuts", lambda x: np.interp(x, *knots), [(0.0, 128.0, 1.0)]))
+    ulp = [(x, math.nextafter(x, math.inf), 1.0) for x in (0.0, 1.0, -3.5, 1e-300, 0.1)]
+    cases.append(("ulp", _chebyshev(3), ulp))
+    cases.append(("ulp-scalar", _scalar_only, ulp))
+    cases.append(("scalar-only", _scalar_only, [(0.0, 0.5, 1.0), (0.5, 1.0, -1.0), (0.1, 0.7, 2.0)]))
+    # the middle cell turns 9 times under T_10, 2 under T_3
+    mixed = [(-0.3, 0.3, 1.0), (-1.0, 1.0, 3.0), (-0.9, 0.95, 1.0)]
+    for which in range(3):
+        for num in (17, 129):
+            for m in (3, 10):
+                cases.append((f"inf-cell{which}-{num}-T{m}",
+                              _poison_sample(_chebyshev(m), mixed, which, num), mixed))
+    return cases
+
+
+def _runs_outcome(fn, ev, cells):
+    try:
+        runs = fn(ev, cells)
+    except (NonFiniteError, BadPiecesError) as exc:
+        return type(exc), str(exc)
+    return None if runs is None else [(repr(a), repr(b), k) for a, b, k in runs]
+
+
+_PARITY = _parity_cases()
+
+
+@pytest.mark.parametrize("f, cells", [c[1:] for c in _PARITY], ids=[c[0] for c in _PARITY])
+def test_batched_sampling_matches_the_per_cell_loops(f, cells):
+    for batched, reference in ((_monotone_runs, reference_monotone_runs),
+                               (_sample_monotone, reference_sample_monotone)):
+        ev, sizes = _Evaluator(f), []
+
+        def counted(xs):
+            sizes.append(np.size(xs))
+            return ev(xs)
+        assert _runs_outcome(batched, counted, cells) == _runs_outcome(
+            reference, _Evaluator(f), cells)
+        # one call for the samples of all cells, then one per ternary step
+        num = 129 if batched is _monotone_runs else 17
+        assert sizes[0] == num * len(cells) and len(sizes) in (1, 81)
+
+
+def _reproducer(n):
+    return parse_fn_expr("t + " + " + ".join(f"indicator({i / n!r},{(i + 0.5) / n!r})"
+                                             for i in range(n)))
+
+
+def test_monotone_pieces_takes_one_call_per_ternary_step_for_all_chunks(monkeypatch):
+    calls = []
+    real = FnExpr.__call__
+    monkeypatch.setattr(FnExpr, "__call__", lambda self, t: calls.append(1) or real(self, t))
+    counts = []
+    for n in (30, 100):
+        calls.clear()
+        assert len(monotone_pieces(_reproducer(n), (0.0, 1.0))) == 3 * n
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 81
+
+
+def test_density_enclosure_finds_every_cells_runs_before_checking_one():
+    # on [0, 1] a ripple whose 129-sample steps (5e-13) lie in the dead band
+    # and whose 17-sample steps (4e-12) turn: one run, which fails its check;
+    # on [1, 2] a non-finite sample
+    def density(xs):
+        xs = np.asarray(xs, dtype=float)
+        ripple = 4e-12 * (1.0 - np.abs(2.0 * (8.0 * xs % 1.0) - 1.0))
+        return np.where(xs == 2.0, np.inf, ripple)
+    f = StepFunction(box1(0.0, 2.0), ((box1(0.0, 1.0), 1.0), (box1(1.0, 2.0), 1.0)))
+    cells = [(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)]
+    assert _density_enclosure(f, density, cells[:1], 1e-9) is None
+    # the second cell's samples are read before the first cell's run is checked
+    with pytest.raises(NonFiniteError, match="near x = 2.0;"):
+        _density_enclosure(f, density, cells, 1e-9)
 
 
 def test_stieltjes_clips_a_step_integrand_once(monkeypatch):
