@@ -10,7 +10,9 @@ The quiver subcommands need only :mod:`stepquiver.quiver` and
 :mod:`stepquiver.qv`, so they start without numpy; the numeric handlers
 import their layers, and numpy with them, when they run.  ``gldim`` with
 the Stieltjes route (``--method stieltjes`` or the default ``all``) loads
-them inside :mod:`stepquiver.quiver`.
+them inside :mod:`stepquiver.quiver`.  In text mode, ``gldim --method all``
+prints the agreed value of the three routes; only ``--json`` builds the
+full report, with every thread and the Koszul dual.
 """
 
 from __future__ import annotations
@@ -137,22 +139,15 @@ def _cmd_koszul(args) -> int:
 
 def _cmd_gldim(args) -> int:
     _, p = _require_presentation(args.file)
-    if args.method == "all":
-        report = gldim_report(p)
-        if args.json:
-            _emit_json(report)
-        else:
-            mv = report["method_values"]
-            sys.stdout.write(
-                f"gl.dim = {report['gldim']} (threads={mv['threads']}, "
-                f"integral={mv['integral']}, stieltjes={mv['stieltjes']})\n"
-            )
+    if args.json and args.method == "all":
+        _emit_json(gldim_report(p))
+        return 0
+    value = global_dimension(p, args.method)  # "all" raises unless the routes agree
+    if args.json:
+        _emit_json({"gldim": value, "method_values": {args.method: value}})
     else:
-        value = global_dimension(p, args.method)
-        if args.json:
-            _emit_json({"gldim": value, "method_values": {args.method: value}})
-        else:
-            sys.stdout.write(f"gl.dim = {value} ({args.method}={value})\n")
+        routes = ["threads", "integral", "stieltjes"] if args.method == "all" else [args.method]
+        sys.stdout.write(f"gl.dim = {value} ({', '.join(f'{m}={value}' for m in routes)})\n")
     return 0
 
 

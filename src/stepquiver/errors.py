@@ -36,6 +36,10 @@ class NotMonotoneError(StepQuiverError):
     """A distribution function failed its sampled monotonicity check."""
 
 
+class GridTooLargeError(StepQuiverError, MemoryError):
+    """A box set's common endpoint grid has too many cells to expand."""
+
+
 # ---------------------------------------------------------------------------
 # step functions
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     DepthTooLargeError,
     DimensionMismatchError,
+    GridTooLargeError,
     NonFiniteError,
     NotMonotoneError,
     OrderViolationError,
@@ -244,7 +245,8 @@ def cut(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, repeat: str):
 
     A stable lexsort of the cells' index rows finds repeats on any grid.
     Boxes covering more cells than the grid has overlap, and are rejected
-    uncut; 2**53 cells or more are a MemoryError before any is expanded.
+    uncut; 2**53 cells or more are a :class:`GridTooLargeError` (a
+    ``MemoryError`` too) before any is expanded.
     """
     m, n = lo.shape
     grids, ends = zip(*(np.unique(np.concatenate((lo[:, ax], hi[:, ax])) + 0.0,
@@ -258,7 +260,7 @@ def cut(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray, repeat: str):
     if repeat != "sum" and total > math.prod(len(g) - 1 for g in grids):
         raise OrderViolationError(repeat)
     if total >= 2.0 ** 53:      # past exact float counts, and far past any memory
-        raise MemoryError(f"{total:.3g} grid cells to expand")
+        raise GridTooLargeError(f"{total:.3g} grid cells to expand")
     cells, values = np.zeros((0, n), dtype=np.int64), vals[:0]
     step = max(1, int(m * CUT_CHUNK // total))      # boxes per round
     for a in range(0, m, step):

@@ -27,10 +27,14 @@ witnesses walk the arrays, and the chains of one kind come out end to end
 in one flat list; the integral route counts source multiplicities on
 vertex ids; the Koszul dual swaps sources and targets, takes its
 relations ``(b, a)`` from the composable pairs ``(a, b)`` outside the
-ideal and passes the same gentle check.  Names come back only in output:
-threads, witnesses and JSON.  On gentle input, validation, threads and
-the dual are linear in the number of arrows, with no recursion limit on
-the length of a chain.
+ideal and passes the same gentle check, keeping the arrow ids.  Names come
+back only for what a call returns or prints: threads, witnesses and JSON.
+So the gl.dim report writes the dual's JSON from its integer form; the
+forbidden/permitted bijection matches the chains by arrow id and names only
+the pairs it returns, or the unmatched chains of its error; and a path in
+an algebra element is checked, reduced and weighed on ids.  On gentle
+input, validation, threads and the dual are linear in the number of arrows,
+with no recursion limit on the length of a chain.
 
 Global dimension routes (must agree):
 
@@ -155,6 +159,14 @@ class _Ints(NamedTuple):
         return self._replace(src=self.tgt, tgt=self.src, ins=self.outs, in_at=self.out_at,
                              outs=self.ins, out_at=self.in_at)
 
+    def to_json(self) -> dict:
+        vn = self.vertex_names
+        return {
+            "vertices": list(vn),
+            "arrows": [{"name": n, "source": vn[s], "target": vn[t]}
+                       for n, s, t in zip(self.arrow_names, self.src, self.tgt)],
+        }
+
 
 class _Succ(NamedTuple):
     """Each arrow's successor under one predicate (−1 for none), whether
@@ -186,6 +198,11 @@ class _Links:
         names = self.ix.arrow_names
         a, b = divmod(key, len(names))
         return names[a], names[b]
+
+    def to_json(self) -> dict:
+        out = self.ix.to_json()
+        out["relations"] = [list(self.pair(k)) for k in sorted(self.rel)]
+        return out
 
 
 def _link(ix: _Ints, rel: frozenset, in_ideal: bool) -> _Succ:
@@ -275,29 +292,8 @@ class Quiver:
         d.__dict__["_ints"] = ix
         return d
 
-    @cached_property
-    def arrow_map(self) -> dict:
-        return {a.name: a for a in self.arrows}
-
-    def _arrows_at(self, v: str, ids_at) -> list[Arrow]:
-        ix = self._ints
-        i = ix.vertex_id.get(v)
-        return [] if i is None else [self.arrow_map[ix.arrow_names[a]] for a in ids_at(i)]
-
-    def arrows_from(self, v: str) -> list[Arrow]:
-        return self._arrows_at(v, self._ints.arrows_from)
-
-    def arrows_into(self, v: str) -> list[Arrow]:
-        return self._arrows_at(v, self._ints.arrows_into)
-
     def to_json(self) -> dict:
-        ix = self._ints
-        vn = ix.vertex_names
-        return {
-            "vertices": list(vn),
-            "arrows": [{"name": n, "source": vn[s], "target": vn[t]}
-                       for n, s, t in zip(ix.arrow_names, ix.src, ix.tgt)],
-        }
+        return self._ints.to_json()
 
 
 @dataclass(frozen=True)
@@ -310,7 +306,8 @@ class GentlePresentation:
     _links: _Links = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rels = frozenset(map(_relation, self.relations))
+        # inserted in sorted order, so equal sets also iterate (and repr) alike
+        rels = frozenset(sorted(map(_relation, self.relations)))
         object.__setattr__(self, "relations", rels)
         ix = self.quiver._ints
         heads = list(map(ix.arrow_id.get, map(itemgetter(0), rels)))
@@ -327,7 +324,7 @@ class GentlePresentation:
         relation names read off its keys rather than looked up."""
         p = object.__new__(cls)
         for name, value in (("quiver", quiver),
-                            ("relations", frozenset(map(links.pair, links.rel))),
+                            ("relations", frozenset(map(links.pair, sorted(links.rel)))),
                             ("validated", True), ("_links", links)):
             object.__setattr__(p, name, value)
         return p
@@ -336,9 +333,7 @@ class GentlePresentation:
         return (a, b) in self.relations
 
     def to_json(self) -> dict:
-        out = self.quiver.to_json()
-        out["relations"] = [list(self._links.pair(k)) for k in sorted(self._links.rel)]
-        return out
+        return self._links.to_json()
 
 
 @dataclass
@@ -602,22 +597,23 @@ def koszul_dual(p: GentlePresentation) -> GentlePresentation:
 # paths and algebra elements
 # ---------------------------------------------------------------------------
 
-def _check_path(p: GentlePresentation, q) -> tuple[Arrow, ...]:
+def _check_path(p: GentlePresentation, q) -> list[int]:
+    """The arrow ids of the path ``q`` (names, or a thread) in ``p``."""
     names = tuple(q.arrows) if isinstance(q, Thread) else tuple(q)
     if not names:
         raise PathNotInPresentationError("paths are nonempty arrow sequences")
-    amap = p.quiver.arrow_map
-    arrows = []
+    ix = p._links.ix
+    ids = []
     for n in names:
-        if n not in amap:
+        if n not in ix.arrow_id:
             raise PathNotInPresentationError(f"unknown arrow {n!r}")
-        arrows.append(amap[n])
-    for a, b in zip(arrows, arrows[1:]):
-        if a.target != b.source:
+        ids.append(ix.arrow_id[n])
+    for a, b in pairwise(ids):
+        if ix.tgt[a] != ix.src[b]:
             raise PathNotInPresentationError(
-                f"arrows {a.name!r} and {b.name!r} do not compose"
+                f"arrows {ix.arrow_names[a]!r} and {ix.arrow_names[b]!r} do not compose"
             )
-    return tuple(arrows)
+    return ids
 
 
 class AlgebraElement:
@@ -640,11 +636,11 @@ class AlgebraElement:
             if k != 0.0:
                 vc[v] = float(k)
         pc = {}
+        ix, rel = presentation._links.ix, presentation._links.rel
         for path, k in (path_coeffs or {}).items():
-            arrows = _check_path(presentation, path)
-            key = tuple(a.name for a in arrows)
-            if any(presentation.in_ideal(a.name, b.name)
-                   for a, b in zip(arrows, arrows[1:])):
+            ids = _check_path(presentation, path)
+            key = tuple(map(ix.arrow_names.__getitem__, ids))
+            if any(a * len(ix.arrow_names) + b in rel for a, b in pairwise(ids)):
                 continue  # the path is 0 in the quotient
             if k != 0.0:
                 pc[key] = pc.get(key, 0.0) + float(k)
@@ -669,6 +665,11 @@ class AlgebraElement:
         )
 
 
+def _path_sources(p: GentlePresentation, q) -> Iterator[str]:
+    ix = p._links.ix
+    return map(ix.vertex_names.__getitem__, map(ix.src.__getitem__, _check_path(p, q)))
+
+
 def vertex_hom(x: AlgebraElement) -> float:
     """Sum of the trivial-path coefficients of ``x``."""
     return float(sum(x.vertex_coeffs.values()))
@@ -676,14 +677,12 @@ def vertex_hom(x: AlgebraElement) -> float:
 
 def vertex_hom_q(x: AlgebraElement, q) -> float:
     """``Σ_i k_{s(a_i)}`` over the arrows of the path ``q``, with repeats."""
-    arrows = _check_path(x.presentation, q)
-    return float(sum(x.vertex_coeffs.get(a.source, 0.0) for a in arrows))
+    return float(sum(x.vertex_coeffs.get(v, 0.0) for v in _path_sources(x.presentation, q)))
 
 
 def path_source_weights(p: GentlePresentation, q) -> dict:
     """Multiplicity of each source vertex along the path (the weights u_v)."""
-    arrows = _check_path(p, q)
-    return dict(Counter(a.source for a in arrows))
+    return dict(Counter(_path_sources(p, q)))
 
 
 def multiple_integral_affine_unit_box(weights: Mapping, t: float) -> float:
@@ -733,8 +732,9 @@ def path_length_via_integral(p: GentlePresentation, q) -> int:
 def w_projection(p_dual: GentlePresentation, P, x: AlgebraElement) -> float:
     """Coefficient of the permitted thread ``P`` in ``x``."""
     key = tuple(P.arrows) if isinstance(P, Thread) else tuple(P)
-    permitted = {t.arrows for t in enumerate_threads(p_dual, PERMITTED)}
-    if key not in permitted:
+    lk = p_dual._links
+    permitted = set(map(tuple, _threads(lk, PERMITTED).each()))
+    if tuple(map(lk.ix.arrow_id.get, key)) not in permitted:
         raise NotPermittedError(f"path {'*'.join(key)} is not a permitted thread")
     return float(x.path_coeffs.get(key, 0.0))
 
@@ -829,37 +829,33 @@ def global_dimension(p: GentlePresentation, method: str = "threads") -> int:
 def gldim_report(p: GentlePresentation) -> dict:
     """JSON-ready report: value, per-route values, threads, and the dual."""
     lk = p._links
-    forb = _threads(lk, FORBIDDEN)
-    perm = enumerate_threads(p, PERMITTED)
-    dual = koszul_dual(p)
-    values = _agreed_routes(lk, forb, dual._links)
+    forb, perm = _threads(lk, FORBIDDEN), _threads(lk, PERMITTED)
+    dual = _dual(lk)
+    values = _agreed_routes(lk, forb, dual)
     return {
         "gldim": values["threads"],
         "method_values": values,
-        "threads": {
-            "forbidden": [t.to_json() for t in _named_threads(lk, forb, FORBIDDEN)],
-            "permitted": [t.to_json() for t in perm],
-        },
+        "threads": {kind: [t.to_json() for t in _named_threads(lk, chains, kind)]
+                    for kind, chains in ((FORBIDDEN, forb), (PERMITTED, perm))},
         "dual": dual.to_json(),
     }
 
 
 def forb_perm_bijection(p: GentlePresentation) -> tuple:
     """Pair each forbidden thread of ``p`` with a permitted thread of the
-    dual via name-reversal; verified by enumerating both sides."""
-    forb = enumerate_threads(p, FORBIDDEN)
-    dual = koszul_dual(p)
-    perm = enumerate_threads(dual, PERMITTED)
-    expected = {tuple(reversed(t.arrows)): t for t in forb}
-    actual = {t.arrows: t for t in perm}
-    if set(expected) != set(actual):
-        missing = sorted(set(expected) - set(actual))
-        extra = sorted(set(actual) - set(expected))
+    dual via reversal; verified by enumerating both sides.  The dual keeps
+    the arrow ids of ``p``, so the chains are matched as ids."""
+    lk = p._links
+    forb = _threads(lk, FORBIDDEN)
+    perm = _threads(_dual(lk), PERMITTED)
+    expected = {tuple(reversed(c)) for c in forb.each()}
+    actual = set(map(tuple, perm.each()))
+    if expected != actual:
+        def named(chains):     # id order is name order, so this sorts by name
+            return [tuple(map(lk.ix.arrow_names.__getitem__, c)) for c in sorted(chains)]
         raise BijectionFailureError(
             f"thread correspondence failed; unmatched forbidden reversals: "
-            f"{missing}, unmatched dual permitted: {extra}"
+            f"{named(expected - actual)}, unmatched dual permitted: {named(actual - expected)}"
         )
-    pairs = []
-    for key in sorted(expected, key=lambda k: expected[k].arrows):
-        pairs.append((expected[key], actual[key]))
-    return tuple(pairs)
+    return tuple((t, Thread(t.arrows[::-1], PERMITTED))
+                 for t in _named_threads(lk, forb, FORBIDDEN))

@@ -187,11 +187,12 @@ def _build(ambient: Box, lo, hi, k, repeat: str, f=None) -> StepFunction:
 
 def _piece_arrays(ambient: Box, pieces: tuple):
     """Corners and values of ``(box, coeff)`` pieces, all checked at once:
-    each finite, of the ambient's dimension and inside it."""
+    each finite, of the ambient's dimension and inside it.  An interval
+    piece is its 1-D box."""
     n = ambient.dim
     try:
         k = np.array([float(k) for _, k in pieces], dtype=float)
-        boxes = [b for b, _ in pieces]
+        boxes = [Box((b,)) if isinstance(b, Interval) else b for b, _ in pieces]
         ok = all(len(b.factors) == n for b in boxes)
         lo, hi = box_arrays(boxes, n) if ok else (None, None)
     except (AttributeError, OverflowError, TypeError, ValueError):
@@ -200,6 +201,7 @@ def _piece_arrays(ambient: Box, pieces: tuple):
     if not (ok and np.isfinite(k).all() and (lo >= amb_lo).all() and (hi <= amb_hi).all()):
         for b, k in pieces:     # raises the first bad piece's error
             _check_coeff(float(k))
+            b = Box((b,)) if isinstance(b, Interval) else b
             if b.dim != n:
                 raise DimensionMismatchError(f"piece dim {b.dim} inside ambient dim {n}")
             if not ambient.contains_box(b):

@@ -157,6 +157,26 @@ def test_gldim_text_reports_all_three_routes(capsys):
     assert out == "gl.dim = 2 (threads=2, integral=2, stieltjes=2)\n"
 
 
+def test_gldim_text_prints_the_routes_without_the_json_report(capsys, monkeypatch):
+    from stepquiver import cli, quiver
+
+    def refuse(p):
+        raise AssertionError("text-mode gldim built the JSON report")
+
+    monkeypatch.setattr(cli, "gldim_report", refuse)
+    for name, d in sorted(EXPECTED_GLDIM.items()):
+        rc, out, err = run_cli(capsys, "gldim", qv(name))
+        assert (rc, err) == (0, ""), name
+        assert out == f"gl.dim = {d} (threads={d}, integral={d}, stieltjes={d})\n", name
+    # the routes are still checked against each other, with the same message
+    monkeypatch.setattr(quiver, "_gldim_integral", lambda forb, lk: -1)
+    err = ("error: global-dimension routes disagree: "
+           "{'threads': 2, 'integral': -1, 'stieltjes': 2}\n")
+    assert run_cli(capsys, "gldim", qv("a3_full")) == (1, "", err)
+    monkeypatch.setattr(cli, "gldim_report", quiver.gldim_report)
+    assert run_cli(capsys, "gldim", qv("a3_full"), "--json") == (1, "", err)
+
+
 def test_gldim_on_a_1500_arrow_full_chain(capsys, tmp_path):
     n = 1500
     path = tmp_path / "a1501_full.qv"

@@ -7,6 +7,7 @@ in conftest, which never touch the library's thread machinery.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from dataclasses import fields
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from stepquiver import (
     AlgebraElement,
     Arrow,
+    BijectionFailureError,
     DuplicateArrowError,
     GentlePresentation,
     InfiniteDimensionalError,
@@ -573,6 +575,63 @@ def test_koszul_dual_is_an_involution(name):
     dd = koszul_dual(koszul_dual(p))
     assert dd.quiver.arrows == p.quiver.arrows
     assert dd.relations == p.relations
+
+
+@settings(max_examples=150, deadline=None)
+@given(gentle_presentations())
+def test_gldim_report_writes_the_dual_that_koszul_dual_returns(qr):
+    q, rels = qr
+    p = validate_gentle(q, rels, allow_infinite_dimensional=True)
+    dual = koszul_dual(p)
+    # the same dual, interned again from its names
+    named = GentlePresentation(Quiver(q.vertices, dual.quiver.arrows), dual.relations)
+    assert dual.to_json() == named.to_json()
+    try:
+        rep = gldim_report(p)
+    except (InfiniteDimensionalError, InfiniteGlobalDimensionError):
+        return
+    assert rep["dual"] == dual.to_json()
+    assert rep["threads"] == {kind: [t.to_json() for t in enumerate_threads(p, kind)]
+                              for kind in ("forbidden", "permitted")}
+
+
+def test_bijection_and_w_projection_keep_their_results_and_messages(monkeypatch):
+    q = Quiver(("1", "2", "3"), (Arrow("b", "1", "2"), Arrow("a", "2", "3"),
+                                 Arrow("c", "1", "3")))
+    p = validate_gentle(q, [("b", "a")])
+    assert forb_perm_bijection(p) == (
+        (Thread(("b", "a"), "forbidden"), Thread(("a", "b"), "permitted")),
+        (Thread(("c",), "forbidden"), Thread(("c",), "permitted")))
+    dual = koszul_dual(p)
+    x = AlgebraElement(dual, {"1": 1.0}, {("a", "b"): 2.5, ("c",): 4.0})
+    assert w_projection(dual, Thread(("a", "b"), "permitted"), x) == 2.5
+    assert w_projection(dual, ("c",), x) == 4.0
+    for path, text in ((("b", "a"), "b*a"), (("b",), "b"), (("zz",), "zz"), ((), "")):
+        with pytest.raises(NotPermittedError,
+                           match=f"^path {re.escape(text)} is not a permitted thread$"):
+            w_projection(dual, path, x)
+    # cyclic presentations, built without validation: the walks raise first
+    def unvalidated(name):
+        doc = load_doc(name)
+        return GentlePresentation(doc.quiver(), doc.relations)
+
+    for name, arrows in (("cycle3_full", "a -> b -> c -> a"), ("loop_square", "x -> x")):
+        with pytest.raises(InfiniteGlobalDimensionError,
+                           match=f"^forbidden compositions cycle through arrows {arrows}$"):
+            forb_perm_bijection(unvalidated(name))
+    free = unvalidated("cycle3_free")
+    with pytest.raises(InfiniteDimensionalError,
+                       match="^permitted compositions cycle through arrows a -> b -> c -> a$"):
+        w_projection(free, ("a",), AlgebraElement(free))
+    loop = unvalidated("loop_square")
+    assert w_projection(loop, ("x",), AlgebraElement(loop, path_coeffs={("x",): 3.0})) == 3.0
+    # a dual that lost its relations no longer matches: both sides are named
+    real = quiver._dual
+    monkeypatch.setattr(quiver, "_dual", lambda lk: quiver._Links(real(lk).ix, frozenset()))
+    with pytest.raises(BijectionFailureError, match=re.escape(
+            "thread correspondence failed; unmatched forbidden reversals: "
+            "[('a',), ('b',), ('c',)], unmatched dual permitted: [('c', 'b', 'a')]")):
+        forb_perm_bijection(load_presentation("a4_free"))
 
 
 def test_forb_perm_bijection_matches_brute_force():

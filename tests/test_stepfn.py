@@ -21,10 +21,12 @@ from stepquiver import (
     DimensionMismatchError,
     DyadicScheme,
     FunctionTuple,
+    GridTooLargeError,
     Interval,
     NonFiniteError,
     OrderViolationError,
     StepFunction,
+    StepQuiverError,
     ae_equal,
     box,
     box1,
@@ -555,6 +557,26 @@ def test_eight_dimensional_diagonal_cubes_keep_their_pieces():
     assert [h((i / 4 + 0.125,) * 8) for i in range(4)] == [1.5] * 4
     assert h((0.125,) * 7 + (0.375,)) == 0.5
     assert integrate_step(h) == 0.5 + 4 * 0.25 ** 8
+
+
+def test_a_grid_too_large_to_expand_is_a_typed_memory_error():
+    amb = box(*[make_interval(0.0, 1.0)] * 8)
+    f = StepFunction(amb, [(c, 1.0) for c in _diagonal_cubes(300, 8)])
+    with pytest.raises(GridTooLargeError, match=r"^6\.56e\+19 grid cells to expand$") as info:
+        linear_combine(1.0, f, 1.0, indicator(amb, amb))
+    # the CLI maps every StepQuiverError to exit code 1
+    assert isinstance(info.value, StepQuiverError) and isinstance(info.value, MemoryError)
+
+
+def test_an_interval_piece_is_its_one_dimensional_box():
+    f = StepFunction(Interval(0.0, 1.0), [(Interval(0.2, 0.5), 2.0)])
+    assert f.pieces == ((box1(0.2, 0.5), 2.0),)
+    assert f == StepFunction(UNIT, [(box1(0.2, 0.5), 2.0)])
+    square = box(make_interval(0.0, 1.0), make_interval(0.0, 1.0))
+    with pytest.raises(DimensionMismatchError):
+        StepFunction(square, [(make_interval(0.2, 0.5), 2.0)])
+    with pytest.raises(AmbientMismatchError):
+        StepFunction(UNIT, [(Interval(0.2, 1.5), 2.0)])
 
 
 def _overlapping_boxes(rng, dim, count):
