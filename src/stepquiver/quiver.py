@@ -13,26 +13,26 @@ enforced by tests against a brute-force scanner.
 Gentle conditions (2)/(3) leave every arrow at most one successor and at
 most one predecessor under each predicate, so the threads of one kind are
 disjoint chains (Avella-Alaminos–Geiss, JPAA 2008).  The work is done on
-integers.  A quiver interns its names once, on first use: vertex and arrow
-ids are ranks in plain ``sorted`` name order, so every order read from the
-ids is name order.  It keeps each arrow's source and target id, and the
-arrows into and out of each vertex as flat lists grouped by vertex, in
-declaration order within a group.  A presentation keeps its relations as
-ints ``a·A + b`` (``A`` arrows) and, on first use of each predicate, a
-successor array (the arrow after ``a`` inside the ideal, or outside it;
-−1 for none) from one pass over the composable pairs that stops at the
-first arrow with a second successor or predecessor.  Conditions (1)–(3)
-read the per-vertex groups and walk no pairs; threads and cycle
-witnesses walk the arrays, and the chains of one kind come out end to end
-in one flat list; the integral route counts source multiplicities on
-vertex ids; the Koszul dual swaps sources and targets, takes its
-relations ``(b, a)`` from the composable pairs ``(a, b)`` outside the
-ideal and passes the same gentle check, keeping the arrow ids.  Names come
-back only for what a call returns or prints: threads, witnesses and JSON.
-So the gl.dim report writes the dual's JSON from its integer form; the
-forbidden/permitted bijection matches the chains by arrow id and names only
-the pairs it returns, or the unmatched chains of its error; and a path in
-an algebra element is checked, reduced and weighed on ids.  On gentle
+integers.  A quiver interns its names once, at construction: vertex and
+arrow ids are ranks in plain ``sorted`` name order, so every order read from
+the ids is name order, and the pass that fills them checks the names.  It
+keeps each arrow's source and target id, and the arrows into and out of each
+vertex as flat lists grouped by vertex, in declaration order within a group.
+A presentation keeps its relations as ints ``a·A + b`` (``A`` arrows) and,
+on first use of each predicate, a successor array (the arrow after ``a``
+inside the ideal, or outside it; −1 for none) from one pass over the
+composable pairs that stops at the first arrow with a second successor or
+predecessor.  Conditions (1)–(3) read the per-vertex groups and walk no
+pairs; threads and cycle witnesses walk the arrays, and the chains of one
+kind come out end to end in one flat list; the integral route counts source
+multiplicities on vertex ids; the Koszul dual swaps sources and targets,
+takes its relations ``(b, a)`` from the composable pairs ``(a, b)`` outside
+the ideal and passes the same gentle check, keeping the arrow ids.  Names
+come back only for what a call returns or prints: threads, witnesses and
+JSON.  So the gl.dim report writes the dual's JSON from its integer form;
+the forbidden/permitted bijection matches the chains by arrow id and names
+only the pairs it returns, or the unmatched chains of its error; and a path
+in an algebra element is checked, reduced and weighed on ids.  On gentle
 input, validation, threads and the dual are linear in the number of arrows,
 with no recursion limit on the length of a chain.
 
@@ -58,8 +58,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import accumulate, pairwise, repeat
+from functools import cache
+from itertools import accumulate, filterfalse, pairwise, repeat
 from operator import add, itemgetter, mul, ne
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -120,15 +120,6 @@ def _relation(r) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # the integer form
 # ---------------------------------------------------------------------------
-
-def _grouped(ends: list[int], decl: list[int], nv: int) -> tuple[list[int], list[int]]:
-    """Arrow ids grouped by the vertex ``ends[a]``, in declaration order
-    within a group, and the offset where each vertex's group starts."""
-    at = [0] * (nv + 1)
-    for v in ends:
-        at[v + 1] += 1
-    return sorted(decl, key=ends.__getitem__), list(accumulate(at))
-
 
 class _Ints(NamedTuple):
     """A quiver on integer ids, each id the rank of its name in sorted order.
@@ -194,14 +185,14 @@ class _Links:
             s = self._succ[in_ideal] = _link(self.ix, self.rel, in_ideal)
         return s
 
-    def pair(self, key: int) -> tuple[str, str]:
+    def pairs(self) -> list[tuple[str, str]]:
+        """The relations as name pairs, in name order: ids are name ranks."""
         names = self.ix.arrow_names
-        a, b = divmod(key, len(names))
-        return names[a], names[b]
+        return [(names[a], names[b]) for a, b in map(divmod, sorted(self.rel), repeat(len(names)))]
 
     def to_json(self) -> dict:
         out = self.ix.to_json()
-        out["relations"] = [list(self.pair(k)) for k in sorted(self.rel)]
+        out["relations"] = list(map(list, self.pairs()))
         return out
 
 
@@ -226,7 +217,7 @@ def _link(ix: _Ints, rel: frozenset, in_ideal: bool) -> _Succ:
     return _Succ(succ, has_pred, None)
 
 
-def _raise_for_bad_relation(ix: _Ints, rels: frozenset) -> None:
+def _raise_for_bad_relation(ix: _Ints, rels: list) -> None:
     """Raise for the first relation in name order that names an unknown
     arrow or does not compose."""
     aid, vn = ix.arrow_id, ix.vertex_names
@@ -245,52 +236,60 @@ def _raise_for_bad_relation(ix: _Ints, rels: frozenset) -> None:
 # quivers and presentations
 # ---------------------------------------------------------------------------
 
+def _set(obj, **fields):
+    """``obj`` with ``fields`` set, past a frozen dataclass's guard."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _names(vertices, arrows) -> tuple[tuple, tuple[Arrow, ...], tuple]:
+    """The vertices, ``Arrow``s and arrow names; raises for a name not a ``str``."""
+    vertices, arrows = tuple(vertices), tuple(map(_arrow, arrows))
+    names = tuple(map(itemgetter(0), arrows))
+    for what, group in (("vertex", vertices), ("arrow", names)):
+        for bad in filterfalse(str.__instancecheck__, group):
+            raise StepQuiverError(f"{what} name {bad!r} is not a string")
+    return vertices, arrows, names
+
+
+def _intern(q: "Quiver", vertices: tuple, arrows: tuple[Arrow, ...], names: tuple) -> "Quiver":
+    """``q`` with its vertices deduplicated and its integer form interned."""
+    vertices = tuple(dict.fromkeys(vertices))
+    vertex_names, arrow_names = tuple(sorted(vertices)), tuple(sorted(names))
+    vid = dict(zip(vertex_names, range(len(vertex_names))))
+    aid = dict(zip(arrow_names, range(len(arrow_names))))
+    decl = list(map(aid.__getitem__, names))
+    # one pass in declaration order: a repeated name finds its id's source
+    # already set, and the first bad arrow raises
+    src, tgt = [-1] * len(decl), [-1] * len(decl)
+    n_in, n_out = [0] * len(vertices), [0] * len(vertices)
+    for a, (name, s, t) in zip(decl, arrows):
+        if src[a] >= 0:
+            raise DuplicateArrowError(f"arrow name {name!r} declared twice")
+        try:
+            src[a] = i = vid[s]
+            tgt[a] = j = vid[t]
+        except (KeyError, TypeError):   # TypeError: an unhashable end
+            bad = t if src[a] >= 0 else s
+            raise UnknownVertexError(f"arrow {name!r} uses undeclared vertex {bad!r}") from None
+        n_out[i] += 1
+        n_in[j] += 1
+    # stable sorts: declaration order among the arrows at one vertex
+    return _set(q, vertices=vertices, arrows=arrows, _ints=_Ints(
+        vertex_names, vid, arrow_names, aid, src, tgt, decl,
+        sorted(decl, key=tgt.__getitem__), list(accumulate(n_in, initial=0)),
+        sorted(decl, key=src.__getitem__), list(accumulate(n_out, initial=0))))
+
+
 @dataclass(frozen=True)
 class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    _ints: _Ints = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(dict.fromkeys(self.vertices)))
-        names = set()
-        vset = set(self.vertices)
-        arrows = tuple(map(_arrow, self.arrows))
-        object.__setattr__(self, "arrows", arrows)
-        for a in arrows:
-            if a.name in names:
-                raise DuplicateArrowError(f"arrow name {a.name!r} declared twice")
-            names.add(a.name)
-            for v in (a.source, a.target):
-                if v not in vset:
-                    raise UnknownVertexError(
-                        f"arrow {a.name!r} uses undeclared vertex {v!r}"
-                    )
-
-    @cached_property
-    def _ints(self) -> _Ints:
-        """The integer form, interned on first use."""
-        vertex_names = tuple(sorted(self.vertices))
-        vid = dict(zip(vertex_names, range(len(vertex_names))))
-        arrow_names = tuple(sorted(a.name for a in self.arrows))
-        aid = dict(zip(arrow_names, range(len(arrow_names))))
-        decl = [aid[a.name] for a in self.arrows]
-        src, tgt = [0] * len(decl), [0] * len(decl)
-        for i, a in zip(decl, self.arrows):
-            src[i] = vid[a.source]
-            tgt[i] = vid[a.target]
-        nv = len(vertex_names)
-        return _Ints(vertex_names, vid, arrow_names, aid, src, tgt, decl,
-                     *_grouped(tgt, decl, nv), *_grouped(src, decl, nv))
-
-    def _opposite(self, ix: _Ints) -> "Quiver":
-        """Every arrow reversed, with ``ix`` (``self._ints.opposite()``) as
-        its integer form rather than names interned again."""
-        d = object.__new__(Quiver)
-        object.__setattr__(d, "vertices", self.vertices)
-        object.__setattr__(d, "arrows", tuple(Arrow(a.name, a.target, a.source)
-                                              for a in self.arrows))
-        d.__dict__["_ints"] = ix
-        return d
+        _intern(self, *_names(self.vertices, self.arrows))
 
     def to_json(self) -> dict:
         return self._ints.to_json()
@@ -306,28 +305,16 @@ class GentlePresentation:
     _links: _Links = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # inserted in sorted order, so equal sets also iterate (and repr) alike
-        rels = frozenset(sorted(map(_relation, self.relations)))
-        object.__setattr__(self, "relations", rels)
+        rels = list(map(_relation, self.relations))
         ix = self.quiver._ints
         heads = list(map(ix.arrow_id.get, map(itemgetter(0), rels)))
         tails = list(map(ix.arrow_id.get, map(itemgetter(1), rels)))
         if None in heads or None in tails or any(
                 map(ne, map(ix.tgt.__getitem__, heads), map(ix.src.__getitem__, tails))):
             _raise_for_bad_relation(ix, rels)
-        keys = frozenset(map(add, map(mul, heads, repeat(len(ix.arrow_names))), tails))
-        object.__setattr__(self, "_links", _Links(ix, keys))
-
-    @classmethod
-    def _named(cls, quiver: Quiver, links: _Links) -> "GentlePresentation":
-        """The presentation whose integer form is ``links``, with the
-        relation names read off its keys rather than looked up."""
-        p = object.__new__(cls)
-        for name, value in (("quiver", quiver),
-                            ("relations", frozenset(map(links.pair, sorted(links.rel)))),
-                            ("validated", True), ("_links", links)):
-            object.__setattr__(p, name, value)
-        return p
+        lk = _Links(ix, frozenset(map(add, map(mul, heads, repeat(len(ix.arrow_names))), tails)))
+        # inserted in name order, so equal sets also iterate (and repr) alike
+        _set(self, relations=frozenset(lk.pairs()), _links=lk)
 
     def in_ideal(self, a: str, b: str) -> bool:
         return (a, b) in self.relations
@@ -589,8 +576,11 @@ def koszul_dual(p: GentlePresentation) -> GentlePresentation:
     """Reverse every arrow; relations are the reversals of the composable
     pairs *not* in the ideal: ``I^! = { b^! a^! : ab composable, ab ∉ I }``.
     """
-    dual = _dual(p._links)
-    return GentlePresentation._named(p.quiver._opposite(dual.ix), dual)
+    dual, q = _dual(p._links), p.quiver
+    quiver = _set(object.__new__(Quiver), vertices=q.vertices, _ints=dual.ix,
+                  arrows=tuple(Arrow(a.name, a.target, a.source) for a in q.arrows))
+    return _set(object.__new__(GentlePresentation), quiver=quiver,
+                relations=frozenset(dual.pairs()), validated=True, _links=dual)
 
 
 # ---------------------------------------------------------------------------
@@ -628,15 +618,14 @@ class AlgebraElement:
                  vertex_coeffs: Optional[dict] = None,
                  path_coeffs: Optional[dict] = None):
         self.presentation = presentation
-        vset = set(presentation.quiver.vertices)
+        ix, rel = presentation._links.ix, presentation._links.rel
         vc = {}
         for v, k in (vertex_coeffs or {}).items():
-            if v not in vset:
+            if v not in ix.vertex_id:
                 raise UnknownVertexError(f"no vertex {v!r}")
             if k != 0.0:
                 vc[v] = float(k)
         pc = {}
-        ix, rel = presentation._links.ix, presentation._links.rel
         for path, k in (path_coeffs or {}).items():
             ids = _check_path(presentation, path)
             key = tuple(map(ix.arrow_names.__getitem__, ids))

@@ -16,7 +16,8 @@ the clause.  Relation paths longer than two arrows are rejected
 (``NonQuadraticRelationError``) since the relation ideals here are
 quadratic monomial.  ``emit_dsl`` produces a canonical form — name order is
 by (length, string) so numeric labels sort naturally — and
-``parse_quiver_dsl(emit_dsl(doc)) == doc``.
+``parse_quiver_dsl(emit_dsl(doc)) == doc``: ``emit_dsl`` refuses a document
+without vertices, or with a name that is not an IDENT or is reserved.
 
 Lines end where ``str.splitlines`` ends them: ``\\n``, ``\\r\\n``, a lone
 ``\\r``, ``\\x0c``, ``\\u2028`` and the rest.  Any of them ends a ``#``
@@ -34,25 +35,16 @@ expression language in :mod:`stepquiver.dsl` shares its
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
-from .errors import DslSyntaxError, NonQuadraticRelationError
-from .quiver import Arrow, GentlePresentation, Quiver, _arrow, _relation
+from .errors import DslSyntaxError, NonQuadraticRelationError, StepQuiverError
+from .quiver import Arrow, GentlePresentation, Quiver, _intern, _names, _relation, _set
 
 RESERVED = ("quiver", "vertices", "arrows", "relations")
-
-
-def _natural_key(name: str):
-    return (len(name), name)
-
-
-def _relation_key(rel: tuple[str, str]):
-    # the _natural_key of each name, flattened: sorting 10^5 relations by it
-    # takes 35 ms, against 98 ms for a pair of _natural_key calls
-    a, b = rel
-    return (len(a), a, len(b), b)
+_IDENT = re.compile(r"[A-Za-z0-9_]+")
+_NAME_CHARS = re.compile(r"[A-Za-z0-9_ ]+")
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +66,24 @@ class QuiverDoc:
     _quiver: Quiver = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # dict.fromkeys dedupes in input order, so input already in
-        # canonical order (as emit_dsl writes it) sorts in linear time
-        vertices = tuple(sorted(dict.fromkeys(self.vertices), key=_natural_key))
-        arrows = tuple(sorted(map(_arrow, self.arrows), key=lambda a: _natural_key(a.name)))
-        rels = dict.fromkeys(map(_relation, self.relations))
-        object.__setattr__(self, "relations", tuple(sorted(rels, key=_relation_key)))
-        q = Quiver(vertices, arrows)
-        object.__setattr__(self, "vertices", q.vertices)
-        object.__setattr__(self, "arrows", q.arrows)
-        object.__setattr__(self, "_quiver", q)
+        # checked once, here, so that the sorts can compare the names
+        vertices, arrows, names = _names(self.vertices, self.arrows)
+        rels = tuple(sorted(dict.fromkeys(map(_relation, self.relations)),
+                            key=lambda r: (len(r[0]), r[0], len(r[1]), r[1])))
+        # (length, name) order from C-level sorts: a stable sort by length of
+        # what is already in name order, so arrows of one name keep theirs
+        by_name = sorted(range(len(arrows)), key=names.__getitem__)
+        order = sorted(by_name, key=tuple(map(len, names)).__getitem__)
+        q = _intern(object.__new__(Quiver), sorted(sorted(vertices), key=len),
+                    tuple(map(arrows.__getitem__, order)), tuple(map(names.__getitem__, order)))
+        _set(self, relations=rels, vertices=q.vertices, arrows=q.arrows, _quiver=q)
 
     def quiver(self) -> Quiver:
         return self._quiver
 
 
 def doc_from_presentation(name: str, p: GentlePresentation) -> QuiverDoc:
-    return QuiverDoc(name, p.quiver.vertices, p.quiver.arrows,
-                     tuple(sorted(p.relations)))
+    return QuiverDoc(name, p.quiver.vertices, p.quiver.arrows, p.relations)
 
 
 # One scan of the whole text.  A comment runs to the next line break of
@@ -101,7 +93,6 @@ def doc_from_presentation(name: str, p: GentlePresentation) -> QuiverDoc:
 _QV_TOKEN = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*"
                        r"|->|[{}:,*]|[A-Za-z0-9_]+|\S.*", re.DOTALL)
 _PUNCT = frozenset(("{", "}", ":", ",", "*", "->"))
-_IDENT_START = frozenset(string.ascii_letters + string.digits + "_")
 # every other token is an identifier; "" marks the end of input
 _NOT_IDENT = _PUNCT | frozenset(RESERVED) | {""}
 
@@ -134,7 +125,7 @@ class _QvParser(_TokenCursor):
         toks = _QV_TOKEN.findall(text)
         if "#" in text:
             toks = [t for t in toks if t[0] != "#"]
-        if toks and toks[-1] not in _PUNCT and toks[-1][0] not in _IDENT_START:
+        if toks and toks[-1] not in _PUNCT and not _IDENT.match(toks[-1]):
             raise DslSyntaxError(*self._line_col(len(text) - len(toks[-1])),
                                  "token", toks[-1][0])
         super().__init__(toks)
@@ -186,7 +177,7 @@ class _QvParser(_TokenCursor):
                     fail("->", i + 3)
                 if toks[i + 4] in _NOT_IDENT:
                     fail("target vertex", i + 4)
-                arrows.append((toks[i], toks[i + 2], toks[i + 4]))
+                arrows.append(Arrow(toks[i], toks[i + 2], toks[i + 4]))
                 i += 5
                 if toks[i] != ",":
                     break
@@ -216,7 +207,7 @@ class _QvParser(_TokenCursor):
             fail("}", i)
         if i + 1 != len(self.toks):
             fail("end of input", i + 1)
-        return QuiverDoc(name, vertices, arrows, relations)
+        return name, vertices, arrows, relations
 
 
 def parse_quiver_dsl(text: str) -> QuiverDoc:
@@ -227,10 +218,26 @@ def parse_quiver_dsl(text: str) -> QuiverDoc:
     length other than two, and the ``UnknownVertexError`` /
     ``DuplicateArrowError`` of quiver construction on bad references.
     """
-    return _QvParser(text).parse()
+    # the parser, and with it the token list, is gone before the names are interned
+    return QuiverDoc(*_QvParser(text).parse())
 
 
 def emit_dsl(doc: QuiverDoc) -> str:
+    """The canonical ``.qv`` text of ``doc``; ``StepQuiverError`` for a
+    document that no text parses back to (see the module docstring)."""
+    if not doc.vertices:
+        raise StepQuiverError(f"quiver {doc.name!r} declares no vertices")
+    names = (doc.name, *doc.vertices, *doc._quiver._ints.arrow_names,
+             *chain.from_iterable(doc.relations))
+    # one regex pass over the names joined by single spaces: a space inside
+    # a name shows as one space too many
+    text = " ".join(names) if isinstance(doc.name, str) else ""
+    if (text.count(" ") != len(names) - 1 or not _NAME_CHARS.fullmatch(text)
+            or not _NOT_IDENT.isdisjoint(names)):
+        bad = next(x for x in names if not isinstance(x, str)
+                   or x in _NOT_IDENT or not _IDENT.fullmatch(x))
+        raise StepQuiverError(f"name {bad!r} is not a .qv identifier: "
+                              f"[A-Za-z0-9_]+ and not one of {', '.join(RESERVED)}")
     lines = [f"quiver {doc.name} {{"]
     lines.append("  vertices: " + " ".join(doc.vertices))
     if doc.arrows:

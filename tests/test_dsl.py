@@ -150,6 +150,32 @@ def test_quiver_doc_types_malformed_arrows_and_relations():
             QuiverDoc("x", ("1", "2"), arrows + (arrow,), ())
 
 
+@pytest.mark.parametrize("name, vertices, arrows, relations, message", [
+    ("x", ("a b",), (), (), "name 'a b'"),                 # parsed back as two vertices
+    ("x", ("1", "vertices"), (), (), "name 'vertices'"),   # a reserved word
+    ("x", (), (), (), "quiver 'x' declares no vertices"),  # "vertices:" needs a name
+    ("my quiver", ("1",), (), (), "name 'my quiver'"),
+    (None, ("1",), (), (), "name None"),
+    ("x", ("1", ""), (), (), "name ''"),
+    ("x", ("1",), (Arrow("a#", "1", "1"),), (), "name 'a#'"),
+    ("x", ("1",), (Arrow("a", "1", "1"),), (("a", "b*c"),), "name 'b\\*c'"),
+    ("x", ("1",), (Arrow("a", "1", "1"),), (("a", "quiver"),), "name 'quiver'"),
+])
+def test_emit_dsl_refuses_a_document_it_could_not_write_back(name, vertices, arrows, relations,
+                                                             message):
+    # emit_dsl(doc) must parse back to doc, so no text is written for it
+    doc = QuiverDoc(name, vertices, arrows, relations)
+    with pytest.raises(StepQuiverError, match=f"^{message}") as err:
+        emit_dsl(doc)
+    assert type(err.value) is StepQuiverError
+
+
+def test_emit_dsl_writes_names_that_only_start_like_reserved_words():
+    doc = QuiverDoc("quivers", ("vertices1", "arrows_"),
+                    (Arrow("relations2", "arrows_", "vertices1"),), (("relations2", "x"),))
+    assert parse_quiver_dsl(emit_dsl(doc)) == doc
+
+
 def test_quiver_doc_keeps_its_validated_quiver():
     doc = parse_quiver_dsl((CORPUS_DIR / "square_half.qv").read_text())
     q = doc.quiver()

@@ -31,6 +31,7 @@ from stepquiver import (
     NotPermittedError,
     PathNotInPresentationError,
     Quiver,
+    QuiverDoc,
     StepQuiverError,
     Thread,
     UnknownArrowError,
@@ -107,6 +108,49 @@ def test_quiver_dedupes_vertices_preserving_order():
     assert q.vertices == ("2", "1"), f"got {q.vertices}"
 
 
+@pytest.mark.parametrize("arrows, quiver_error, doc_error", [
+    # a duplicate declared before an arrow with an undeclared vertex
+    ((("a", "1", "2"), ("a", "2", "1"), ("b", "1", "9")), "duplicate", "duplicate"),
+    # the reverse order
+    ((("a", "1", "9"), ("b", "1", "2"), ("b", "2", "1")), "unknown", "unknown"),
+    # two arrows of one name, the first with an undeclared vertex: the
+    # document's sort must keep them in input order, as a sort of whole
+    # triples would not
+    ((("a", "1", "9"), ("a", "1", "2")), "unknown", "unknown"),
+    # a document checks its arrows in canonical order, a quiver as given
+    ((("b", "1", "9"), ("a", "1", "2"), ("a", "2", "1")), "unknown", "duplicate"),
+])
+def test_the_first_bad_arrow_raises(arrows, quiver_error, doc_error):
+    errors = {"duplicate": (DuplicateArrowError, "arrow name 'a' declared twice"),
+              "unknown": (UnknownVertexError, r"arrow '\w' uses undeclared vertex '9'")}
+    for build, which in ((lambda: Quiver(("1", "2"), arrows), quiver_error),
+                         (lambda: QuiverDoc("x", ("1", "2"), arrows, ()), doc_error)):
+        error, message = errors[which]
+        with pytest.raises(error, match=f"^{message}$"):
+            build()
+
+
+@pytest.mark.parametrize("vertices, arrows", [
+    ((1, "2"), (("a", 1, "2"),)),        # sorting mixed names raised a builtin TypeError
+    ((1, 2), (("a", 1, 2),)),            # all ints were accepted until emit_dsl
+    (("1", ["2"]), ()),                  # unhashable
+    (("1", "2"), ((7, "1", "2"),)),      # an arrow name
+])
+def test_a_name_that_is_not_a_string_is_typed(vertices, arrows):
+    for build in (lambda: validate_gentle(Quiver(vertices, arrows), []),
+                  lambda: QuiverDoc("x", vertices, arrows, ())):
+        with pytest.raises(StepQuiverError, match=r"^(vertex|arrow) name .* is not a string$"):
+            build()
+
+
+@pytest.mark.parametrize("source, target, bad", [("1", ["2"], "['2']"), (["1"], "2", "['1']"),
+                                                 ("1", 2, "2")])
+def test_an_arrow_end_that_is_not_a_declared_name_is_typed(source, target, bad):
+    with pytest.raises(UnknownVertexError) as err:
+        Quiver(("1", "2"), (("a", source, target),))
+    assert str(err.value) == f"arrow 'a' uses undeclared vertex {bad}"
+
+
 def test_relation_must_name_known_arrows():
     q = chain(2)
     with pytest.raises(UnknownArrowError):
@@ -143,12 +187,11 @@ def test_an_arrow_that_is_not_a_triple_is_typed(arrow):
 
 
 def test_equality_hash_and_repr_ignore_the_integer_form():
-    # one side has built its integer form and links, the other not yet;
-    # the duals are built from integers, not from names
+    # one side has been validated, the other not; the duals are built from
+    # integers, not from names
     q, rels = chain(3), full_chain_relations(3)
     fresh = Quiver(q.vertices, q.arrows)
     p = validate_gentle(q, rels)
-    assert "_ints" in q.__dict__ and "_ints" not in fresh.__dict__
     assert (q == fresh, hash(q) == hash(fresh), repr(q) == repr(fresh)) == (True,) * 3
     assert repr(q) == f"Quiver(vertices={q.vertices!r}, arrows={q.arrows!r})"
     twin = GentlePresentation(fresh, frozenset(rels))
