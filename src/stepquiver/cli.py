@@ -6,13 +6,13 @@ indent).  Exit codes: 0 success, 1 domain error (including a file that
 cannot be read as UTF-8 text), 2 usage error.  Identical invocations print
 byte-identical output.
 
-The quiver subcommands need only :mod:`stepquiver.quiver` and
-:mod:`stepquiver.qv`, so they start without numpy; the numeric handlers
-import their layers, and numpy with them, when they run.  ``gldim`` with
-the Stieltjes route (``--method stieltjes`` or the default ``all``) loads
-them inside :mod:`stepquiver.quiver`.  In text mode, ``gldim --method all``
-prints the agreed value of the three routes; only ``--json`` builds the
-full report, with every thread and the Koszul dual.
+Each handler imports the layers it uses when it runs.  The quiver
+subcommands, ``gldim`` by every route included, need only
+:mod:`stepquiver.quiver` and :mod:`stepquiver.qv`, so they start without
+numpy; the numeric subcommands load their layers, and numpy with them, and
+never :mod:`stepquiver.quiver` or :mod:`stepquiver.qv`.  In text mode,
+``gldim --method all`` prints the agreed value of the three routes; only
+``--json`` builds the full report, with every thread and the Koszul dual.
 """
 
 from __future__ import annotations
@@ -24,43 +24,34 @@ import sys
 from typing import TYPE_CHECKING, Optional
 
 from .errors import StepQuiverError
-from .quiver import (
-    FORBIDDEN,
-    PERMITTED,
-    GentlePresentation,
-    ValidationReport,
-    enumerate_threads,
-    gldim_report,
-    global_dimension,
-    koszul_dual,
-    validate_gentle,
-)
-from .qv import QuiverDoc, doc_from_presentation, emit_dsl, parse_quiver_dsl
 
 if TYPE_CHECKING:
     from .integrate import Enclosure
+    from .quiver import GentlePresentation
+    from .qv import QuiverDoc
 
 
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_doc(path: str) -> QuiverDoc:
+def _load_presentation(path: str, strict: bool = False):
+    from .quiver import validate_gentle
+    from .qv import parse_quiver_dsl
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise StepQuiverError(f"{path}: not UTF-8 text ({exc.reason} "
                                   f"at byte {exc.start})") from None
-    return parse_quiver_dsl(text)
-
-
-def _load_presentation(path: str, strict: bool = False):
-    doc = _load_doc(path)
+    doc = parse_quiver_dsl(text)
     return doc, validate_gentle(doc.quiver(), doc.relations, strict=strict)
 
 
 def _require_presentation(path: str) -> tuple[QuiverDoc, GentlePresentation]:
+    from .quiver import ValidationReport
+
     doc, result = _load_presentation(path)
     if isinstance(result, ValidationReport):
         raise StepQuiverError(
@@ -87,6 +78,8 @@ def _print_enclosure(enc: Enclosure, as_json: bool, extra: Optional[dict] = None
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
+    from .quiver import ValidationReport
+
     doc, result = _load_presentation(args.file, strict=args.strict)
     if isinstance(result, ValidationReport):
         if args.json:
@@ -110,8 +103,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_threads(args) -> int:
+    from .quiver import enumerate_threads
+
     _, p = _require_presentation(args.file)
-    kinds = [FORBIDDEN, PERMITTED] if args.kind == "both" else [args.kind]
+    kinds = ["forbidden", "permitted"] if args.kind == "both" else [args.kind]
     found = {k: enumerate_threads(p, k) for k in kinds}
     if args.json:
         _emit_json({k: [t.to_json() for t in ts] for k, ts in found.items()})
@@ -125,19 +120,24 @@ def _cmd_threads(args) -> int:
 
 
 def _cmd_koszul(args) -> int:
+    from .quiver import koszul_dual
+
     doc, p = _require_presentation(args.file)
-    dual = koszul_dual(p)
-    out = doc_from_presentation(doc.name + "_dual", dual)
+    dual, name = koszul_dual(p), doc.name + "_dual"
     if args.json:
         payload = dual.to_json()
-        payload["name"] = out.name
+        payload["name"] = name
         _emit_json(payload)
     else:
-        sys.stdout.write(emit_dsl(out))
+        from .qv import doc_from_presentation, emit_dsl
+
+        sys.stdout.write(emit_dsl(doc_from_presentation(name, dual)))
     return 0
 
 
 def _cmd_gldim(args) -> int:
+    from .quiver import gldim_report, global_dimension
+
     _, p = _require_presentation(args.file)
     if args.json and args.method == "all":
         _emit_json(gldim_report(p))
@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("threads", _cmd_threads, help="enumerate maximal threads")
     sp.add_argument("file")
-    sp.add_argument("--kind", choices=[PERMITTED, FORBIDDEN, "both"], default="both")
+    sp.add_argument("--kind", choices=["permitted", "forbidden", "both"], default="both")
 
     sp = add("koszul", _cmd_koszul, help="emit the Koszul dual presentation")
     sp.add_argument("file")

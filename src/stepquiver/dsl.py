@@ -27,7 +27,8 @@ numpy-aware; invalid points (division by zero, negative radicands) yield
 non-finite values rather than exceptions.
 
 The ``.qv`` quiver format lives in :mod:`stepquiver.qv`, which loads no
-numpy; the expression parser reuses its token cursor.
+numpy.  Both parsers take their token cursor from :mod:`stepquiver.errors`,
+so this module loads no quiver code.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainAnnotationMissingError, DslSyntaxError
+from .errors import DomainAnnotationMissingError, DslSyntaxError, _TokenCursor
 from .integrate import _Evaluator, _monotone_runs
 from .measure import Interval, box1, make_interval
-from .qv import _TokenCursor
 from .stepfn import StepFunction, _build
 
 TRUNCATE_EPS = 1e-8

@@ -2,7 +2,8 @@
 
 All library errors derive from :class:`StepQuiverError` so callers (and the
 CLI) can map "domain problem" to a single except clause.  Names describe the
-condition that was violated, not the call site.
+condition that was violated, not the call site.  Both text parsers share
+the token cursor that raises :class:`DslSyntaxError`, defined beside it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class EmptyWeightsError(StepQuiverError):
 
 
 class NonIntegerResultError(StepQuiverError):
-    """A quantity that must round to an integer missed by more than 1e-9."""
+    """A quantity that must be an integer missed one by more than its
+    tolerance, or its bracket does not hold exactly one integer."""
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +167,28 @@ class DslSyntaxError(StepQuiverError):
         if found:
             what += f", found {found!r}"
         super().__init__(f"syntax error at line {line}, column {col}: {what}")
+
+
+class _TokenCursor:
+    """Position in a list of token strings; errors point at the offending
+    token, or just past the last one at end of input.  Positions are worked
+    out only on error, from ``_start`` (a token's offset in the text) and
+    ``_line_col`` (an offset as a line and column)."""
+
+    def __init__(self, toks: list[str]):
+        self.toks = toks
+        self.pos = 0
+
+    def _err(self, expected: str, pos: int | None = None):
+        pos = self.pos if pos is None else pos
+        toks = self.toks
+        if pos < len(toks):
+            raise DslSyntaxError(*self._line_col(self._start(pos)), expected, toks[pos])
+        end = self._start(len(toks) - 1) + len(toks[-1]) if toks else 0
+        raise DslSyntaxError(*self._line_col(end), expected, "end of input")
+
+    def peek(self) -> str | None:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
 
 class UnknownVertexError(StepQuiverError):

@@ -42,15 +42,15 @@ Global dimension routes (must agree):
 * ``integral`` — twice the weighted unit-box integral of the source-vertex
   multiplicities of each forbidden thread at t = 1;
 * ``stieltjes`` — sup over permitted threads of the Koszul dual of
-  ``∫_1^2 x d(ℓ·ln x) = ℓ·∫_1^2 x d(ln x)`` (one unit integral per process),
-  each value within 1e-9 of the thread length.
+  ``∫_1^2 x d(ℓ·ln x) = ℓ·∫_1^2 x d(ln x)``: ℓ times a certified bracket of
+  the unit integral, whose one integer is the thread length.
 
-The first two routes are exact integer arithmetic: their helpers
+Every route is exact integer arithmetic.  Their helpers
 :func:`multiple_integral_affine_unit_box` and :func:`integer_from_float`
-live here.  The module imports no numeric layer; the Stieltjes route loads
-:mod:`stepquiver.integrate` and :mod:`stepquiver.measure`, and numpy with
-them, on its first call, so the other routes and everything the ``.qv``
-format needs run without numpy.
+live here, and the unit bracket is the closed form of the lower and upper
+Darboux–Stieltjes sums on a geometric partition (:func:`_log_unit`).  The
+module imports no numeric layer, so gl.dim by every route, and everything
+the ``.qv`` format needs, runs without numpy.
 """
 
 from __future__ import annotations
@@ -732,21 +732,29 @@ def w_projection(p_dual: GentlePresentation, P, x: AlgebraElement) -> float:
 # global dimension, three ways
 # ---------------------------------------------------------------------------
 
+_LN2_UP = 0.6931471805599454   # the binary64 just above ln 2
+
+
 @cache
-def _log_unit() -> float:
-    """``∫_1^2 x d(ln x)`` from its density form, whose integrand ``x · 1/x``
-    is constant, hence convex; the Stieltjes sums are cross-checked once.
-    The only route that loads the numeric layers, and numpy with them."""
-    from .integrate import convex_enclosure, stieltjes_integrate
-    from .measure import log_power_measure
+def _log_unit() -> tuple[float, float]:
+    """A certified bracket ``(lo, hi)`` of ``∫_1^2 x d(ln x) = 1``, from no
+    logarithm.  On ``x_i = 2^(i/N)``, ``N = 2^60``, each step of ``ln x`` is
+    ``t = ln 2 / N``, so the lower and upper Darboux–Stieltjes sums of ``x``
+    (Apostol, *Mathematical Analysis*, ch. 7) are ``t/(e^t − 1) ≥ 1 − t/2``
+    and ``t/(1 − e^−t) ≤ 1 + t/2 + t²/12 ≤ 1 + t`` (``t ≤ 6``).  ``t`` is
+    bounded from above through ``_LN2_UP``; each bound is rounded outward."""
+    t = _LN2_UP / 2 ** 60       # exact: N is a power of two
+    return math.nextafter(1.0 - t / 2, 0.0), math.nextafter(1.0 + t, math.inf)
 
-    unit = log_power_measure(1.0)
-    stieltjes_integrate(lambda x: x, unit, (1.0, 2.0), 1e-9)
-    return convex_enclosure(lambda x: x * unit.phi_prime(x), (1.0, 2.0), 1e-9).midpoint
 
-
-def _stieltjes_length(l: int) -> float:
-    return l * _log_unit()  # ∫_1^2 x d(l·ln x) is linear in the measure
+def _stieltjes_length(l: int) -> int:
+    """The one integer in ``l·[lo, hi]``, rounded outward: ∫_1^2 x d(l·ln x)
+    is linear in the measure.  ``l``, an arrow count, is exact as a float."""
+    lo, hi = _log_unit()
+    k = math.ceil(math.nextafter(l * lo, 0.0))
+    if k != math.floor(math.nextafter(l * hi, math.inf)):
+        raise NonIntegerResultError(f"{l}·[{lo!r}, {hi!r}] does not hold exactly one integer")
+    return k
 
 
 def _gldim_threads(forb: _Chains) -> int:
@@ -777,9 +785,7 @@ def _gldim_integral(forb: _Chains, lk: _Links) -> int:
 
 
 def _gldim_stieltjes(dual: _Links) -> int:
-    lengths = sorted(set(_threads(dual, PERMITTED).lengths()))
-    return max((integer_from_float(_stieltjes_length(l), 1e-9) for l in lengths),
-               default=0)
+    return max(map(_stieltjes_length, set(_threads(dual, PERMITTED).lengths())), default=0)
 
 
 def _agreed_routes(lk: _Links, forb: _Chains, dual: _Links) -> dict:

@@ -27,9 +27,9 @@ grammar error, wherever it stands.  The text is scanned once, and
 positions are worked out only when an error is raised.
 
 This module needs only :mod:`stepquiver.quiver` and the standard library,
-so reading, checking and writing quivers never loads numpy.  The
-expression language in :mod:`stepquiver.dsl` shares its
-:class:`_TokenCursor`.
+so reading, checking and writing quivers never loads numpy.  Its parser
+shares :class:`~stepquiver.errors._TokenCursor` with the expression
+language in :mod:`stepquiver.dsl`.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional
 
-from .errors import DslSyntaxError, NonQuadraticRelationError, StepQuiverError
+from .errors import DslSyntaxError, NonQuadraticRelationError, StepQuiverError, _TokenCursor
 from .quiver import Arrow, GentlePresentation, Quiver, _intern, _names, _relation, _set
 
 RESERVED = ("quiver", "vertices", "arrows", "relations")
@@ -95,28 +94,6 @@ _QV_TOKEN = re.compile(r"#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*"
 _PUNCT = frozenset(("{", "}", ":", ",", "*", "->"))
 # every other token is an identifier; "" marks the end of input
 _NOT_IDENT = _PUNCT | frozenset(RESERVED) | {""}
-
-
-class _TokenCursor:
-    """Position in a list of token strings; errors point at the offending
-    token, or just past the last one at end of input.  Positions are worked
-    out only on error, from ``_start`` (a token's offset in the text) and
-    ``_line_col`` (an offset as a line and column)."""
-
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.pos = 0
-
-    def _err(self, expected: str, pos: Optional[int] = None):
-        pos = self.pos if pos is None else pos
-        toks = self.toks
-        if pos < len(toks):
-            raise DslSyntaxError(*self._line_col(self._start(pos)), expected, toks[pos])
-        end = self._start(len(toks) - 1) + len(toks[-1]) if toks else 0
-        raise DslSyntaxError(*self._line_col(end), expected, "end of input")
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
 
 class _QvParser(_TokenCursor):

@@ -158,12 +158,14 @@ def test_gldim_text_reports_all_three_routes(capsys):
 
 
 def test_gldim_text_prints_the_routes_without_the_json_report(capsys, monkeypatch):
-    from stepquiver import cli, quiver
+    from stepquiver import quiver
 
     def refuse(p):
         raise AssertionError("text-mode gldim built the JSON report")
 
-    monkeypatch.setattr(cli, "gldim_report", refuse)
+    # the handler imports gldim_report from stepquiver.quiver when it runs
+    report = quiver.gldim_report
+    monkeypatch.setattr(quiver, "gldim_report", refuse)
     for name, d in sorted(EXPECTED_GLDIM.items()):
         rc, out, err = run_cli(capsys, "gldim", qv(name))
         assert (rc, err) == (0, ""), name
@@ -173,7 +175,7 @@ def test_gldim_text_prints_the_routes_without_the_json_report(capsys, monkeypatc
     err = ("error: global-dimension routes disagree: "
            "{'threads': 2, 'integral': -1, 'stieltjes': 2}\n")
     assert run_cli(capsys, "gldim", qv("a3_full")) == (1, "", err)
-    monkeypatch.setattr(cli, "gldim_report", quiver.gldim_report)
+    monkeypatch.setattr(quiver, "gldim_report", report)
     assert run_cli(capsys, "gldim", qv("a3_full"), "--json") == (1, "", err)
 
 
@@ -465,7 +467,8 @@ def test_a_step_integral_beyond_binary64_is_a_typed_error(capsys):
 
 
 # Runs the CLI module as ``python -m stepquiver.cli`` does (or only imports
-# the package when given no arguments) and reports whether numpy was loaded.
+# the package when given no arguments) and reports which of numpy and the
+# quiver modules were loaded.
 _COLD_START = """
 import runpy, sys
 try:
@@ -474,23 +477,40 @@ try:
     else:
         import stepquiver
 finally:
-    sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n")
+    watched = ("numpy", "stepquiver.quiver", "stepquiver.qv")
+    sys.stderr.write(f"loaded: {[m for m in watched if m in sys.modules]}\\n")
 """
 
 
-def test_quiver_subcommands_start_without_numpy(capsys):
+def cold_start_loads(capsys, argv) -> bytes:
+    """The ``loaded: [...]`` line of one fresh interpreter running ``argv``,
+    after checking its exit code and stdout against an in-process run."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
+                          capture_output=True, timeout=60, env=env)
+    if argv:
+        rc, out, _ = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (rc, out.encode()), argv
+    return proc.stderr.rpartition(b"loaded: ")[2]
+
+
+def test_quiver_subcommands_start_without_numpy(capsys):
     runs = [()] + [(cmd, qv("a4_full"), *json_flag)
-                   for cmd in ("validate", "threads", "koszul")
+                   for cmd in ("validate", "threads", "koszul", "gldim")
                    for json_flag in ((), ("--json",))]
-    runs += [("gldim", qv("a4_full"), "--method", m) for m in ("threads", "integral")]
+    runs += [("gldim", qv("a4_full"), "--method", m)
+             for m in ("threads", "integral", "stieltjes", "all")]
     for argv in runs:
-        proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
-                              capture_output=True, timeout=60, env=env)
-        assert proc.stderr.endswith(b"numpy loaded: False\n"), (argv, proc.stderr)
-        if argv:
-            rc, out, _ = run_cli(capsys, *argv)
-            assert (proc.returncode, proc.stdout) == (rc, out.encode()), argv
+        assert b"numpy" not in cold_start_loads(capsys, argv), argv
+
+
+def test_numeric_subcommands_start_without_the_quiver_modules(capsys):
+    runs = [("integrate", "--fn", "t^2", "--domain", "0", "1"),
+            ("stieltjes", "--fn", "t", "--domain", "1", "2", "--log-power", "3"),
+            ("elemfn", "--name", "asin", "--at", "0.5"),
+            ("iposet-add", "--fn", "indicator(0,4)", "--first", "0", "2", "--second", "1", "3")]
+    for argv in runs:
+        assert cold_start_loads(capsys, argv) == b"['numpy']\n", argv
 
 
 def test_console_script_is_installed(tmp_path):

@@ -6,6 +6,7 @@ in conftest, which never touch the library's thread machinery.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections import Counter
@@ -26,6 +27,7 @@ from stepquiver import (
     MethodDisagreementError,
     NonComposableRelationError,
     NonFiniteError,
+    NonIntegerResultError,
     NonQuadraticRelationError,
     NotGentleError,
     NotPermittedError,
@@ -49,9 +51,8 @@ from stepquiver import (
     vertex_hom_q,
     w_projection,
 )
-from stepquiver import integrate, quiver
-from stepquiver.integrate import stieltjes_integrate
-from stepquiver.quiver import _log_unit, _stieltjes_length, integer_from_float
+from stepquiver import quiver
+from stepquiver.quiver import _LN2_UP, _log_unit, _stieltjes_length, integer_from_float
 
 from conftest import (
     EXPECTED_GLDIM,
@@ -559,8 +560,7 @@ def test_long_chains_have_no_recursion_limit(n, full):
     assert set(dual.relations) == (
         set() if full else {(b, a) for a, b in full_chain_relations(n)})
     gldim = n if full else 1
-    routes = ("threads", "integral") + (("stieltjes",) if gldim <= 1500 else ())
-    for method in routes:
+    for method in ("threads", "integral", "stieltjes"):
         assert global_dimension(p, method) == gldim, method
 
 
@@ -570,9 +570,9 @@ def test_integer_from_float_refuses_non_finite_values(value):
         integer_from_float(value)
 
 
-@pytest.mark.parametrize("l", [1100, 10_000])
+@pytest.mark.parametrize("l", [1, 1100, 10_000, 100_000, 10 ** 9])
 def test_stieltjes_length_of_long_threads_is_an_integer(l):
-    assert integer_from_float(_stieltjes_length(l), 1e-9) == l
+    assert _stieltjes_length(l) == l
 
 
 def test_stieltjes_route_on_the_full_chain_of_a_hundred_thousand_arrows():
@@ -582,20 +582,40 @@ def test_stieltjes_route_on_the_full_chain_of_a_hundred_thousand_arrows():
         assert global_dimension(p, method) == n, method
 
 
-def test_stieltjes_route_integrates_once_whatever_the_lengths(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return stieltjes_integrate(*args)
-
-    # the route imports stieltjes_integrate from stepquiver.integrate per call
-    monkeypatch.setattr(integrate, "stieltjes_integrate", counted)
+def test_stieltjes_route_builds_the_unit_bracket_once_whatever_the_lengths():
     _log_unit.cache_clear()
     for n in (3, 40, 500):
         p = validate_gentle(chain(n), full_chain_relations(n))
         assert global_dimension(p, "stieltjes") == n
-    assert len(calls) == 1
+    assert _log_unit.cache_info().misses == 1
+
+
+def test_the_unit_bracket_holds_one_and_is_a_few_ulps_wide():
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        assert Decimal(math.nextafter(_LN2_UP, 0)) < Decimal(2).ln() < Decimal(_LN2_UP)
+    lo, hi = _log_unit()
+    assert lo < 1.0 < hi
+    assert hi - lo <= 4 * math.ulp(1.0)
+
+
+def test_the_unit_bracket_holds_the_computed_stieltjes_integral():
+    # the quadrature the route no longer runs, as a cross-check of the bracket
+    from stepquiver import log_power_measure, stieltjes_integrate
+
+    value = stieltjes_integrate(lambda t: t, log_power_measure(1.0), (1.0, 2.0), 1e-9)
+    lo, hi = _log_unit()
+    assert lo - 1e-9 <= value <= hi + 1e-9
+
+
+@pytest.mark.parametrize("unit", [(0.99, 1.06), (1.01, 1.04)], ids=["two", "none"])
+def test_a_length_bracket_without_exactly_one_integer_is_refused(monkeypatch, unit):
+    # 20·[0.99, 1.06] = [19.8, 21.2] holds 20 and 21; 20·[1.01, 1.04] none
+    monkeypatch.setattr(quiver, "_log_unit", lambda: unit)
+    with pytest.raises(NonIntegerResultError, match="exactly one integer"):
+        _stieltjes_length(20)
 
 
 # ---------------------------------------------------------------------------
