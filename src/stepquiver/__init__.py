@@ -26,10 +26,10 @@ _EXPORTS = {
     "elemfn": "K_constant acos_cat asin_cat cos_cat exp_cat k_reference ln_cat sin_cat",
     "quiver": """AlgebraElement Arrow GentlePresentation Quiver Thread ValidationReport
         enumerate_threads forb_perm_bijection gldim_report global_dimension
-        integer_from_float koszul_dual multiple_integral_affine_unit_box
-        path_length_via_integral path_source_weights validate_gentle vertex_hom
-        vertex_hom_q w_projection""",
-    "qv": "QuiverDoc doc_from_presentation emit_dsl parse_quiver_dsl",
+        integer_from_float koszul_dual koszul_report multiple_integral_affine_unit_box
+        path_length_via_integral path_source_weights thread_names threads_report validate_gentle
+        vertex_hom vertex_hom_q w_projection""",
+    "qv": "QuiverDoc emit_dsl emit_koszul_dual parse_quiver_dsl",
     "dsl": "FnExpr ensure_proper monotone_pieces parse_fn_expr step_literal",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -10,9 +10,11 @@ Each handler imports the layers it uses when it runs.  The quiver
 subcommands, ``gldim`` by every route included, need only
 :mod:`stepquiver.quiver` and :mod:`stepquiver.qv`, so they start without
 numpy; the numeric subcommands load their layers, and numpy with them, and
-never :mod:`stepquiver.quiver` or :mod:`stepquiver.qv`.  In text mode,
-``gldim --method all`` prints the agreed value of the three routes; only
-``--json`` builds the full report, with every thread and the Koszul dual.
+never :mod:`stepquiver.quiver` or :mod:`stepquiver.qv`.  After the parse, a
+quiver subcommand builds only its output, from the integer form: ``threads``
+the thread lists, ``koszul`` the dual's text or JSON, text ``gldim`` the
+routes' agreed value and ``gldim --json`` the full report, with every thread
+and the dual; none builds a ``Thread``, a named dual or a second ``QuiverDoc``.
 """
 
 from __future__ import annotations
@@ -27,16 +29,15 @@ from .errors import StepQuiverError
 
 if TYPE_CHECKING:
     from .integrate import Enclosure
-    from .quiver import GentlePresentation
-    from .qv import QuiverDoc
 
 
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_presentation(path: str, strict: bool = False):
-    from .quiver import validate_gentle
+def _load_presentation(path: str, strict: bool = False, report: bool = False):
+    """The document in ``path`` and its presentation, or with ``report`` its report."""
+    from .quiver import ValidationReport, validate_gentle
     from .qv import parse_quiver_dsl
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -46,14 +47,8 @@ def _load_presentation(path: str, strict: bool = False):
             raise StepQuiverError(f"{path}: not UTF-8 text ({exc.reason} "
                                   f"at byte {exc.start})") from None
     doc = parse_quiver_dsl(text)
-    return doc, validate_gentle(doc.quiver(), doc.relations, strict=strict)
-
-
-def _require_presentation(path: str) -> tuple[QuiverDoc, GentlePresentation]:
-    from .quiver import ValidationReport
-
-    doc, result = _load_presentation(path)
-    if isinstance(result, ValidationReport):
+    result = validate_gentle(doc.quiver(), doc.relations, strict=strict)
+    if not report and isinstance(result, ValidationReport):
         raise StepQuiverError(
             f"{path}: not a gentle presentation "
             f"({len(result.violations)} violation(s); run `validate` for details)"
@@ -80,7 +75,7 @@ def _print_enclosure(enc: Enclosure, as_json: bool, extra: Optional[dict] = None
 def _cmd_validate(args) -> int:
     from .quiver import ValidationReport
 
-    doc, result = _load_presentation(args.file, strict=args.strict)
+    doc, result = _load_presentation(args.file, args.strict, report=True)
     if isinstance(result, ValidationReport):
         if args.json:
             _emit_json(result.to_json())
@@ -103,42 +98,37 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_threads(args) -> int:
-    from .quiver import enumerate_threads
+    from .quiver import thread_names, threads_report
 
-    _, p = _require_presentation(args.file)
+    _, p = _load_presentation(args.file)
     kinds = ["forbidden", "permitted"] if args.kind == "both" else [args.kind]
-    found = {k: enumerate_threads(p, k) for k in kinds}
     if args.json:
-        _emit_json({k: [t.to_json() for t in ts] for k, ts in found.items()})
-    else:
-        for k in kinds:
-            ts = found[k]
-            sys.stdout.write(f"{k} ({len(ts)}):\n")
-            for t in ts:
-                sys.stdout.write(f"  {'*'.join(t.arrows)}\n")
+        _emit_json(threads_report(p, kinds))
+        return 0
+    found = {k: thread_names(p, k) for k in kinds}    # every kind is walked before output
+    for k, names in found.items():
+        lines = [f"  {'*'.join(arrows)}\n" for arrows in names]
+        sys.stdout.write(f"{k} ({len(lines)}):\n" + "".join(lines))
     return 0
 
 
 def _cmd_koszul(args) -> int:
-    from .quiver import koszul_dual
+    from .quiver import koszul_report
+    from .qv import emit_koszul_dual
 
-    doc, p = _require_presentation(args.file)
-    dual, name = koszul_dual(p), doc.name + "_dual"
+    doc, p = _load_presentation(args.file)
+    name = doc.name + "_dual"
     if args.json:
-        payload = dual.to_json()
-        payload["name"] = name
-        _emit_json(payload)
+        _emit_json({**koszul_report(p), "name": name})
     else:
-        from .qv import doc_from_presentation, emit_dsl
-
-        sys.stdout.write(emit_dsl(doc_from_presentation(name, dual)))
+        sys.stdout.write(emit_koszul_dual(name, p))
     return 0
 
 
 def _cmd_gldim(args) -> int:
     from .quiver import gldim_report, global_dimension
 
-    _, p = _require_presentation(args.file)
+    _, p = _load_presentation(args.file)
     if args.json and args.method == "all":
         _emit_json(gldim_report(p))
         return 0
@@ -292,26 +282,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, file=False, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+        if file:
+            sp.add_argument("file")
         sp.set_defaults(func=func)
         return sp
 
-    sp = add("validate", _cmd_validate, help="check the gentle-pair conditions")
-    sp.add_argument("file")
+    sp = add("validate", _cmd_validate, file=True, help="check the gentle-pair conditions")
     sp.add_argument("--strict", action="store_true",
                     help="also check the at-most-one formulation per arrow end")
 
-    sp = add("threads", _cmd_threads, help="enumerate maximal threads")
-    sp.add_argument("file")
+    sp = add("threads", _cmd_threads, file=True, help="enumerate maximal threads")
     sp.add_argument("--kind", choices=["permitted", "forbidden", "both"], default="both")
 
-    sp = add("koszul", _cmd_koszul, help="emit the Koszul dual presentation")
-    sp.add_argument("file")
+    add("koszul", _cmd_koszul, file=True, help="emit the Koszul dual presentation")
 
-    sp = add("gldim", _cmd_gldim, help="global dimension")
-    sp.add_argument("file")
+    sp = add("gldim", _cmd_gldim, file=True, help="global dimension")
     sp.add_argument("--method", choices=["threads", "integral", "stieltjes", "all"],
                     default="all")
 

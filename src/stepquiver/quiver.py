@@ -13,26 +13,15 @@ enforced by tests against a brute-force scanner.
 Gentle conditions (2)/(3) leave every arrow at most one successor and at
 most one predecessor under each predicate, so the threads of one kind are
 disjoint chains (Avella-Alaminos–Geiss, JPAA 2008).  The work is done on
-integers.  A quiver interns its names once, at construction: vertex and
-arrow ids are ranks in plain ``sorted`` name order, so every order read from
-the ids is name order, and the pass that fills them checks the names.  It
-keeps each arrow's source and target id, and the arrows into and out of each
-vertex as flat lists grouped by vertex, in declaration order within a group.
-A presentation keeps its relations as ints ``a·A + b`` (``A`` arrows) and,
-on first use of each predicate, a successor array (the arrow after ``a``
-inside the ideal, or outside it; −1 for none) from one pass over the
-composable pairs that stops at the first arrow with a second successor or
-predecessor.  Conditions (1)–(3) read the per-vertex groups and walk no
-pairs; threads and cycle witnesses walk the arrays, and the chains of one
-kind come out end to end in one flat list; the integral route counts source
-multiplicities on vertex ids; the Koszul dual swaps sources and targets,
-takes its relations ``(b, a)`` from the composable pairs ``(a, b)`` outside
-the ideal and passes the same gentle check, keeping the arrow ids.  Names
-come back only for what a call returns or prints: threads, witnesses and
-JSON.  So the gl.dim report writes the dual's JSON from its integer form;
-the forbidden/permitted bijection matches the chains by arrow id and names
-only the pairs it returns, or the unmatched chains of its error; and a path
-in an algebra element is checked, reduced and weighed on ids.  On gentle
+integers (``_Ints``, ``_Links``): names are interned once, as ranks in
+``sorted`` name order, so every order read from the ids is name order;
+conditions (1)–(3) read the arrows at each vertex, threads and cycle
+witnesses walk one successor array per predicate, and the Koszul dual
+(``_dual``) swaps sources and targets, keeping the arrow ids.  Names come
+back only in output: :func:`thread_names`, :func:`threads_report`,
+:func:`koszul_report`, :func:`gldim_report` and the dual's ``.qv`` text
+(``stepquiver.qv.emit_koszul_dual``) are written from the arrow-id chains
+and the dual's integer form, with no ``Thread`` or named dual.  On gentle
 input, validation, threads and the dual are linear in the number of arrows,
 with no recursion limit on the length of a chain.
 
@@ -516,7 +505,11 @@ class Thread:
         return len(self.arrows)
 
     def to_json(self) -> dict:
-        return {"arrows": list(self.arrows), "kind": self.kind, "length": self.length}
+        return _thread_json(list(self.arrows), self.kind)
+
+
+def _thread_json(arrows: list[str], kind: str) -> dict:
+    return {"arrows": arrows, "kind": kind, "length": len(arrows)}
 
 
 def _threads(lk: _Links, kind: str) -> _Chains:
@@ -533,22 +526,30 @@ def _threads(lk: _Links, kind: str) -> _Chains:
     return chains
 
 
-def _named_threads(lk: _Links, chains: _Chains, kind: str) -> tuple[Thread, ...]:
-    name = lk.ix.arrow_names.__getitem__
-    # chains start at distinct arrows taken in name order, so they are sorted
-    return tuple(Thread(tuple(map(name, c)), kind) for c in chains.each())
-
-
-def enumerate_threads(p: GentlePresentation, kind: str) -> tuple[Thread, ...]:
-    """All maximal chains for the pair-predicate of ``kind``, sorted.
+def thread_names(p: GentlePresentation, kind: str) -> Iterator[list[str]]:
+    """The arrow names of each maximal chain for the pair-predicate of
+    ``kind``, sorted, named as the iterator runs: no ``Thread`` is built.
 
     ``forbidden`` chains have every consecutive product in the ideal;
     ``permitted`` chains have none.  A cycle in the respective composition
     graph means there is no finite maximal chain: forbidden cycles raise
     ``InfiniteGlobalDimensionError``, permitted cycles
-    ``InfiniteDimensionalError``.
+    ``InfiniteDimensionalError``, both at the call.
     """
-    return _named_threads(p._links, _threads(p._links, kind), kind)
+    # sorted, as chains start at distinct arrows in name order; named in one map
+    chains, names = _threads(p._links, kind), p._links.ix.arrow_names
+    return _Chains(list(map(names.__getitem__, chains.order)), chains.cuts).each()
+
+
+def enumerate_threads(p: GentlePresentation, kind: str) -> tuple[Thread, ...]:
+    """The threads of :func:`thread_names` as ``Thread``s."""
+    return tuple(Thread(tuple(arrows), kind) for arrows in thread_names(p, kind))
+
+
+def threads_report(p: GentlePresentation, kinds: Iterable[str]) -> dict:
+    """``{kind: [t.to_json() for t in enumerate_threads(p, kind)]}``, no ``Thread`` built."""
+    return {kind: [_thread_json(arrows, kind) for arrows in thread_names(p, kind)]
+            for kind in kinds}
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +571,11 @@ def _dual(lk: _Links) -> _Links:
             f"Koszul dual failed gentle validation: {report.to_json()}"
         )
     return dual
+
+
+def koszul_report(p: GentlePresentation) -> dict:
+    """``koszul_dual(p).to_json()``, written from the dual's integer form."""
+    return _dual(p._links).to_json()
 
 
 def koszul_dual(p: GentlePresentation) -> GentlePresentation:
@@ -824,16 +830,12 @@ def global_dimension(p: GentlePresentation, method: str = "threads") -> int:
 def gldim_report(p: GentlePresentation) -> dict:
     """JSON-ready report: value, per-route values, threads, and the dual."""
     lk = p._links
-    forb, perm = _threads(lk, FORBIDDEN), _threads(lk, PERMITTED)
+    # the thread lists walk the forbidden chains again: a linear pass
+    forb, threads = _threads(lk, FORBIDDEN), threads_report(p, (FORBIDDEN, PERMITTED))
     dual = _dual(lk)
     values = _agreed_routes(lk, forb, dual)
-    return {
-        "gldim": values["threads"],
-        "method_values": values,
-        "threads": {kind: [t.to_json() for t in _named_threads(lk, chains, kind)]
-                    for kind, chains in ((FORBIDDEN, forb), (PERMITTED, perm))},
-        "dual": dual.to_json(),
-    }
+    return {"gldim": values["threads"], "method_values": values, "threads": threads,
+            "dual": dual.to_json()}
 
 
 def forb_perm_bijection(p: GentlePresentation) -> tuple:
@@ -852,5 +854,4 @@ def forb_perm_bijection(p: GentlePresentation) -> tuple:
             f"thread correspondence failed; unmatched forbidden reversals: "
             f"{named(expected - actual)}, unmatched dual permitted: {named(actual - expected)}"
         )
-    return tuple((t, Thread(t.arrows[::-1], PERMITTED))
-                 for t in _named_threads(lk, forb, FORBIDDEN))
+    return tuple((t, Thread(t.arrows[::-1], PERMITTED)) for t in enumerate_threads(p, FORBIDDEN))

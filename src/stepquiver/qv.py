@@ -18,6 +18,7 @@ quadratic monomial.  ``emit_dsl`` produces a canonical form — name order is
 by (length, string) so numeric labels sort naturally — and
 ``parse_quiver_dsl(emit_dsl(doc)) == doc``: ``emit_dsl`` refuses a document
 without vertices, or with a name that is not an IDENT or is reserved.
+``emit_koszul_dual`` writes a Koszul dual's text from its integer form.
 
 Lines end where ``str.splitlines`` ends them: ``\\n``, ``\\r\\n``, a lone
 ``\\r``, ``\\x0c``, ``\\u2028`` and the rest.  Any of them ends a ``#``
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import DslSyntaxError, NonQuadraticRelationError, StepQuiverError, _TokenCursor
-from .quiver import Arrow, GentlePresentation, Quiver, _intern, _names, _relation, _set
+from .quiver import Arrow, GentlePresentation, Quiver, _dual, _intern, _names, _relation, _set
 
 RESERVED = ("quiver", "vertices", "arrows", "relations")
 _IDENT = re.compile(r"[A-Za-z0-9_]+")
@@ -49,6 +50,10 @@ _NAME_CHARS = re.compile(r"[A-Za-z0-9_ ]+")
 # ---------------------------------------------------------------------------
 # quiver documents
 # ---------------------------------------------------------------------------
+
+def _pair_key(r: tuple[str, str]) -> tuple:   # relations in (length, name) order
+    return len(r[0]), r[0], len(r[1]), r[1]
+
 
 @dataclass(frozen=True)
 class QuiverDoc:
@@ -67,8 +72,7 @@ class QuiverDoc:
     def __post_init__(self):
         # checked once, here, so that the sorts can compare the names
         vertices, arrows, names = _names(self.vertices, self.arrows)
-        rels = tuple(sorted(dict.fromkeys(map(_relation, self.relations)),
-                            key=lambda r: (len(r[0]), r[0], len(r[1]), r[1])))
+        rels = tuple(sorted(dict.fromkeys(map(_relation, self.relations)), key=_pair_key))
         # (length, name) order from C-level sorts: a stable sort by length of
         # what is already in name order, so arrows of one name keep theirs
         by_name = sorted(range(len(arrows)), key=names.__getitem__)
@@ -79,10 +83,6 @@ class QuiverDoc:
 
     def quiver(self) -> Quiver:
         return self._quiver
-
-
-def doc_from_presentation(name: str, p: GentlePresentation) -> QuiverDoc:
-    return QuiverDoc(name, p.quiver.vertices, p.quiver.arrows, p.relations)
 
 
 # One scan of the whole text.  A comment runs to the next line break of
@@ -202,25 +202,36 @@ def parse_quiver_dsl(text: str) -> QuiverDoc:
 def emit_dsl(doc: QuiverDoc) -> str:
     """The canonical ``.qv`` text of ``doc``; ``StepQuiverError`` for a
     document that no text parses back to (see the module docstring)."""
-    if not doc.vertices:
-        raise StepQuiverError(f"quiver {doc.name!r} declares no vertices")
-    names = (doc.name, *doc.vertices, *doc._quiver._ints.arrow_names,
-             *chain.from_iterable(doc.relations))
+    return _emit(doc.name, doc.vertices, doc.arrows, doc.relations,
+                 (doc.name, *doc.vertices, *doc._quiver._ints.arrow_names,
+                  *chain.from_iterable(doc.relations)))
+
+
+def emit_koszul_dual(name: str, p: GentlePresentation) -> str:
+    """``emit_dsl`` of ``koszul_dual(p)``'s document named ``name`` (``p`` on a
+    ``QuiverDoc``'s quiver), from the dual's integer form: no dual is built."""
+    dual = _dual(p._links)
+    an, vn, src, tgt = dual.ix.arrow_names, dual.ix.vertex_names, dual.ix.src, dual.ix.tgt
+    return _emit(name, p.quiver.vertices, [(an[a], vn[src[a]], vn[tgt[a]]) for a in dual.ix.decl],
+                 sorted(dual.pairs(), key=_pair_key), (name, *p.quiver.vertices, *an))
+
+
+def _emit(name, vertices, arrows, relations, names: tuple) -> str:
+    """The ``.qv`` text of a document's parts, once its vertices and ``names`` pass."""
+    if not vertices:
+        raise StepQuiverError(f"quiver {name!r} declares no vertices")
     # one regex pass over the names joined by single spaces: a space inside
     # a name shows as one space too many
-    text = " ".join(names) if isinstance(doc.name, str) else ""
+    text = " ".join(names) if isinstance(name, str) else ""
     if (text.count(" ") != len(names) - 1 or not _NAME_CHARS.fullmatch(text)
             or not _NOT_IDENT.isdisjoint(names)):
         bad = next(x for x in names if not isinstance(x, str)
                    or x in _NOT_IDENT or not _IDENT.fullmatch(x))
         raise StepQuiverError(f"name {bad!r} is not a .qv identifier: "
                               f"[A-Za-z0-9_]+ and not one of {', '.join(RESERVED)}")
-    lines = [f"quiver {doc.name} {{"]
-    lines.append("  vertices: " + " ".join(doc.vertices))
-    if doc.arrows:
-        decls = ", ".join(f"{a.name}: {a.source} -> {a.target}" for a in doc.arrows)
-        lines.append("  arrows: " + decls)
-    if doc.relations:
-        lines.append("  relations: " + ", ".join(f"{a}*{b}" for a, b in doc.relations))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = [f"quiver {name} {{", "  vertices: " + " ".join(vertices)]
+    if arrows:
+        lines.append("  arrows: " + ", ".join(f"{a}: {s} -> {t}" for a, s, t in arrows))
+    if relations:
+        lines.append("  relations: " + ", ".join(f"{a}*{b}" for a, b in relations))
+    return "\n".join(lines) + "\n}\n"

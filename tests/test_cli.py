@@ -179,6 +179,39 @@ def test_gldim_text_prints_the_routes_without_the_json_report(capsys, monkeypatc
     assert run_cli(capsys, "gldim", qv("a3_full"), "--json") == (1, "", err)
 
 
+def test_quiver_output_is_written_from_the_integer_form(capsys, monkeypatch):
+    from stepquiver import quiver, qv as qv_module
+
+    parsed = []
+    parse, doc_post_init = qv_module.parse_quiver_dsl, qv_module.QuiverDoc.__post_init__
+
+    def parse_and_arm(text):
+        parsed.append(parse(text))
+        return parsed[-1]
+
+    def first_doc_only(doc):
+        assert not parsed, "a CLI path built a QuiverDoc after the parse"
+        doc_post_init(doc)
+
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a CLI path {what}")
+        return call
+
+    # the handlers import these from their modules when they run
+    monkeypatch.setattr(qv_module, "parse_quiver_dsl", parse_and_arm)
+    monkeypatch.setattr(qv_module.QuiverDoc, "__post_init__", first_doc_only)
+    monkeypatch.setattr(quiver.Thread, "__post_init__", refuse("built a Thread"))
+    monkeypatch.setattr(quiver, "koszul_dual", refuse("called koszul_dual"))
+    for name in corpus_names():
+        for command, *flags in (["threads"], ["threads", "--json"], ["threads", "--kind", "permitted"],
+                                ["koszul"], ["koszul", "--json"], ["gldim", "--json"]):
+            parsed.clear()
+            rc, out, err = run_cli(capsys, command, qv(name), *flags)
+            assert len(parsed) == 1 and (rc, bool(out), bool(err)) in ((0, True, False),
+                                                                       (1, False, True)), name
+
+
 def test_gldim_on_a_1500_arrow_full_chain(capsys, tmp_path):
     n = 1500
     path = tmp_path / "a1501_full.qv"

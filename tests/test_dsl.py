@@ -24,16 +24,20 @@ from stepquiver import (
     QuiverDoc,
     StepQuiverError,
     UnknownVertexError,
-    doc_from_presentation,
     emit_dsl,
+    emit_koszul_dual,
     ensure_proper,
+    enumerate_threads,
     indicator,
     integrate_step,
+    koszul_dual,
+    koszul_report,
     linear_combine,
     monotone_pieces,
     parse_fn_expr,
     parse_quiver_dsl,
     step_literal,
+    threads_report,
     validate_gentle,
     zero_function,
 )
@@ -129,10 +133,54 @@ def test_parse_surfaces_reference_errors():
             "quiver x { vertices: 1 2 arrows: a: 1 -> 2, a: 2 -> 1 }")
 
 
-def test_doc_from_presentation_round_trips():
-    doc = parse_quiver_dsl((CORPUS_DIR / "square_half.qv").read_text())
-    p = validate_gentle(doc.quiver(), doc.relations)
-    assert doc_from_presentation("square_half", p) == doc
+def _result(f, *args):
+    """What ``f(*args)`` returns, or the type and message of its error."""
+    try:
+        return f(*args)
+    except StepQuiverError as exc:
+        return type(exc), str(exc)
+
+
+def assert_writers_match_the_named_objects(doc: QuiverDoc, name: str = "") -> None:
+    """The dual's ``.qv`` text (named ``name``, by default ``doc.name +
+    "_dual"``) and JSON and the thread JSON, written from the integer form,
+    equal what the named dual and the ``Thread``s give, errors included."""
+    p = validate_gentle(doc.quiver(), doc.relations, allow_infinite_dimensional=True)
+    name = name or doc.name + "_dual"
+
+    def named_dual_doc():
+        dual = koszul_dual(p)
+        return QuiverDoc(name, dual.quiver.vertices, dual.quiver.arrows, dual.relations)
+
+    text, dual_doc = _result(emit_koszul_dual, name, p), _result(named_dual_doc)
+    if isinstance(dual_doc, QuiverDoc):
+        assert text == _result(emit_dsl, dual_doc)
+        assert isinstance(text, tuple) or parse_quiver_dsl(text) == dual_doc
+        assert koszul_report(p) == koszul_dual(p).to_json()
+    else:
+        assert text == dual_doc == _result(koszul_report, p)
+    for kind in ("forbidden", "permitted"):
+        assert _result(threads_report, p, [kind]) == _result(
+            lambda: {kind: [t.to_json() for t in enumerate_threads(p, kind)]})
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_dual_and_thread_writers_match_the_named_objects_on_the_corpus(name):
+    assert_writers_match_the_named_objects(
+        parse_quiver_dsl((CORPUS_DIR / f"{name}.qv").read_text()))
+
+
+@pytest.mark.parametrize("name", ["quiver", "a b", "a-b", "x\n"])
+def test_the_dual_writer_refuses_the_names_emit_dsl_refuses(name):
+    assert_writers_match_the_named_objects(
+        parse_quiver_dsl((CORPUS_DIR / "square_half.qv").read_text()), name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gentle_presentations())
+def test_dual_and_thread_writers_match_the_named_objects(qr):
+    q, rels = qr
+    assert_writers_match_the_named_objects(QuiverDoc("g", q.vertices, q.arrows, tuple(rels)))
 
 
 def test_quiver_doc_validates_on_construction():

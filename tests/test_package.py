@@ -8,7 +8,9 @@ import stepquiver
 
 # The public names of ``stepquiver`` when its __init__ still imported every
 # submodule eagerly, with the ``annotations`` flag its star import of
-# ``errors`` carried along left out.
+# ``errors`` carried along left out; since then ``doc_from_presentation`` has
+# gone and the output writers ``threads_report``, ``koszul_report`` and
+# ``emit_koszul_dual`` have come.
 PUBLIC = set("""
 AffineMap AlgebraElement AmbientMismatchError ArityMismatchError Arrow
 BackingMismatchError BadExponentError BadPiecesError BijectionFailureError
@@ -26,16 +28,16 @@ TauNotHomomorphismError Thread ToleranceUnreachedError UnknownArrowError
 UnknownVertexError UpperLimitRecord ValidationReport VarIntegralFn acos_cat
 add_elements ae_equal asin_cat box box1 build_iposet
 classify_case convex_enclosure cos_cat direct_sum_norm
-doc_from_presentation dsl elemfn emit_dsl ensure_proper enumerate_threads
+dsl elemfn emit_dsl emit_koszul_dual ensure_proper enumerate_threads
 errors eta eval_step exp_cat forb_perm_bijection game_map game_natural
 gldim_report global_dimension identity_measure indicator integer_from_float
 integrate integrate_enclosure integrate_step iposet juxtapose k_reference
-koszul_dual lambda_action lebesgue_measure linear_combine ln_cat locate
+koszul_dual koszul_report lambda_action lebesgue_measure linear_combine ln_cat locate
 log_power_measure make_interval measurable_set measure monotone_pieces
 multiple_integral_affine_unit_box normalize_set order_leq p_norm
 parse_fn_expr parse_quiver_dsl path_length_via_integral path_source_weights
 poset_element quiver restrict scalar_action segment sin_cat step_literal
-stepfn stieltjes_integrate upper_limit_record validate_gentle
+stepfn stieltjes_integrate threads_report upper_limit_record validate_gentle
 var_upper_integral vertex_hom vertex_hom_q w_projection zero_function
 __version__
 """.split())

@@ -36,8 +36,8 @@ from pathlib import Path
 
 from quiver_scale import chain_text
 
-COMMANDS = (("validate",), ("threads",), ("koszul",), ("koszul", "--json"), ("gldim",),
-            ("gldim", "--json"), ("gldim", "--method", "threads"),
+COMMANDS = (("validate",), ("threads",), ("threads", "--json"), ("koszul",), ("koszul", "--json"),
+            ("gldim",), ("gldim", "--json"), ("gldim", "--method", "threads"),
             ("gldim", "--method", "stieltjes"))
 SIZES = (1000, 10000, 100000)
 REPEAT = 3
